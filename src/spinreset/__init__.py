@@ -21,7 +21,6 @@ from .finite_size import (
     ApproxVariant,
     transition_prob_approx,
     transition_prob_exact,
-    transition_prob_thermo,
 )
 from .observables import (
     LquResult,
@@ -47,7 +46,6 @@ from .renewal import (
     waiting_density,
 )
 from .spin_dynamics import (
-    BlochVector,
     DriveParams,
     evolve_qubit,
     flip_probability,
@@ -60,15 +58,11 @@ from .trajectory_sim import (
     EnsembleStats,
     ProtocolKind,
     SimConfig,
-    apply_reset_rule,
-    measurement_outcome,
     run_ensemble,
-    run_trajectory,
 )
 
 __all__ = [
     "ApproxVariant",
-    "BlochVector",
     "DriveParams",
     "EnsembleStats",
     "JumpEstimate",
@@ -82,7 +76,6 @@ __all__ = [
     "SweepResult",
     "WaitingKind",
     "WaitingTime",
-    "apply_reset_rule",
     "connected_correlation",
     "connected_correlation_closed_form",
     "estimate_discontinuity",
@@ -96,12 +89,10 @@ __all__ = [
     "free_two_spin_state",
     "hermitian_sqrt",
     "lqu",
-    "measurement_outcome",
     "propagator",
     "renewal_state_at_time",
     "reset_rates_R",
     "run_ensemble",
-    "run_trajectory",
     "sample_waiting_time",
     "stationary_density_closed_form",
     "stationary_state_p1",
@@ -110,6 +101,5 @@ __all__ = [
     "sweep_stationary",
     "transition_prob_approx",
     "transition_prob_exact",
-    "transition_prob_thermo",
     "waiting_density",
 ]

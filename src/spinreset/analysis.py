@@ -11,7 +11,6 @@ records which path produced it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .observables import connected_correlation, lqu
 from .renewal import WaitingTime, stationary_state_p1, stationary_state_p2
 from .spin_dynamics import DriveParams
-from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensemble
+from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, ordered_map, run_ensemble
 
 REGIME_CLOSED = "closed-form"
 REGIME_MIXTURE = "mixture"
@@ -63,6 +62,10 @@ class McTemplate:
     average_window: tuple | None = None
     window_points: int = 11
     n_spins: int | None = None
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def config(self, protocol: ProtocolKind, params: DriveParams,
                dist: WaitingTime, workers: int | None = None) -> SimConfig:
@@ -116,6 +119,28 @@ class SweepResult:
             setattr(self, name, arr)
         if len(self.regime) != n or not all(self.regime):
             raise ValueError("every row needs a provenance label")
+
+    @classmethod
+    def from_rows(cls, protocol: ProtocolKind, dist: WaitingTime, delta: float,
+                  omega_over_delta, rows, n_spins: int | None = None,
+                  row_errors: dict | None = None) -> "SweepResult":
+        """Assemble a sweep from (density, err, correlation, err, lqu, err, regime) rows."""
+        cols = list(zip(*rows))
+        return cls(
+            protocol=protocol,
+            dist=dist,
+            delta=delta,
+            omega_over_delta=omega_over_delta,
+            density=np.array(cols[0]),
+            density_stderr=np.array(cols[1]),
+            correlation=np.array(cols[2]),
+            correlation_stderr=np.array(cols[3]),
+            lqu=np.array(cols[4]),
+            lqu_stderr=np.array(cols[5]),
+            regime=list(cols[6]),
+            n_spins=n_spins,
+            row_errors=row_errors or {},
+        )
 
     def column(self, observable: str):
         """(values, stderrs) for one of density / correlation / lqu."""
@@ -181,17 +206,25 @@ def ensemble_lqu(stats: EnsembleStats):
     return value, math.sqrt(s2 / w.sum())
 
 
-def _closed_form_row(protocol: ProtocolKind, params: DriveParams, dist: WaitingTime):
+def closed_form_row(protocol: ProtocolKind, params: DriveParams, dist: WaitingTime,
+                    n_spins: int | None = None):
+    """One exact sweep row and the stationary state it comes from.
+
+    The conditional protocol is labelled a mixture of its two reset
+    branches, except in the thermodynamic limit at omega <= delta, where
+    every reset lands on all-up and the state is the closed form.
+    """
     if protocol is ProtocolKind.UNCONDITIONAL_RESET:
         st = stationary_state_p1(params, dist)
         regime = REGIME_CLOSED
     else:
-        st = stationary_state_p2(params, dist)
-        regime = REGIME_CLOSED if params.omega <= params.delta else REGIME_MIXTURE
+        st = stationary_state_p2(params, dist, n_spins)
+        closed = n_spins is None and params.omega <= params.delta
+        regime = REGIME_CLOSED if closed else REGIME_MIXTURE
     require_exchange_symmetric(st.pair_state)
     corr = connected_correlation(st.pair_state)
     discord = lqu(st.pair_state).value
-    return (st.density, 0.0, corr, 0.0, discord, 0.0, regime)
+    return (st.density, 0.0, corr, 0.0, discord, 0.0, regime), st
 
 
 def _mc_row(protocol, params, dist, mc: McTemplate, workers):
@@ -219,62 +252,31 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
     if delta <= 0.0:
         raise ValueError("sweeps need delta > 0 (the grid is in units of delta)")
     mc = mc or McTemplate()
-    needs_mc = [
-        use_mc
-        or protocol is ProtocolKind.CONDITIONAL_FLIP
-        or (mc.n_spins is not None and protocol is not ProtocolKind.UNCONDITIONAL_RESET)
-        for _ in grid
-    ]
+    needs_mc = (use_mc
+                or protocol is ProtocolKind.CONDITIONAL_FLIP
+                or (mc.n_spins is not None and protocol is not ProtocolKind.UNCONDITIONAL_RESET))
 
-    rows = [None] * grid.size
-    errors = {}
+    def params(x):
+        return DriveParams(omega=x * delta, delta=delta)
 
-    def one(i):
-        params = DriveParams(omega=grid[i] * delta, delta=delta)
-        if needs_mc[i]:
-            return _mc_row(protocol, params, dist, mc, workers=1)
-        return _closed_form_row(protocol, params, dist)
+    if not needs_mc:
+        rows = [closed_form_row(protocol, params(x), dist)[0] for x in grid]
+        return SweepResult.from_rows(protocol, dist, delta, grid, rows)
 
-    mc_rows = [i for i in range(grid.size) if needs_mc[i]]
-    if mc.workers > 1 and len(mc_rows) > 1:
-        # parallelize across rows; each row then runs single-worker
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            futures = {i: pool.submit(one, i) for i in mc_rows}
-            for i in range(grid.size):
-                if not needs_mc[i]:
-                    rows[i] = one(i)
-            for i, fut in futures.items():
-                try:
-                    rows[i] = fut.result()
-                except Exception as exc:
-                    errors[i] = f"{type(exc).__name__}: {exc}"
-    else:
-        for i in range(grid.size):
-            try:
-                rows[i] = one(i)
-            except Exception as exc:
-                if not needs_mc[i]:
-                    raise
-                errors[i] = f"{type(exc).__name__}: {exc}"
+    def attempt(x):
+        # rows run on worker threads, each single-worker; a failure is
+        # returned as its message and recorded below in grid order
+        try:
+            return _mc_row(protocol, params(x), dist, mc, workers=1)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
 
+    rows = ordered_map(attempt, grid, mc.workers)
+    errors = {i: r for i, r in enumerate(rows) if isinstance(r, str)}
     nan_row = (math.nan,) * 6 + (REGIME_FAILED,)
-    rows = [nan_row if r is None else r for r in rows]
-    cols = list(zip(*rows))
-    return SweepResult(
-        protocol=protocol,
-        dist=dist,
-        delta=delta,
-        omega_over_delta=grid,
-        density=np.array(cols[0]),
-        density_stderr=np.array(cols[1]),
-        correlation=np.array(cols[2]),
-        correlation_stderr=np.array(cols[3]),
-        lqu=np.array(cols[4]),
-        lqu_stderr=np.array(cols[5]),
-        regime=list(cols[6]),
-        n_spins=mc.n_spins if any(needs_mc) else None,
-        row_errors=errors,
-    )
+    rows = [nan_row if isinstance(r, str) else r for r in rows]
+    return SweepResult.from_rows(protocol, dist, delta, grid, rows,
+                                 n_spins=mc.n_spins, row_errors=errors)
 
 
 def _one_sided_limit(xs, ys, es, xc):
@@ -315,7 +317,7 @@ def estimate_discontinuity(sweep: SweepResult, critical_point: float = 1.0,
     def limit(side):
         if sweep.regime[side[0]] == REGIME_CLOSED:
             params = DriveParams(omega=critical_point * sweep.delta, delta=sweep.delta)
-            row = _closed_form_row(sweep.protocol, params, sweep.dist)
+            row, _ = closed_form_row(sweep.protocol, params, sweep.dist)
             return float(row[_column_index(observable)]), 0.0
         return _one_sided_limit(xs[side], values[side], stderrs[side], critical_point)
 
@@ -378,22 +380,3 @@ def fit_power_law(sweep: SweepResult, observable: str, critical_point: float = 1
         residual=float(np.sqrt(np.mean(resid**2))),
         critical_point=float(critical_point),
     )
-
-
-def stationarity_gap(stats: EnsembleStats, points: int = 5):
-    """Mean-density difference between the last two grid windows.
-
-    Convergence diagnostic for ensembles whose stationarity is only
-    asymptotic: a gap within a few combined standard errors indicates
-    the sampled tail has reached its plateau.  The error treats the two
-    windows as independent, which is adequate for a coarse check.
-    """
-    if len(stats.times) < 2 * points:
-        raise ValueError(f"need at least {2 * points} grid points, got {len(stats.times)}")
-    older = stats.density[-2 * points:-points]
-    newer = stats.density[-points:]
-    gap = float(newer.mean() - older.mean())
-    err_o = stats.density_stderr[-2 * points:-points]
-    err_n = stats.density_stderr[-points:]
-    err = math.sqrt(float((err_o**2).sum() + (err_n**2).sum())) / points
-    return gap, err

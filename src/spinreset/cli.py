@@ -25,12 +25,9 @@ import numpy as np
 from . import __version__
 from .analysis import (
     McTemplate,
-    PowerLawFit,
     SweepResult,
-    REGIME_CLOSED,
-    REGIME_MIXTURE,
+    closed_form_row,
     ensemble_lqu,
-    estimate_discontinuity,
     fit_power_law,
     sweep_stationary,
 )
@@ -43,7 +40,7 @@ from .renewal import (
     stationary_state_p1,
     stationary_state_p2,
 )
-from .spin_dynamics import DriveParams, free_qubit_poly
+from .spin_dynamics import DriveParams
 from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensemble
 
 WORKERS_ENV = "SPINRESET_WORKERS"
@@ -489,24 +486,9 @@ def cmd_stationary(args) -> int:
     t0 = time.perf_counter()
     params, dist, unit, delta_zero = _resolve_physics(args)
     protocol = ProtocolKind(args.protocol)
-    if protocol is ProtocolKind.UNCONDITIONAL_RESET:
-        st = stationary_state_p1(params, dist)
-        regime = REGIME_CLOSED
-    else:
-        st = stationary_state_p2(params, dist, args.n_spins)
-        if args.n_spins is not None:
-            regime = REGIME_MIXTURE
-        else:
-            regime = REGIME_CLOSED if params.omega <= params.delta else REGIME_MIXTURE
-    result = SweepResult(
-        protocol=protocol, dist=dist, delta=args.delta, n_spins=args.n_spins,
-        omega_over_delta=np.array([args.omega]),
-        density=np.array([st.density]), density_stderr=np.array([0.0]),
-        correlation=np.array([connected_correlation(st.pair_state)]),
-        correlation_stderr=np.array([0.0]),
-        lqu=np.array([lqu(st.pair_state).value]), lqu_stderr=np.array([0.0]),
-        regime=[regime],
-    )
+    row, st = closed_form_row(protocol, params, dist, args.n_spins)
+    result = SweepResult.from_rows(protocol, dist, args.delta, [args.omega], [row],
+                                   n_spins=args.n_spins)
     manifest = RunManifest(
         command="stationary", argv=list(args.argv), seed=None, version=__version__,
         config=_config_echo(args, {"delta_zero": delta_zero, "note": st.note}),

@@ -2,9 +2,10 @@
 
 A measurement of the excitation density of N independent spins, each
 down with probability p, falls below 1/2 with the binomial tail
-probability computed here.  Four regimes: exact summation, the
-erf form of the normal approximation, its large-N endpoint asymptotics,
-and the thermodynamic-limit step function.
+probability computed here.  Three regimes: exact summation, the
+erf form of the normal approximation and its large-N endpoint
+asymptotics.  The thermodynamic limit, a step function at p = 1/2, is
+taken in closed form by renewal.reset_rates_R.
 
 N is assumed odd throughout so the measured density can never tie at
 exactly 1/2.
@@ -102,15 +103,4 @@ def transition_prob_approx(n_spins: int, p, variant: ApproxVariant):
         out = _asymptotic(n, p)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return float(out) if p.ndim == 0 else out
-
-
-def transition_prob_thermo(p):
-    """Step-function limit: 0 below p = 1/2, 1 above, 0 at the tie.
-
-    The tie has measure zero in time and odd N can never produce it;
-    Theta(0) = 0 is a documented convention, not physics.
-    """
-    p = _check_p(p)
-    out = np.where(p > 0.5, 1.0, 0.0)
     return float(out) if p.ndim == 0 else out

@@ -8,8 +8,8 @@ weights obtained by integrating the majority-transition probability
 against f.
 
 Trajectory entries are TrigPoly objects, so every time integral here is
-done term by term in closed form; an adaptive-quadrature path exists as
-an independent cross-check for callables.
+done term by term in closed form; an adaptive vector-quadrature path
+exists as an independent cross-check for callables.
 """
 
 from __future__ import annotations
@@ -138,33 +138,19 @@ def _quad_upper_limit(dist: WaitingTime) -> float:
 
 
 def _average_callable(dist: WaitingTime, f):
-    hi = _quad_upper_limit(dist)
-    norm = _fourier_weight(dist, 0.0).real
-
-    def one(component):
-        val, _ = integrate.quad(
-            lambda t: survival_probability(dist, t) * component(t), 0.0, hi, limit=400
-        )
-        return val / norm
-
-    probe = f(0.0)
-    if np.isscalar(probe) or np.ndim(probe) == 0:
-        if np.iscomplexobj(np.asarray(probe)):
-            return one(lambda t: f(t).real) + 1j * one(lambda t: f(t).imag)
-        return one(f)
-    probe = np.asarray(probe)
-    out = np.empty(probe.shape, dtype=complex)
-    for idx in np.ndindex(*probe.shape):
-        out[idx] = one(lambda t: f(t)[idx].real) + 1j * one(lambda t: f(t)[idx].imag)
-    return out
+    val, _ = integrate.quad_vec(lambda t: survival_probability(dist, t) * f(t),
+                                0.0, _quad_upper_limit(dist))
+    return val / _fourier_weight(dist, 0.0).real
 
 
 def exp_weighted_average(dist: WaitingTime, f):
     """Average a free trajectory against the survival weight q(t)/q_hat.
 
     f may be a TrigPoly, an object array of TrigPoly (integrated in
-    closed form term by term) or a plain callable t -> scalar/matrix
-    (integrated by adaptive quadrature; the two paths agree to 1e-8).
+    closed form term by term) or a plain callable t -> scalar/array.  A
+    callable is integrated as a whole by one adaptive vector quadrature
+    (scipy.integrate.quad_vec), so every entry shares the same
+    subintervals; the two paths agree to 1e-8.
     """
     if isinstance(f, TrigPoly):
         return _average_poly(dist, f)

@@ -24,7 +24,6 @@ from .trigpoly import TrigPoly, kron_poly, poly_matrix
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_EPS = 1e-10
-BLOCH_NORM_TOL = 1e-9
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -60,30 +59,6 @@ class DriveParams:
     @property
     def effective_rabi(self) -> float:
         return float(np.hypot(self.omega, self.delta))
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Polarization vector (x, y, z) of a single spin."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if self.norm() > 1.0 + BLOCH_NORM_TOL:
-            raise ValueError(f"Bloch vector has norm {self.norm()} > 1")
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-
-    @classmethod
-    def from_state(cls, rho: np.ndarray) -> "BlochVector":
-        rho = require_qubit_state(rho)
-        return cls(*(float(np.trace(s @ rho).real) for s in PAULI))
-
-    def to_state(self) -> np.ndarray:
-        return 0.5 * (IDENTITY_2 + self.x * SIGMA_X + self.y * SIGMA_Y + self.z * SIGMA_Z)
 
 
 def _require_state(rho, dim: int) -> np.ndarray:

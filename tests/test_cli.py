@@ -102,6 +102,11 @@ def test_exit_codes(tmp_path, capsys):
                     "--tmax", "5"], capsys)[0] == 3  # tmax needs chopped
     assert run_cli(["sweep", "--protocol", "2", "--grid", "0.5,1.5",
                     "--delta", "0"], capsys)[0] == 3
+    for workers in ("0", "-2"):
+        assert run_cli(["sweep", "--protocol", "3", "--grid", "1.1",
+                        "--workers", workers], capsys)[0] == 3
+        assert run_cli(["finite-size", "--n-spins", "11", "--grid", "1.1",
+                        "--workers", workers], capsys)[0] == 3
     assert run_cli(["fit", "--input", str(tmp_path / "missing.csv"),
                     "--observable", "density"], capsys)[0] == 5
     bad = tmp_path / "bad.csv"

