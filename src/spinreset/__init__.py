@@ -8,6 +8,8 @@ fits) behind the `spinreset` command line tool.
 
 __version__ = "0.1.0"
 
+# The library entry points the README documents, and the types they take
+# or return; everything else is imported from its own module.
 from .analysis import (
     JumpEstimate,
     McTemplate,
@@ -17,52 +19,12 @@ from .analysis import (
     fit_power_law,
     sweep_stationary,
 )
-from .finite_size import (
-    ApproxVariant,
-    transition_prob_approx,
-    transition_prob_exact,
-)
-from .observables import (
-    LquResult,
-    connected_correlation,
-    connected_correlation_closed_form,
-    excitation_density,
-    hermitian_sqrt,
-    lqu,
-)
-from .renewal import (
-    ResetWeights,
-    StationaryState,
-    WaitingKind,
-    WaitingTime,
-    exp_weighted_average,
-    renewal_state_at_time,
-    reset_rates_R,
-    sample_waiting_time,
-    stationary_density_closed_form,
-    stationary_state_p1,
-    stationary_state_p2,
-    survival_probability,
-    waiting_density,
-)
-from .spin_dynamics import (
-    DriveParams,
-    evolve_qubit,
-    flip_probability,
-    free_excitation_density,
-    free_two_point_density,
-    free_two_spin_state,
-    propagator,
-)
-from .trajectory_sim import (
-    EnsembleStats,
-    ProtocolKind,
-    SimConfig,
-    run_ensemble,
-)
+from .observables import LquResult, connected_correlation, lqu
+from .renewal import StationaryState, WaitingTime, stationary_state_p1, stationary_state_p2
+from .spin_dynamics import DriveParams
+from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensemble
 
 __all__ = [
-    "ApproxVariant",
     "DriveParams",
     "EnsembleStats",
     "JumpEstimate",
@@ -70,36 +32,16 @@ __all__ = [
     "McTemplate",
     "PowerLawFit",
     "ProtocolKind",
-    "ResetWeights",
     "SimConfig",
     "StationaryState",
     "SweepResult",
-    "WaitingKind",
     "WaitingTime",
     "connected_correlation",
-    "connected_correlation_closed_form",
     "estimate_discontinuity",
-    "evolve_qubit",
-    "excitation_density",
-    "exp_weighted_average",
     "fit_power_law",
-    "flip_probability",
-    "free_excitation_density",
-    "free_two_point_density",
-    "free_two_spin_state",
-    "hermitian_sqrt",
     "lqu",
-    "propagator",
-    "renewal_state_at_time",
-    "reset_rates_R",
     "run_ensemble",
-    "sample_waiting_time",
-    "stationary_density_closed_form",
     "stationary_state_p1",
     "stationary_state_p2",
-    "survival_probability",
     "sweep_stationary",
-    "transition_prob_approx",
-    "transition_prob_exact",
-    "waiting_density",
 ]

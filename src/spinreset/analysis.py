@@ -25,6 +25,14 @@ REGIME_MIXTURE = "mixture"
 REGIME_MC = "monte-carlo"
 REGIME_FAILED = "failed"
 
+# The table layouts of the CLI's CSV and JSON outputs, in column order.
+# Sweep columns are SweepResult fields; series columns after "time" are
+# EnsembleStats fields, and "window_" + name is their window average.
+SWEEP_COLUMNS = ("omega_over_delta", "density", "density_stderr", "correlation",
+                 "correlation_stderr", "lqu", "lqu_stderr", "regime")
+SERIES_COLUMNS = ("time", "density", "density_stderr", "two_point",
+                  "two_point_stderr", "correlation", "correlation_stderr")
+
 # the two-spin states built here are exchange symmetric, so acting on
 # the first spin in the discord measure is a convention, not a choice
 _SWAP = np.array([
@@ -111,12 +119,12 @@ class SweepResult:
         if np.any(np.diff(self.omega_over_delta) <= 0.0):
             raise ValueError("omega_over_delta grid must be strictly increasing")
         n = len(self.omega_over_delta)
-        for name in ("density", "density_stderr", "correlation",
-                     "correlation_stderr", "lqu", "lqu_stderr"):
+        for name in SWEEP_COLUMNS[1:-1]:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per grid point")
             setattr(self, name, arr)
+        self.regime = list(self.regime)
         if len(self.regime) != n or not all(self.regime):
             raise ValueError("every row needs a provenance label")
 
@@ -124,23 +132,10 @@ class SweepResult:
     def from_rows(cls, protocol: ProtocolKind, dist: WaitingTime, delta: float,
                   omega_over_delta, rows, n_spins: int | None = None,
                   row_errors: dict | None = None) -> "SweepResult":
-        """Assemble a sweep from (density, err, correlation, err, lqu, err, regime) rows."""
-        cols = list(zip(*rows))
-        return cls(
-            protocol=protocol,
-            dist=dist,
-            delta=delta,
-            omega_over_delta=omega_over_delta,
-            density=np.array(cols[0]),
-            density_stderr=np.array(cols[1]),
-            correlation=np.array(cols[2]),
-            correlation_stderr=np.array(cols[3]),
-            lqu=np.array(cols[4]),
-            lqu_stderr=np.array(cols[5]),
-            regime=list(cols[6]),
-            n_spins=n_spins,
-            row_errors=row_errors or {},
-        )
+        """Assemble a sweep from rows holding SWEEP_COLUMNS after the grid column."""
+        columns = dict(zip(SWEEP_COLUMNS, [omega_over_delta, *zip(*rows)]))
+        return cls(protocol=protocol, dist=dist, delta=delta, n_spins=n_spins,
+                   row_errors=row_errors or {}, **columns)
 
     def column(self, observable: str):
         """(values, stderrs) for one of density / correlation / lqu."""
@@ -288,10 +283,6 @@ def _one_sided_limit(xs, ys, es, xc):
     return float((1.0 - a) * y1 + a * y2), float(math.hypot((1.0 - a) * e1, a * e2))
 
 
-def _column_index(observable: str) -> int:
-    return {"density": 0, "correlation": 2, "lqu": 4}[observable]
-
-
 def estimate_discontinuity(sweep: SweepResult, critical_point: float = 1.0,
                            observable: str = "density") -> JumpEstimate:
     """Jump of an observable at the critical point: left limit minus right.
@@ -318,7 +309,7 @@ def estimate_discontinuity(sweep: SweepResult, critical_point: float = 1.0,
         if sweep.regime[side[0]] == REGIME_CLOSED:
             params = DriveParams(omega=critical_point * sweep.delta, delta=sweep.delta)
             row, _ = closed_form_row(sweep.protocol, params, sweep.dist)
-            return float(row[_column_index(observable)]), 0.0
+            return float(row[SWEEP_COLUMNS.index(observable) - 1]), 0.0
         return _one_sided_limit(xs[side], values[side], stderrs[side], critical_point)
 
     lv, le = limit(left)

@@ -24,6 +24,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    SERIES_COLUMNS,
+    SWEEP_COLUMNS,
     McTemplate,
     SweepResult,
     closed_form_row,
@@ -45,10 +47,8 @@ from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensemble
 
 WORKERS_ENV = "SPINRESET_WORKERS"
 
-SWEEP_COLUMNS = ("omega_over_delta", "density", "density_stderr", "correlation",
-                 "correlation_stderr", "lqu", "lqu_stderr", "regime")
-SERIES_COLUMNS = ("time", "density", "density_stderr", "two_point",
-                  "two_point_stderr", "correlation", "correlation_stderr")
+# argparse attributes that are plumbing, not configuration
+_NOT_CONFIG = ("func", "command", "argv", "start")
 
 
 class UnreadableInput(Exception):
@@ -80,31 +80,20 @@ class RunManifest:
         return path
 
 
+def _manifest(args, extra=None) -> RunManifest:
+    """This invocation's resolved configuration, plus extra, and its wall time so far."""
+    config = {k: list(v) if isinstance(v, tuple) else v
+              for k, v in sorted(vars(args).items()) if k not in _NOT_CONFIG}
+    config.update(extra or {})
+    return RunManifest(command=args.command, argv=list(args.argv), config=config,
+                       seed=getattr(args, "seed", None), version=__version__,
+                       wall_time=time.perf_counter() - args.start)
+
+
 def _fmt(v) -> str:
     if isinstance(v, str):
         return v
     return format(float(v), ".17g")
-
-
-def _sweep_rows(sweep: SweepResult):
-    for i in range(len(sweep.omega_over_delta)):
-        yield (sweep.omega_over_delta[i], sweep.density[i], sweep.density_stderr[i],
-               sweep.correlation[i], sweep.correlation_stderr[i],
-               sweep.lqu[i], sweep.lqu_stderr[i], sweep.regime[i])
-
-
-def _time_unit(stats: EnsembleStats) -> float:
-    # the time column is emitted as t*delta, mirroring the input groups
-    d = stats.config.params.delta
-    return d if d > 0.0 else 1.0
-
-
-def _series_rows(stats: EnsembleStats):
-    unit = _time_unit(stats)
-    for i in range(len(stats.times)):
-        yield (stats.times[i] * unit, stats.density[i], stats.density_stderr[i],
-               stats.two_point[i], stats.two_point_stderr[i],
-               stats.correlation[i], stats.correlation_stderr[i])
 
 
 def _csv_text(columns, rows) -> str:
@@ -125,81 +114,32 @@ def _dist_from_dict(d: dict) -> WaitingTime:
     return WaitingTime.chopped(d["gamma"], d["t_max"])
 
 
-def _sweep_json(sweep: SweepResult, manifest: RunManifest | None) -> dict:
-    doc = {
-        "kind": "sweep",
-        "protocol": sweep.protocol.value,
-        "dist": _dist_dict(sweep.dist),
-        "delta": sweep.delta,
-        "n_spins": sweep.n_spins,
-        "columns": list(SWEEP_COLUMNS),
-        "omega_over_delta": sweep.omega_over_delta.tolist(),
-        "density": sweep.density.tolist(),
-        "density_stderr": sweep.density_stderr.tolist(),
-        "correlation": sweep.correlation.tolist(),
-        "correlation_stderr": sweep.correlation_stderr.tolist(),
-        "lqu": sweep.lqu.tolist(),
-        "lqu_stderr": sweep.lqu_stderr.tolist(),
-        "regime": list(sweep.regime),
-        "row_errors": {str(k): v for k, v in sweep.row_errors.items()},
-        "fits": {k: asdict(v) for k, v in sweep.fits.items()},
-    }
-    if manifest is not None:
-        doc["manifest"] = asdict(manifest)
-    return doc
-
-
-def _sweep_from_json(doc: dict) -> SweepResult:
-    return SweepResult(
-        protocol=ProtocolKind(doc["protocol"]),
-        dist=_dist_from_dict(doc["dist"]),
-        delta=doc["delta"],
-        omega_over_delta=np.array(doc["omega_over_delta"], dtype=float),
-        density=np.array(doc["density"], dtype=float),
-        density_stderr=np.array(doc["density_stderr"], dtype=float),
-        correlation=np.array(doc["correlation"], dtype=float),
-        correlation_stderr=np.array(doc["correlation_stderr"], dtype=float),
-        lqu=np.array(doc["lqu"], dtype=float),
-        lqu_stderr=np.array(doc["lqu_stderr"], dtype=float),
-        regime=list(doc["regime"]),
-        n_spins=doc.get("n_spins"),
-    )
-
-
-def _series_json(stats: EnsembleStats, manifest: RunManifest | None) -> dict:
-    unit = _time_unit(stats)
-    doc = {
-        "kind": "ensemble",
-        "protocol": stats.config.protocol.value,
-        "dist": _dist_dict(stats.config.dist),
-        "n_spins": stats.config.n_spins,
-        "n_trajectories": stats.n_trajectories,
-        "columns": list(SERIES_COLUMNS),
-        "time": (stats.times * unit).tolist(),
-        "density": stats.density.tolist(),
-        "density_stderr": stats.density_stderr.tolist(),
-        "two_point": stats.two_point.tolist(),
-        "two_point_stderr": stats.two_point_stderr.tolist(),
-        "correlation": stats.correlation.tolist(),
-        "correlation_stderr": stats.correlation_stderr.tolist(),
-        "wall_time": stats.wall_time,
-    }
-    if stats.window_density is not None:
-        lq, lq_err = ensemble_lqu(stats)
-        doc["window"] = {
-            "range": [w * unit for w in stats.config.average_window],
-            "density": stats.window_density,
-            "density_stderr": stats.window_density_stderr,
-            "two_point": stats.window_two_point,
-            "two_point_stderr": stats.window_two_point_stderr,
-            "correlation": stats.window_correlation,
-            "correlation_stderr": stats.window_correlation_stderr,
-            "lqu": lq,
-            "lqu_stderr": lq_err,
-        }
-    if manifest is not None:
-        doc["manifest"] = asdict(manifest)
-    return doc
+def _table(result):
+    """(columns, column values, JSON fields before the columns, JSON fields after)."""
+    if isinstance(result, SweepResult):
+        head = {"kind": "sweep", "protocol": result.protocol.value,
+                "dist": _dist_dict(result.dist), "delta": result.delta,
+                "n_spins": result.n_spins}
+        tail = {"row_errors": {str(k): v for k, v in result.row_errors.items()},
+                "fits": {k: asdict(v) for k, v in result.fits.items()}}
+        return SWEEP_COLUMNS, [getattr(result, c) for c in SWEEP_COLUMNS], head, tail
+    if isinstance(result, EnsembleStats):
+        # the time column is emitted as t*delta, mirroring the input groups
+        d = result.config.params.delta
+        unit = d if d > 0.0 else 1.0
+        head = {"kind": "ensemble", "protocol": result.config.protocol.value,
+                "dist": _dist_dict(result.config.dist), "n_spins": result.config.n_spins,
+                "n_trajectories": result.n_trajectories}
+        tail = {"wall_time": result.wall_time}
+        if result.window_density is not None:
+            lq, lq_err = ensemble_lqu(result)
+            tail["window"] = {
+                "range": [w * unit for w in result.config.average_window],
+                **{c: getattr(result, "window_" + c) for c in SERIES_COLUMNS[1:]},
+                "lqu": lq, "lqu_stderr": lq_err}
+        values = [result.times * unit] + [getattr(result, c) for c in SERIES_COLUMNS[1:]]
+        return SERIES_COLUMNS, values, head, tail
+    raise ValueError(f"cannot serialize {type(result).__name__}")
 
 
 def write_table(result, fmt: str, path: str, manifest: RunManifest | None = None) -> list:
@@ -208,22 +148,21 @@ def write_table(result, fmt: str, path: str, manifest: RunManifest | None = None
     fmt is csv, json, or both; path is the stem the extensions are
     appended to.  Returns the list of files written.
     """
-    if isinstance(result, SweepResult):
-        csv_text = _csv_text(SWEEP_COLUMNS, _sweep_rows(result))
-        json_doc = _sweep_json(result, manifest)
-    elif isinstance(result, EnsembleStats):
-        csv_text = _csv_text(SERIES_COLUMNS, _series_rows(result))
-        json_doc = _series_json(result, manifest)
-    else:
-        raise ValueError(f"cannot serialize {type(result).__name__}")
+    columns, values, head, tail = _table(result)
     written = []
     if fmt in ("csv", "both"):
         with open(path + ".csv", "w") as fh:
-            fh.write(csv_text)
+            fh.write(_csv_text(columns, zip(*values)))
         written.append(path + ".csv")
     if fmt in ("json", "both"):
+        doc = {**head, "columns": list(columns),
+               **{c: v.tolist() if isinstance(v, np.ndarray) else list(v)
+                  for c, v in zip(columns, values)},
+               **tail}
+        if manifest is not None:
+            doc["manifest"] = asdict(manifest)
         with open(path + ".json", "w") as fh:
-            json.dump(json_doc, fh, indent=2)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
         written.append(path + ".json")
     return written
@@ -421,7 +360,7 @@ def _resolve_workers(args) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return 1
@@ -448,27 +387,31 @@ def _resolve_physics(args):
     return params, dist, unit, delta_zero
 
 
-def _config_echo(args, extra=None) -> dict:
-    skip = {"func", "command", "argv"}
-    doc = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    for k, v in list(doc.items()):
-        if isinstance(v, tuple):
-            doc[k] = list(v)
-    if extra:
-        doc.update(extra)
-    return doc
+def _emit(args, tables, extra=None, svg_series=None) -> int:
+    """Print each table as CSV, or write its files, the SVG plots and a manifest.
 
-
-def _emit(result, args, manifest: RunManifest, svg_series=None):
-    """Write files when --output is set, otherwise print the CSV."""
-    if args.output is None:
+    tables is a list of (stem suffix, heading, result); the heading
+    precedes the table on stdout and a sweep's failed-row reports on
+    stderr.  extra joins the configuration recorded in the manifest.
+    """
+    for _, heading, result in tables:
         if isinstance(result, SweepResult):
-            sys.stdout.write(_csv_text(SWEEP_COLUMNS, _sweep_rows(result)))
-        else:
-            sys.stdout.write(_csv_text(SERIES_COLUMNS, _series_rows(result)))
+            prefix = f"{heading}: " if heading else ""
+            for i, err in sorted(result.row_errors.items()):
+                print(f"{prefix}row {i} (omega/delta={result.omega_over_delta[i]}) failed: {err}",
+                      file=sys.stderr)
+    if args.output is None:
+        for _, heading, result in tables:
+            if heading:
+                sys.stdout.write(f"# {heading}\n")
+            columns, values, _, _ = _table(result)
+            sys.stdout.write(_csv_text(columns, zip(*values)))
         return 0
-    outputs = write_table(result, args.format, args.output, manifest)
-    if getattr(args, "svg", False) and svg_series:
+    manifest = _manifest(args, extra)
+    outputs = []
+    for suffix, _, result in tables:
+        outputs.extend(write_table(result, args.format, args.output + suffix, manifest))
+    if args.svg and svg_series:
         for name, (x, ys, labels, xlabel, ylabel) in svg_series.items():
             outputs.append(write_svg(f"{args.output}.{name}.svg", x, ys, labels, xlabel, ylabel))
     manifest.outputs = outputs
@@ -483,17 +426,12 @@ def _emit(result, args, manifest: RunManifest, svg_series=None):
 
 
 def cmd_stationary(args) -> int:
-    t0 = time.perf_counter()
     params, dist, unit, delta_zero = _resolve_physics(args)
     protocol = ProtocolKind(args.protocol)
     row, st = closed_form_row(protocol, params, dist, args.n_spins)
     result = SweepResult.from_rows(protocol, dist, args.delta, [args.omega], [row],
                                    n_spins=args.n_spins)
-    manifest = RunManifest(
-        command="stationary", argv=list(args.argv), seed=None, version=__version__,
-        config=_config_echo(args, {"delta_zero": delta_zero, "note": st.note}),
-        wall_time=time.perf_counter() - t0)
-    return _emit(result, args, manifest)
+    return _emit(args, [("", None, result)], {"delta_zero": delta_zero, "note": st.note})
 
 
 def _resolve_horizon(args, protocol, unit) -> float:
@@ -507,7 +445,6 @@ def _resolve_horizon(args, protocol, unit) -> float:
 
 
 def cmd_ensemble(args) -> int:
-    t0 = time.perf_counter()
     params, dist, unit, delta_zero = _resolve_physics(args)
     protocol = ProtocolKind(args.protocol)
     workers = _resolve_workers(args)
@@ -524,18 +461,14 @@ def cmd_ensemble(args) -> int:
         average_window=window,
     )
     stats = run_ensemble(config)
-    manifest = RunManifest(
-        command="ensemble", argv=list(args.argv), seed=args.seed, version=__version__,
-        config=_config_echo(args, {"delta_zero": delta_zero, "observation_time": horizon,
-                                   "workers": workers}),
-        wall_time=time.perf_counter() - t0)
     svg = {"density": (stats.times * unit, [stats.density], ["density"],
                        "time * delta", "density")}
-    return _emit(stats, args, manifest, svg_series=svg)
+    return _emit(args, [("", None, stats)],
+                 {"delta_zero": delta_zero, "observation_time": horizon, "workers": workers},
+                 svg)
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
     _, dist, unit, delta_zero = _resolve_physics(args)
     if delta_zero:
         raise ValueError("sweeps need delta > 0 (the grid is in units of delta)")
@@ -547,24 +480,17 @@ def cmd_sweep(args) -> int:
         workers=workers, window_points=args.window_points, n_spins=args.n_spins)
     sweep = sweep_stationary(protocol, dist, args.grid, mc=template,
                              delta=args.delta, use_mc=args.mc)
-    for i, err in sorted(sweep.row_errors.items()):
-        print(f"row {i} (omega/delta={sweep.omega_over_delta[i]}) failed: {err}",
-              file=sys.stderr)
-    manifest = RunManifest(
-        command="sweep", argv=list(args.argv), seed=args.seed, version=__version__,
-        config=_config_echo(args, {"observation_time": horizon, "workers": workers}),
-        wall_time=time.perf_counter() - t0)
     x = sweep.omega_over_delta
     svg = {
         "density": (x, [sweep.density], ["density"], "omega/delta", "density"),
         "correlation": (x, [sweep.correlation], ["correlation"], "omega/delta", "correlation"),
         "lqu": (x, [sweep.lqu], ["lqu"], "omega/delta", "lqu"),
     }
-    return _emit(sweep, args, manifest, svg_series=svg)
+    return _emit(args, [("", None, sweep)],
+                 {"observation_time": horizon, "workers": workers}, svg)
 
 
 def cmd_finite_size(args) -> int:
-    t0 = time.perf_counter()
     _, dist, unit, delta_zero = _resolve_physics(args)
     if delta_zero:
         raise ValueError("finite-size sweeps need delta > 0")
@@ -578,28 +504,10 @@ def cmd_finite_size(args) -> int:
             window_points=args.window_points, n_spins=n)
         sweeps[n] = sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, dist, args.grid,
                                      mc=template, delta=args.delta)
-    manifest = RunManifest(
-        command="finite-size", argv=list(args.argv), seed=args.seed, version=__version__,
-        config=_config_echo(args, {"observation_time": horizon, "workers": workers}),
-        wall_time=time.perf_counter() - t0)
-    if args.output is None:
-        for n, sweep in sweeps.items():
-            sys.stdout.write(f"# N = {n}\n")
-            sys.stdout.write(_csv_text(SWEEP_COLUMNS, _sweep_rows(sweep)))
-        return 0
-    outputs = []
-    for n, sweep in sweeps.items():
-        outputs.extend(write_table(sweep, args.format, f"{args.output}_N{n}", manifest))
-    if args.svg:
-        x = args.grid
-        ys = [sweeps[n].density for n in args.n_spins]
-        labels = [f"N={n}" for n in args.n_spins]
-        outputs.append(write_svg(f"{args.output}.density.svg", x, ys, labels,
-                                 "omega/delta", "density"))
-    manifest.outputs = outputs
-    outputs.append(manifest.write(args.output))
-    print("\n".join(outputs))
-    return 0
+    svg = {"density": (args.grid, [sweeps[n].density for n in args.n_spins],
+                       [f"N={n}" for n in args.n_spins], "omega/delta", "density")}
+    return _emit(args, [(f"_N{n}", f"N = {n}", sweep) for n, sweep in sweeps.items()],
+                 {"observation_time": horizon, "workers": workers}, svg)
 
 
 def _read_sweep_file(path: str) -> SweepResult:
@@ -608,14 +516,27 @@ def _read_sweep_file(path: str) -> SweepResult:
             text = fh.read()
     except OSError as exc:
         raise UnreadableInput(f"cannot read {path}: {exc}") from exc
-    if path.endswith(".json"):
-        try:
+    is_json = path.endswith(".json")
+    try:
+        if is_json:
             doc = json.loads(text)
-            return _sweep_from_json(doc)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise UnreadableInput(f"{path} is not a sweep JSON file: {exc}") from exc
-    # CSV: the table alone carries no protocol metadata; defaults are
-    # fine because the fit only consumes the numeric columns
+            meta = {"protocol": ProtocolKind(doc["protocol"]), "dist": _dist_from_dict(doc["dist"]),
+                    "delta": doc["delta"], "n_spins": doc.get("n_spins")}
+            columns = {c: doc[c] for c in SWEEP_COLUMNS}
+        else:
+            # the CSV table alone carries no protocol metadata; defaults
+            # are fine because the fit only consumes the numeric columns
+            meta = {"protocol": ProtocolKind.UNCONDITIONAL_RESET,
+                    "dist": WaitingTime.poisson(0.5), "delta": 1.0}
+            columns = dict(zip(SWEEP_COLUMNS, _read_sweep_csv(path, text)))
+        return SweepResult(**meta, **columns)
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        kind = "JSON" if is_json else "CSV"
+        raise UnreadableInput(f"{path} is not a sweep {kind} file: {exc}") from exc
+
+
+def _read_sweep_csv(path: str, text: str) -> list:
+    """The SWEEP_COLUMNS of a sweep CSV table, as one sequence per column."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or [c.strip() for c in lines[0].split(",")] != list(SWEEP_COLUMNS):
         raise UnreadableInput(f"{path} does not start with the sweep CSV header")
@@ -625,25 +546,13 @@ def _read_sweep_file(path: str) -> SweepResult:
         if len(cells) != len(SWEEP_COLUMNS):
             raise UnreadableInput(f"{path}: malformed row {ln!r}")
         try:
-            rows.append([float(c) for c in cells[:7]] + [cells[7]])
+            rows.append([float(c) for c in cells[:-1]] + [cells[-1]])
         except ValueError as exc:
             raise UnreadableInput(f"{path}: malformed row {ln!r}") from exc
-    cols = list(zip(*rows)) if rows else [[]] * 8
-    return SweepResult(
-        protocol=ProtocolKind.UNCONDITIONAL_RESET, dist=WaitingTime.poisson(0.5), delta=1.0,
-        omega_over_delta=np.array(cols[0], dtype=float),
-        density=np.array(cols[1], dtype=float),
-        density_stderr=np.array(cols[2], dtype=float),
-        correlation=np.array(cols[3], dtype=float),
-        correlation_stderr=np.array(cols[4], dtype=float),
-        lqu=np.array(cols[5], dtype=float),
-        lqu_stderr=np.array(cols[6], dtype=float),
-        regime=list(cols[7]),
-    )
+    return list(zip(*rows)) if rows else [()] * len(SWEEP_COLUMNS)
 
 
 def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
     sweep = _read_sweep_file(args.input)
     fit = fit_power_law(sweep, args.observable, critical_point=args.critical_point,
                         window=args.window, baseline=args.baseline)
@@ -654,10 +563,8 @@ def cmd_fit(args) -> int:
     if args.output is not None:
         with open(args.output + ".json", "w") as fh:
             fh.write(text)
-        manifest = RunManifest(
-            command="fit", argv=list(args.argv), seed=None, version=__version__,
-            config=_config_echo(args), wall_time=time.perf_counter() - t0,
-            outputs=[args.output + ".json"])
+        manifest = _manifest(args)
+        manifest.outputs = [args.output + ".json"]
         manifest.write(args.output)
     return 0
 
@@ -781,6 +688,7 @@ def execute_command(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     args.argv = list(sys.argv[1:] if argv is None else argv)
+    args.start = time.perf_counter()
     try:
         return args.func(args)
     except UnreadableInput as exc:

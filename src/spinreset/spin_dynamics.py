@@ -154,28 +154,6 @@ def free_two_spin_state(params: DriveParams, t: float, init_j: str, init_k: str)
     return np.kron(rj, rk)
 
 
-def free_two_point_density(params: DriveParams, t, n0):
-    """Two-point density <n_j n_k> for reset-free evolution from density n0.
-
-    The initial spin states are independent, so the four origin
-    combinations (up,up), (up,down), (down,up), (down,down) carry
-    weights n0^2, n0(1-n0), n0(1-n0), (1-n0)^2 and the average
-    factorizes into the square of the single-spin density.
-    """
-    n0 = np.asarray(n0, dtype=float)
-    if np.any(n0 < 0.0) or np.any(n0 > 1.0):
-        raise ValueError("n0 must lie in [0, 1]")
-    p = flip_probability(params, t)
-    d_up = 1.0 - p
-    d_down = p
-    out = (
-        n0**2 * d_up * d_up
-        + 2.0 * n0 * (1.0 - n0) * d_up * d_down
-        + (1.0 - n0) ** 2 * d_down * d_down
-    )
-    return out if np.ndim(out) else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Trig-polynomial form of the free trajectories.
 #

@@ -60,19 +60,6 @@ class TrigPoly:
     def constant(cls, c) -> "TrigPoly":
         return cls({0.0: c})
 
-    @classmethod
-    def expi(cls, w, c=1.0) -> "TrigPoly":
-        """c * exp(i w t)."""
-        return cls({w: c})
-
-    @classmethod
-    def cos(cls, w, c=1.0) -> "TrigPoly":
-        return cls({w: 0.5 * c, -w: 0.5 * c})
-
-    @classmethod
-    def sin(cls, w, c=1.0) -> "TrigPoly":
-        return cls({w: -0.5j * c, -w: 0.5j * c})
-
     def __add__(self, other) -> "TrigPoly":
         out = TrigPoly(self.coeffs)
         if isinstance(other, TrigPoly):
@@ -140,14 +127,6 @@ def poly_matrix(entries) -> np.ndarray:
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
             out[i, j] = e
-    return out
-
-
-def evaluate_matrix(mat: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate an object array of TrigPoly at a single time."""
-    out = np.empty(mat.shape, dtype=complex)
-    for idx in np.ndindex(*mat.shape):
-        out[idx] = mat[idx](t)
     return out
 
 

@@ -167,6 +167,48 @@ def test_ensemble_worker_and_rerun_determinism(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "lots")
     assert run_cli(base, capsys)[0] == 3
     assert run_cli(base + ["--workers", "2"], capsys)[0] == 0
+    # out-of-range values fail like the flag does, rather than being clamped
+    for bad in ("0", "-3"):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        assert run_cli(base, capsys)[0] == 3
+        assert run_cli(["sweep", "--protocol", "1", "--grid", "0.5"], capsys)[0] == 3
+
+
+def test_json_documents_keep_their_key_order(tmp_path, capsys):
+    # the benchmark hashes JSON with sorted keys, so only this pins the layout
+    stem = str(tmp_path / "ens")
+    assert run_cli(["ensemble", "--protocol", "1", "--omega", "1.1", "--trajectories", "64",
+                    "--time", "6", "--points", "4", "--window", "3:6",
+                    "--output", stem, "--format", "json"], capsys)[0] == 0
+    doc = json.loads((tmp_path / "ens.json").read_text())
+    assert list(doc) == (["kind", "protocol", "dist", "n_spins", "n_trajectories", "columns"]
+                         + list(SERIES_COLUMNS) + ["wall_time", "window", "manifest"])
+    assert list(doc["window"]) == (["range"] + list(SERIES_COLUMNS[1:])
+                                   + ["lqu", "lqu_stderr"])
+    stem = str(tmp_path / "sweep")
+    assert run_cli(["sweep", "--protocol", "1", "--grid", "0.5,1.5",
+                    "--output", stem, "--format", "json"], capsys)[0] == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert list(doc) == (["kind", "protocol", "dist", "delta", "n_spins", "columns"]
+                         + list(SWEEP_COLUMNS) + ["row_errors", "fits", "manifest"])
+    assert list(doc["manifest"]) == ["command", "argv", "config", "seed", "version",
+                                     "wall_time", "outputs"]
+
+
+def test_stationary_files_and_manifest(tmp_path, capsys):
+    stem = str(tmp_path / "st")
+    code, out, _ = run_cli(["stationary", "--protocol", "2", "--omega", "1.2",
+                            "--output", stem], capsys)
+    assert code == 0
+    assert out.strip().splitlines() == [stem + ".csv", stem + ".json", stem + ".manifest.json"]
+    header, rows = parse_csv((tmp_path / "st.csv").read_text())
+    assert header == list(SWEEP_COLUMNS) and rows[0][7] == "mixture"
+    assert json.loads((tmp_path / "st.json").read_text())["regime"] == ["mixture"]
+    manifest = json.loads((tmp_path / "st.manifest.json").read_text())
+    assert manifest["command"] == "stationary"
+    assert manifest["seed"] is None
+    assert "note" in manifest["config"]
+    assert manifest["outputs"] == [stem + ".csv", stem + ".json"]
 
 
 def test_time_unit_round_trip(tmp_path, capsys):
@@ -265,6 +307,39 @@ def test_finite_size_command(tmp_path, capsys):
                             "--window-points", "3"], capsys)
     assert code == 0
     assert out.startswith("# N = 5")
+
+
+def test_finite_size_json_and_svg_outputs(tmp_path, capsys):
+    stem = str(tmp_path / "fs")
+    code, out, _ = run_cli([
+        "finite-size", "--n-spins", "5,7", "--grid", "0.9,1.1",
+        "--trajectories", "50", "--time", "20", "--window-points", "3",
+        "--output", stem, "--format", "json", "--svg"], capsys)
+    assert code == 0
+    expected = [stem + "_N5.json", stem + "_N7.json", stem + ".density.svg"]
+    assert out.strip().splitlines() == expected + [stem + ".manifest.json"]
+    manifest = json.loads((tmp_path / "fs.manifest.json").read_text())
+    assert manifest["command"] == "finite-size"
+    assert manifest["outputs"] == expected
+    assert json.loads((tmp_path / "fs_N7.json").read_text())["n_spins"] == 7
+    assert "N=5" in (tmp_path / "fs.density.svg").read_text()
+
+
+def test_finite_size_reports_failed_rows(capsys):
+    # an even register size fails every row; the table still prints
+    code, out, err = run_cli(["finite-size", "--n-spins", "4,5", "--grid", "1.1",
+                              "--trajectories", "50", "--time", "20",
+                              "--window-points", "3"], capsys)
+    assert code == 0
+    assert err.splitlines() == [
+        "N = 4: row 0 (omega/delta=1.1) failed: "
+        "ValueError: n_spins must be odd (or None), got 4"]
+    assert "failed" in out and "monte-carlo" in out
+    # the same report without the prefix for a single sweep
+    code, _, err = run_cli(["sweep", "--protocol", "2", "--n-spins", "4", "--grid", "1.1",
+                            "--trajectories", "50", "--time", "20"], capsys)
+    assert code == 0
+    assert err.startswith("row 0 (omega/delta=1.1) failed: ValueError")
 
 
 def test_verify_command(capsys, monkeypatch):

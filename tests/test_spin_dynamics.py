@@ -9,15 +9,18 @@ from spinreset.spin_dynamics import (
     free_excitation_density,
     free_pair_poly,
     free_qubit_poly,
-    free_two_point_density,
     free_two_spin_state,
     propagator,
     require_qubit_state,
     require_two_qubit_state,
 )
-from spinreset.trigpoly import evaluate_matrix
 
 RNG = np.random.default_rng(42)
+
+
+def at(entries, t):
+    """An object array of TrigPoly evaluated at one time."""
+    return np.array([[p(t) for p in row] for row in entries])
 
 
 def random_params():
@@ -101,20 +104,6 @@ def test_two_spin_state_is_product_of_singles():
         free_two_spin_state(params, t, "sideways", "up")
 
 
-def test_two_point_density_averages_origin_pairs():
-    params = random_params()
-    ts = np.linspace(0.0, 8.0, 30)
-    n0 = 0.4
-    p = flip_probability(params, ts)
-    mix = (n0**2 * (1 - p) ** 2 + 2 * n0 * (1 - n0) * (1 - p) * p
-           + (1 - n0) ** 2 * p**2)
-    np.testing.assert_allclose(free_two_point_density(params, ts, n0), mix, atol=1e-15)
-    # pure origins factorize exactly
-    d_up = free_excitation_density(params, ts, 1.0)
-    np.testing.assert_allclose(free_two_point_density(params, ts, 1.0), d_up**2,
-                               atol=1e-15)
-
-
 def test_state_validators_reject_bad_matrices():
     good = np.eye(2) / 2
     require_qubit_state(good)
@@ -134,7 +123,7 @@ def test_qubit_poly_matches_direct_evolution(init):
     entries = free_qubit_poly(params, init)
     pure = np.diag([1.0, 0.0]) if init == "up" else np.diag([0.0, 1.0])
     for t in (0.0, 0.9, 4.7, 13.2):
-        np.testing.assert_allclose(evaluate_matrix(entries, t),
+        np.testing.assert_allclose(at(entries, t),
                                    evolve_qubit(params, t, pure.astype(complex)),
                                    atol=1e-13)
 
@@ -143,7 +132,7 @@ def test_pair_poly_matches_direct_evolution():
     params = random_params()
     entries = free_pair_poly(params, "up", "down")
     for t in (0.4, 2.8, 9.1):
-        np.testing.assert_allclose(evaluate_matrix(entries, t),
+        np.testing.assert_allclose(at(entries, t),
                                    free_two_spin_state(params, t, "up", "down"),
                                    atol=1e-13)
 
