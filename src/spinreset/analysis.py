@@ -72,8 +72,8 @@ class McTemplate:
     n_spins: int | None = None
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # a template is valid when the ensembles it configures are
+        self.config(ProtocolKind.UNCONDITIONAL_RESET, DriveParams(1.0), WaitingTime.poisson(1.0))
 
     def config(self, protocol: ProtocolKind, params: DriveParams,
                dist: WaitingTime, workers: int | None = None) -> SimConfig:
@@ -222,8 +222,8 @@ def closed_form_row(protocol: ProtocolKind, params: DriveParams, dist: WaitingTi
     return (st.density, 0.0, corr, 0.0, discord, 0.0, regime), st
 
 
-def _mc_row(protocol, params, dist, mc: McTemplate, workers):
-    stats = run_ensemble(mc.config(protocol, params, dist, workers=workers))
+def _mc_row(config: SimConfig):
+    stats = run_ensemble(config)
     discord, discord_err = ensemble_lqu(stats)
     return (stats.window_density, stats.window_density_stderr,
             stats.window_correlation, stats.window_correlation_stderr,
@@ -237,9 +237,10 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
 
     Exact rows where the renewal treatment applies; Monte Carlo rows for
     the flip protocol and for finite n_spins (taken from the template),
-    or everywhere when use_mc is set.  A Monte Carlo row that raises is
-    recorded as failed (NaN values, error kept in row_errors) without
-    aborting the remaining rows.
+    or everywhere when use_mc is set.  Settings no row can run with
+    raise ValueError before any row runs; a Monte Carlo row that raises
+    while running is recorded as failed (NaN values, error kept in
+    row_errors) without aborting the remaining rows.
     """
     grid = np.asarray(list(omega_over_delta_grid), dtype=float)
     if grid.size == 0:
@@ -258,15 +259,16 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
         rows = [closed_form_row(protocol, params(x), dist)[0] for x in grid]
         return SweepResult.from_rows(protocol, dist, delta, grid, rows)
 
-    def attempt(x):
+    def attempt(config):
         # rows run on worker threads, each single-worker; a failure is
         # returned as its message and recorded below in grid order
         try:
-            return _mc_row(protocol, params(x), dist, mc, workers=1)
+            return _mc_row(config)
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    rows = ordered_map(attempt, grid, mc.workers)
+    configs = [mc.config(protocol, params(x), dist, workers=1) for x in grid]
+    rows = ordered_map(attempt, configs, mc.workers)
     errors = {i: r for i, r in enumerate(rows) if isinstance(r, str)}
     nan_row = (math.nan,) * 6 + (REGIME_FAILED,)
     rows = [nan_row if isinstance(r, str) else r for r in rows]

@@ -261,9 +261,12 @@ def _parse_window(text: str):
 
 def _parse_n_list(text: str):
     try:
-        return [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
 
 
 def _add_physics_args(p, omega=True):
@@ -426,6 +429,8 @@ def _emit(args, tables, extra=None, svg_series=None) -> int:
 
 
 def cmd_stationary(args) -> int:
+    if args.svg:
+        raise ValueError("stationary writes a single row, so --svg has nothing to plot")
     params, dist, unit, delta_zero = _resolve_physics(args)
     protocol = ProtocolKind(args.protocol)
     row, st = closed_form_row(protocol, params, dist, args.n_spins)
@@ -496,14 +501,14 @@ def cmd_finite_size(args) -> int:
         raise ValueError("finite-size sweeps need delta > 0")
     workers = _resolve_workers(args)
     horizon = (2000.0 if args.time is None else args.time) / unit
-    sweeps = {}
-    for n in args.n_spins:
-        template = McTemplate(
-            n_trajectories=args.trajectories, observation_time=horizon, seed=args.seed,
-            workers=workers, average_window=(0.95 * horizon, horizon),
-            window_points=args.window_points, n_spins=n)
-        sweeps[n] = sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, dist, args.grid,
-                                     mc=template, delta=args.delta)
+    # every template is checked before the first sweep runs
+    templates = {n: McTemplate(
+        n_trajectories=args.trajectories, observation_time=horizon, seed=args.seed,
+        workers=workers, average_window=(0.95 * horizon, horizon),
+        window_points=args.window_points, n_spins=n) for n in args.n_spins}
+    sweeps = {n: sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, dist, args.grid,
+                                  mc=template, delta=args.delta)
+              for n, template in templates.items()}
     svg = {"density": (args.grid, [sweeps[n].density for n in args.n_spins],
                        [f"N={n}" for n in args.n_spins], "omega/delta", "density")}
     return _emit(args, [(f"_N{n}", f"N = {n}", sweep) for n, sweep in sweeps.items()],

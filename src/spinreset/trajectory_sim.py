@@ -9,12 +9,14 @@ the last reset.  Observables on the sample grid are evaluated from the
 closed-form free dynamics, never by time stepping.
 
 Reproducibility contract: trajectory i draws its waiting times from a
-counter-based stream keyed by (seed, i, 0) and its measurement uniforms
-from (seed, i, 1).  Chunks of CHUNK trajectories are reduced
-independently and combined in index order, so results are bitwise
-identical for any worker count.  Changing CHUNK would change the
-rounding pattern of the reduction (not the statistics), so it is a
-fixed constant, not a knob.
+counter-based stream keyed by (seed, i, 0), and its reset times are
+their running sum, added left to right as a scalar walk would.  Only a
+finite-N conditional protocol measures; it alone builds the stream
+(seed, i, 1) and takes two measurement uniforms per reset from it.
+Chunks of CHUNK trajectories are reduced independently and combined in
+index order, so results are bitwise identical for any worker count.
+Changing CHUNK would change the rounding pattern of the reduction (not
+the statistics), so it is a fixed constant, not a knob.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import bdtr, bdtrik
 
-from .renewal import WaitingTime, waiting_time_from_uniform
+from .renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
 from .spin_dynamics import DriveParams
 
 CHUNK = 1024
 WAIT_BLOCK = 64
+SLAB_ROWS = 64
 
 _WAIT_STREAM = 0
 _MEASURE_STREAM = 1
@@ -132,12 +135,12 @@ class EnsembleStats:
     chunk_window_pair_means: Optional[np.ndarray] = None
 
 
-def _trajectory_streams(seed: int, index: int):
-    wait = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index, _WAIT_STREAM))))
-    measure = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index, _MEASURE_STREAM))))
-    return wait, measure
+def _trajectory_streams(seed: int, index: int, measured: bool):
+    """(wait stream, measurement stream or None) of trajectory index."""
+    def stream(kind):
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(index, kind))))
+    return stream(_WAIT_STREAM), stream(_MEASURE_STREAM) if measured else None
 
 
 def binomial_quantile(u, n, p):
@@ -282,86 +285,77 @@ def _new_accumulators(n_grid):
 
 
 def _initial_wait_capacity(dist: WaitingTime, horizon: float) -> int:
-    from .renewal import _fourier_weight
-
     mean_wait = _fourier_weight(dist, 0.0).real
     expect = horizon / mean_wait
     return max(WAIT_BLOCK, int(expect + 6.0 * np.sqrt(expect) + 8.0))
 
 
+def _reset_times(dist: WaitingTime, gens, t_end: float) -> np.ndarray:
+    """Each stream's running sum of waits, up to its first reset after t_end.
+
+    A row still short of t_end continues its own sum in further blocks,
+    so every entry is the same left-to-right sum however the draws are
+    blocked.  Entries past a row's last reset are +inf.
+    """
+    resets, block = None, _initial_wait_capacity(dist, t_end)
+    short = np.arange(len(gens))
+    while short.size:
+        w = np.empty((short.size, block))
+        for row, i in zip(w, short):
+            gens[i].random(out=row)
+        # a few rows at a time: chunk-sized temporaries would stay
+        # resident in the allocator's heap after the chunk
+        for slab in np.split(w, range(SLAB_ROWS, len(w), SLAB_ROWS)):
+            slab[:] = waiting_time_from_uniform(dist, slab)
+        if resets is None:  # the first block holds every row
+            resets = np.cumsum(w, axis=1, out=w)
+        else:
+            w[:, 0] += resets[short, -1]
+            resets = np.pad(resets, ((0, 0), (0, block)), constant_values=np.inf)
+            resets[short, -block:] = np.cumsum(w, axis=1, out=w)
+        short = np.nonzero(resets[:, -1] <= t_end)[0]
+        block = WAIT_BLOCK
+    return resets
+
+
 class _ChunkState:
-    """Mutable per-chunk trajectory arrays plus their private streams."""
+    """Per-chunk trajectory arrays and each trajectory's whole schedule,
+    drawn before the grid walk: its reset times and, where the protocol
+    measures, two measurement uniforms per reset on the grid."""
 
     def __init__(self, config: SimConfig, start: int, rows: int):
         self.config = config
-        self.rows = rows
         finite = config.n_spins is not None
-        need_meas = finite and config.protocol is not ProtocolKind.UNCONDITIONAL_RESET
-        streams = [_trajectory_streams(config.seed, start + i) for i in range(rows)]
-        self.wait_gens = [s[0] for s in streams]
-        self.meas_gens = [s[1] for s in streams] if need_meas else None
-
-        cap = _initial_wait_capacity(config.dist, config.observation_time)
-        u = np.empty((rows, cap))
-        for i, g in enumerate(self.wait_gens):
-            u[i] = g.random(cap)
-        self.resets = np.cumsum(waiting_time_from_uniform(config.dist, u), axis=1)
-        self.n_waits = np.full(rows, cap, dtype=np.int64)
+        measured = finite and config.protocol is not ProtocolKind.UNCONDITIONAL_RESET
+        streams = [_trajectory_streams(config.seed, start + i, measured) for i in range(rows)]
+        t_end = config.sample_grid[-1]
+        self.resets = _reset_times(config.dist, [s[0] for s in streams], t_end)
         self.cursor = np.zeros(rows, dtype=np.int64)
-        self.t_next = self.resets[:, 0].copy()
         self.t_last = np.zeros(rows)
 
-        if need_meas:
-            m_cap = 2 * cap
-            mu = np.empty((rows, m_cap))
-            for i, g in enumerate(self.meas_gens):
-                mu[i] = g.random(m_cap)
-            self.meas_u = mu
-            self.n_meas = np.full(rows, m_cap, dtype=np.int64)
-        else:
-            self.meas_u = None
+        if measured:
+            applied = np.count_nonzero(self.resets <= t_end, axis=1)
+            self.meas_u = np.empty((rows, 2 * int(applied.max())))
+            for row, (_, gen), k in zip(self.meas_u, streams, applied):
+                gen.random(out=row[:2 * k])
 
         if finite:
             self.count = np.full(rows, config.n_spins, dtype=np.int64)
         else:
             self.n0 = np.ones(rows)
 
-    def _top_up(self, idx):
-        """Extend the wait (and measurement) buffers of the given rows."""
-        width = self.resets.shape[1]
-        need_width = int(self.n_waits[idx].max()) + WAIT_BLOCK
-        if need_width > width:
-            pad = np.full((self.rows, need_width - width), np.inf)
-            self.resets = np.concatenate([self.resets, pad], axis=1)
-        for i in idx:
-            nd = self.n_waits[i]
-            u = self.wait_gens[i].random(WAIT_BLOCK)
-            w = waiting_time_from_uniform(self.config.dist, u)
-            self.resets[i, nd:nd + WAIT_BLOCK] = self.resets[i, nd - 1] + np.cumsum(w)
-            self.n_waits[i] += WAIT_BLOCK
-        if self.meas_u is not None:
-            width = self.meas_u.shape[1]
-            need_width = int(self.n_meas[idx].max()) + 2 * WAIT_BLOCK
-            if need_width > width:
-                pad = np.empty((self.rows, need_width - width))
-                self.meas_u = np.concatenate([self.meas_u, pad], axis=1)
-            for i in idx:
-                nd = self.n_meas[i]
-                self.meas_u[i, nd:nd + 2 * WAIT_BLOCK] = self.meas_gens[i].random(2 * WAIT_BLOCK)
-                self.n_meas[i] += 2 * WAIT_BLOCK
-
     def advance_to(self, tg: float):
         """Apply every reset event with time <= tg, chunk-wide."""
-        config = self.config
-        params = config.params
-        proto = config.protocol
-        n_spins = config.n_spins
+        params, proto, n_spins = self.config.params, self.config.protocol, self.config.n_spins
+        idx = np.arange(self.cursor.size)
         while True:
-            m = self.t_next <= tg
-            if not m.any():
+            # only rows that just reset can have another reset due
+            t_reset = self.resets[idx, self.cursor[idx]]
+            due = t_reset <= tg
+            if not due.any():
                 return
-            idx = np.nonzero(m)[0]
-            tau = self.t_next[idx] - self.t_last[idx]
+            idx, t_reset = idx[due], t_reset[due]
+            tau = t_reset - self.t_last[idx]
             p = np.clip(_phase_terms(params, tau)[0], 0.0, 1.0)
             if proto is ProtocolKind.UNCONDITIONAL_RESET:
                 pass  # origin state never changes
@@ -373,12 +367,8 @@ class _ChunkState:
                     self.n0[idx] = np.where(d > 0.5, 1.0, 1.0 - d)
             else:
                 self._finite_measurement(idx, p)
-            self.t_last[idx] = self.t_next[idx]
+            self.t_last[idx] = t_reset
             self.cursor[idx] += 1
-            exhausted = idx[self.cursor[idx] >= self.n_waits[idx]]
-            if exhausted.size:
-                self._top_up(exhausted)
-            self.t_next[idx] = self.resets[idx, self.cursor[idx]]
 
     def _finite_measurement(self, idx, p):
         n = self.config.n_spins

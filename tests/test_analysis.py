@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinreset import analysis
 from spinreset.analysis import (
     DEFAULT_BASELINES,
     JumpEstimate,
@@ -114,17 +115,35 @@ def test_mc_sweep_rows_and_row_parallelism():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_mc_sweep_records_row_failures(workers):
-    # even n_spins blows up inside the row; the sweep must keep going,
-    # whether the rows run serially or on the row pool
+def test_mc_sweep_records_row_failures(workers, monkeypatch):
+    # a row that raises while running is recorded and the sweep keeps
+    # going, whether the rows run serially or on the row pool
+    def failing(config):
+        raise ValueError(f"injected failure at omega {config.params.omega}")
+
+    monkeypatch.setattr(analysis, "run_ensemble", failing)
     mc = McTemplate(n_trajectories=64, observation_time=6.0, workers=workers,
-                    average_window=(4.0, 6.0), window_points=5, n_spins=10)
+                    average_window=(4.0, 6.0), window_points=5, n_spins=11)
     sweep = sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, POISSON, [0.9, 1.1],
                              mc=mc)
     assert sweep.regime == [REGIME_FAILED, REGIME_FAILED]
     assert np.all(np.isnan(sweep.density))
     assert set(sweep.row_errors) == {0, 1}
     assert "ValueError" in sweep.row_errors[0]
+
+
+def test_mc_sweep_settings_fail_before_any_row(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "run_ensemble", calls.append)
+    for bad in (dict(n_spins=10), dict(n_trajectories=0), dict(window_points=0),
+                dict(observation_time=-5.0), dict(workers=0)):
+        with pytest.raises(ValueError):
+            McTemplate(**bad)
+    # a grid value no row can run with is an error too, as in exact sweeps
+    with pytest.raises(ValueError):
+        sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, [1.1, -0.5],
+                         mc=McTemplate(n_trajectories=64))
+    assert calls == []
 
 
 def test_use_mc_agrees_with_closed_form():

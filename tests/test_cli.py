@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from spinreset import cli
+from spinreset import analysis, cli
 from spinreset.cli import (
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
@@ -53,6 +53,8 @@ def test_grid_parsing():
     assert _parse_n_list("51,201") == [51, 201]
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_n_list("51,x")
+    with pytest.raises(argparse.ArgumentTypeError, match="repeated"):
+        _parse_n_list("5,7,5")
 
 
 def test_csv_text_empty_table_is_header_only():
@@ -107,6 +109,18 @@ def test_exit_codes(tmp_path, capsys):
                         "--workers", workers], capsys)[0] == 3
         assert run_cli(["finite-size", "--n-spins", "11", "--grid", "1.1",
                         "--workers", workers], capsys)[0] == 3
+    # Monte Carlo settings no row can run with fail before any row runs
+    for bad in (["--n-spins", "4"], ["--trajectories", "0"], ["--window-points", "0"],
+                ["--time", "-5"]):
+        assert run_cli(["sweep", "--protocol", "3", "--grid", "1.1", *bad], capsys)[0] == 3
+    code, _, err = run_cli(["finite-size", "--n-spins", "5,4", "--grid", "1.1"], capsys)
+    assert code == 3 and "n_spins must be odd" in err
+    code, _, err = run_cli(["finite-size", "--n-spins", "5,5", "--grid", "1.1"], capsys)
+    assert code == 2 and "repeated value" in err
+    code, _, err = run_cli(["stationary", "--protocol", "1", "--omega", "1", "--svg",
+                            "-o", str(tmp_path / "st")], capsys)
+    assert code == 3 and "--svg" in err
+    assert not list(tmp_path.iterdir())
     assert run_cli(["fit", "--input", str(tmp_path / "missing.csv"),
                     "--observable", "density"], capsys)[0] == 5
     bad = tmp_path / "bad.csv"
@@ -325,18 +339,26 @@ def test_finite_size_json_and_svg_outputs(tmp_path, capsys):
     assert "N=5" in (tmp_path / "fs.density.svg").read_text()
 
 
-def test_finite_size_reports_failed_rows(capsys):
-    # an even register size fails every row; the table still prints
-    code, out, err = run_cli(["finite-size", "--n-spins", "4,5", "--grid", "1.1",
+def test_finite_size_reports_failed_rows(capsys, monkeypatch):
+    # a row of N = 5 fails while running; the table still prints
+    run_ensemble = analysis.run_ensemble
+
+    def failing(config):
+        if config.n_spins == 5:
+            raise ValueError(f"injected failure at omega {config.params.omega}")
+        return run_ensemble(config)
+
+    monkeypatch.setattr(analysis, "run_ensemble", failing)
+    code, out, err = run_cli(["finite-size", "--n-spins", "5,7", "--grid", "1.1",
                               "--trajectories", "50", "--time", "20",
                               "--window-points", "3"], capsys)
     assert code == 0
     assert err.splitlines() == [
-        "N = 4: row 0 (omega/delta=1.1) failed: "
-        "ValueError: n_spins must be odd (or None), got 4"]
+        "N = 5: row 0 (omega/delta=1.1) failed: "
+        "ValueError: injected failure at omega 1.1"]
     assert "failed" in out and "monte-carlo" in out
     # the same report without the prefix for a single sweep
-    code, _, err = run_cli(["sweep", "--protocol", "2", "--n-spins", "4", "--grid", "1.1",
+    code, _, err = run_cli(["sweep", "--protocol", "2", "--n-spins", "5", "--grid", "1.1",
                             "--trajectories", "50", "--time", "20"], capsys)
     assert code == 0
     assert err.startswith("row 0 (omega/delta=1.1) failed: ValueError")

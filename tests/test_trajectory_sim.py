@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spinreset import trajectory_sim
 from spinreset.renewal import WaitingTime
 from spinreset.spin_dynamics import DriveParams, flip_probability, free_excitation_density
 from spinreset.trajectory_sim import (
@@ -156,7 +157,7 @@ def test_ensemble_matches_scalar_reference(protocol, n_spins):
     n = config.n_trajectories
     ds, xs, pairs = [], [], []
     for i in range(n):
-        wait, meas = _trajectory_streams(config.seed, i)
+        wait, meas = _trajectory_streams(config.seed, i, True)
         d, x, pair = run_trajectory(config, wait, meas)
         ds.append(d)
         xs.append(x)
@@ -188,7 +189,7 @@ def test_window_correlation_stderr_delta_method():
     widx = config.window_indices()
     wd, wx = [], []
     for i in range(config.n_trajectories):
-        wait, meas = _trajectory_streams(config.seed, i)
+        wait, meas = _trajectory_streams(config.seed, i, True)
         d, x, _ = run_trajectory(config, wait, meas)
         wd.append(d[widx].mean())
         wx.append(x[widx].mean())
@@ -241,7 +242,7 @@ def test_protocols_coincide_below_threshold():
 
 def test_finite_n_density_is_lattice_valued():
     config = small_config(ProtocolKind.CONDITIONAL_TWO_STATE, n_spins=5, n_traj=1)
-    d, x, pair = run_trajectory(config, *_trajectory_streams(config.seed, 0))
+    d, x, pair = run_trajectory(config, *_trajectory_streams(config.seed, 0, True))
     # from a sharp count the density is a hypergeometric average, but at
     # t = 0 it must sit exactly on the lattice
     assert d[0] == 1.0
@@ -279,3 +280,39 @@ def test_mc_agrees_with_flip_probability_one_spin():
     out = run_ensemble(config)
     expect = 1.0 - flip_probability(PARAMS, np.array([0.0, 1.0, 2.0]))
     np.testing.assert_allclose(out.density, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+@pytest.mark.parametrize("n_spins", [None, 11])
+def test_output_does_not_depend_on_wait_buffer_size(protocol, n_spins, monkeypatch):
+    # reset times are one running sum of the waits however they are
+    # drawn, so a one-wait first buffer changes no byte
+    config = small_config(protocol, n_spins=n_spins)
+    full = run_ensemble(config)
+    monkeypatch.setattr(trajectory_sim, "_initial_wait_capacity", lambda dist, horizon: 1)
+    short = run_ensemble(config)
+    assert short.density.tobytes() == full.density.tobytes()
+    assert short.pair_states.tobytes() == full.pair_states.tobytes()
+    for name in ("window_density", "window_density_stderr", "window_two_point",
+                 "window_correlation", "window_correlation_stderr"):
+        assert getattr(short, name) == getattr(full, name)
+    assert short.window_pair.tobytes() == full.window_pair.tobytes()
+
+
+def test_measurement_stream_is_built_only_where_measured(monkeypatch):
+    keys = []
+
+    class Recording(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            keys.append(tuple(self.spawn_key))
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    n = 16
+    for protocol in ProtocolKind:
+        for n_spins in (None, 11):
+            keys.clear()
+            run_ensemble(small_config(protocol, n_spins=n_spins, n_traj=n))
+            measured = n_spins is not None and protocol is not ProtocolKind.UNCONDITIONAL_RESET
+            expect = [(i, 0) for i in range(n)] + [(i, 1) for i in range(n) if measured]
+            assert sorted(keys) == sorted(expect)
