@@ -206,16 +206,15 @@ def closed_form_row(protocol: ProtocolKind, params: DriveParams, dist: WaitingTi
     """One exact sweep row and the stationary state it comes from.
 
     The conditional protocol is labelled a mixture of its two reset
-    branches, except in the thermodynamic limit at omega <= delta, where
-    every reset lands on all-up and the state is the closed form.
+    branches, except where its reset chain never leaves all-up (no weight
+    on all-down), so the state is the unconditional closed form.
     """
     if protocol is ProtocolKind.UNCONDITIONAL_RESET:
         st = stationary_state_p1(params, dist)
         regime = REGIME_CLOSED
     else:
         st = stationary_state_p2(params, dist, n_spins)
-        closed = n_spins is None and params.omega <= params.delta
-        regime = REGIME_CLOSED if closed else REGIME_MIXTURE
+        regime = REGIME_CLOSED if st.weights.c_down == 0.0 else REGIME_MIXTURE
     require_exchange_symmetric(st.pair_state)
     corr = connected_correlation(st.pair_state)
     discord = lqu(st.pair_state).value

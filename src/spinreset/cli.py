@@ -33,6 +33,7 @@ from .analysis import (
     fit_power_law,
     sweep_stationary,
 )
+from .finite_size import _check_n
 from .observables import connected_correlation, connected_correlation_closed_form, lqu
 from .renewal import (
     WaitingKind,
@@ -431,6 +432,8 @@ def _emit(args, tables, extra=None, svg_series=None) -> int:
 def cmd_stationary(args) -> int:
     if args.svg:
         raise ValueError("stationary writes a single row, so --svg has nothing to plot")
+    if args.n_spins is not None:
+        _check_n(args.n_spins)
     params, dist, unit, delta_zero = _resolve_physics(args)
     protocol = ProtocolKind(args.protocol)
     row, st = closed_form_row(protocol, params, dist, args.n_spins)
@@ -695,6 +698,8 @@ def execute_command(argv=None) -> int:
     args.argv = list(sys.argv[1:] if argv is None else argv)
     args.start = time.perf_counter()
     try:
+        if getattr(args, "svg", False) and args.output is None:
+            raise ValueError("--svg writes plot files, so it needs --output")
         return args.func(args)
     except UnreadableInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 A reset happens after a random waiting time tau ~ f(tau); between resets
 the spins evolve freely.  Averaging a free trajectory against the
 survival function q(t) = P(tau > t) gives the stationary state of the
-unconditional protocol; the conditional protocol adds up/down reset
-weights obtained by integrating the majority-transition probability
-against f.
+unconditional protocol; the conditional protocol mixes the averages
+from all-up and all-down with the stationary weights of its reset
+chain, which follow from whether that chain can leave all-up.
 
 Trajectory entries are TrigPoly objects, so every time integral here is
 done term by term in closed form; an adaptive vector-quadrature path
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .finite_size import transition_prob_exact
-from .spin_dynamics import DriveParams, flip_probability, free_pair_poly, free_qubit_poly
+from .finite_size import _check_n
+from .spin_dynamics import DriveParams, free_pair_poly, free_qubit_poly
 from .trigpoly import TrigPoly
 
 WEIGHT_TOL = 1e-12
@@ -204,27 +204,18 @@ def renewal_state_at_time(params: DriveParams, gamma: float, t: float, pair: boo
 
 @dataclass(frozen=True)
 class ResetWeights:
-    """Reset-branch weights and per-reset transition probabilities."""
+    """Stationary weights of the all-up and all-down reset branches."""
 
     c_up: float
     c_down: float
-    R_up_up: float
-    R_up_down: float
-    R_down_up: float
-    R_down_down: float
     degenerate: bool = False
 
     def __post_init__(self):
-        vals = (self.c_up, self.c_down, self.R_up_up, self.R_up_down,
-                self.R_down_up, self.R_down_down)
+        vals = (self.c_up, self.c_down)
         if any(v < -WEIGHT_TOL or v > 1.0 + WEIGHT_TOL for v in vals):
             raise ValueError(f"weights outside [0, 1]: {vals}")
         if abs(self.c_up + self.c_down - 1.0) > WEIGHT_TOL:
             raise ValueError("c_up + c_down must equal 1")
-        if abs(self.R_up_up + self.R_up_down - 1.0) > WEIGHT_TOL:
-            raise ValueError("up-row of R must sum to 1")
-        if abs(self.R_down_up + self.R_down_down - 1.0) > WEIGHT_TOL:
-            raise ValueError("down-row of R must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -280,89 +271,32 @@ def stationary_density_closed_form(params: DriveParams, dist: WaitingTime) -> fl
     return 1.0 - om2 / (2.0 * w**2 * (g**2 + 4.0 * w**2)) * (4.0 * w**2 - corr)
 
 
-def _flip_windows(params: DriveParams):
-    """Half-period window (t1, T0 - t1) where the flip probability exceeds 1/2.
-
-    Only exists for omega > delta; the window repeats with period
-    T0 = pi/obar.
-    """
-    w = params.effective_rabi
-    t0 = math.pi / w
-    t1 = math.asin(math.sqrt(w**2 / (2.0 * params.omega**2))) / w
-    return t0, t1
-
-
-def _cdf(dist: WaitingTime, t: float) -> float:
-    return 1.0 - float(survival_probability(dist, min(t, dist.t_max) if dist.t_max else t))
-
-
-def _thermo_flip_rate(params: DriveParams, dist: WaitingTime) -> float:
-    """R_up_down in the thermodynamic limit: waiting-time mass of the windows."""
-    t0, t1 = _flip_windows(params)
-    g = dist.gamma
-    if dist.kind is WaitingKind.POISSON:
-        return (math.exp(-g * t1) - math.exp(-g * (t0 - t1))) / (1.0 - math.exp(-g * t0))
-    total = 0.0
-    k = 0
-    while k * t0 + t1 < dist.t_max:
-        a = k * t0 + t1
-        b = min(k * t0 + t0 - t1, dist.t_max)
-        total += _cdf(dist, b) - _cdf(dist, a)
-        k += 1
-    return total
-
-
-def _finite_flip_rate(params: DriveParams, dist: WaitingTime, n_spins: int) -> float:
-    """R_up_down at finite N: integral of f(t) P_flip(N, p(t)) dt.
-
-    Integrated period by period so the quadrature never straddles more
-    than one oscillation of the flip probability.
-    """
-    w = params.effective_rabi
-    g = dist.gamma
-    if w == 0.0:
-        return 0.0
-    t0 = math.pi / w
-
-    def integrand(t):
-        return waiting_density(dist, t) * transition_prob_exact(n_spins, flip_probability(params, t))
-
-    if dist.kind is WaitingKind.POISSON:
-        # f(t) = g exp(-g t) and P is periodic: one period plus a geometric factor
-        val, _ = integrate.quad(integrand, 0.0, t0, limit=200)
-        return val / (1.0 - math.exp(-g * t0))
-    total = 0.0
-    a = 0.0
-    while a < dist.t_max:
-        b = min(a + t0, dist.t_max)
-        val, _ = integrate.quad(integrand, a, b, limit=200)
-        total += val
-        a = b
-    return total
-
-
 def reset_rates_R(params: DriveParams, dist: WaitingTime, n_spins: int | None = None) -> ResetWeights:
-    """Per-reset transition probabilities and the stationary branch weights.
+    """Stationary branch weights of the conditional protocol's reset chain.
 
-    n_spins=None selects the thermodynamic limit, where the measured
-    density is deterministic and the transition probability is a step
-    function of the flip probability.  For omega <= delta that step
-    never fires and the weights degenerate to c_up=1 (the system can
-    only reset to its initial state); omega == delta is assigned to
-    this branch and flagged.
+    Leaving all-up and leaving all-down are the same function of the flip
+    probability, so the chain is symmetric: once it can leave all-up the
+    weights are 1/2 each, at any rate.  Otherwise every reset lands on
+    all-up and c_up=1.  At finite (odd) N the chain leaves all-up whenever
+    omega > 0.  n_spins=None selects the thermodynamic limit, where a reset
+    flips only while the flip probability exceeds 1/2: that needs
+    omega > delta, and the first such window, opening at t1, must open
+    before the waiting-time cutoff.  omega == delta > 0 is assigned to
+    the c_up=1 branch and flagged.
     """
-    if n_spins is None:
-        if params.omega <= params.delta:
-            return ResetWeights(1.0, 0.0, 1.0, 0.0, 0.0, 1.0,
-                                degenerate=(params.omega == params.delta and params.omega > 0.0))
-        r = _thermo_flip_rate(params, dist)
+    if n_spins is not None:
+        _check_n(n_spins)
+        leaves = params.omega > 0.0
+    elif params.omega > params.delta:
+        w = params.effective_rabi
+        t1 = math.asin(math.sqrt(w**2 / (2.0 * params.omega**2))) / w
+        leaves = dist.t_max is None or t1 < dist.t_max
     else:
-        if n_spins < 1 or n_spins % 2 == 0:
-            raise ValueError(f"n_spins must be a positive odd integer, got {n_spins}")
-        r = _finite_flip_rate(params, dist, n_spins)
-    # both transition probabilities are the same function of the flip
-    # probability, so the chain is symmetric and the weights are equal
-    return ResetWeights(0.5, 0.5, 1.0 - r, r, r, 1.0 - r)
+        leaves = False
+    if leaves:
+        return ResetWeights(0.5, 0.5)
+    degenerate = n_spins is None and params.omega == params.delta and params.omega > 0.0
+    return ResetWeights(1.0, 0.0, degenerate=degenerate)
 
 
 def stationary_state_p2(params: DriveParams, dist: WaitingTime,

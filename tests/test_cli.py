@@ -92,7 +92,7 @@ def test_stationary_is_scale_invariant(capsys):
     assert float(r1[5]) == pytest.approx(float(r2[5]), abs=1e-7)
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli(["stationary", "--protocol", "1"], capsys)[0] == 2  # missing omega
     assert run_cli(["stationary", "--protocol", "7", "--omega", "1"], capsys)[0] == 2
     assert run_cli(["bogus-command"], capsys)[0] == 2
@@ -121,6 +121,24 @@ def test_exit_codes(tmp_path, capsys):
                             "-o", str(tmp_path / "st")], capsys)
     assert code == 3 and "--svg" in err
     assert not list(tmp_path.iterdir())
+    # an invalid register size is rejected whether or not the protocol uses it
+    for protocol in ("1", "2"):
+        for n in ("4", "-3"):
+            code, _, err = run_cli(["stationary", "--protocol", protocol, "--omega", "1",
+                                    "--n-spins", n, "-o", str(tmp_path / "st")], capsys)
+            assert code == 3 and "positive odd" in err
+    assert not list(tmp_path.iterdir())
+    # plots are files: --svg without --output fails before any trajectory runs
+    calls = []
+    monkeypatch.setattr(analysis, "run_ensemble", calls.append)
+    monkeypatch.setattr(cli, "run_ensemble", calls.append)
+    for argv in (["sweep", "--protocol", "1", "--grid", "0.5"],
+                 ["sweep", "--protocol", "3", "--grid", "1.1"],
+                 ["ensemble", "--protocol", "1", "--omega", "1"],
+                 ["finite-size", "--n-spins", "5", "--grid", "1.1"]):
+        code, out, err = run_cli(argv + ["--svg"], capsys)
+        assert code == 3 and "--output" in err and out == ""
+    assert calls == []
     assert run_cli(["fit", "--input", str(tmp_path / "missing.csv"),
                     "--observable", "density"], capsys)[0] == 5
     bad = tmp_path / "bad.csv"
@@ -130,6 +148,23 @@ def test_exit_codes(tmp_path, capsys):
     bad_json.write_text("{\"kind\": \"sweep\"")
     assert run_cli(["fit", "--input", str(bad_json), "--observable", "density"],
                    capsys)[0] == 5
+
+
+@pytest.mark.parametrize("point", [
+    ["--omega", "0", "--n-spins", "51"],
+    ["--omega", "2", "--dist", "chopped", "--tmax", "0.1"],
+], ids=["undriven-finite-n", "cutoff-before-flip-window"])
+def test_protocol_two_prints_protocol_one_where_no_reset_leaves_up(point, capsys):
+    # the reset chain never leaves all-up here: protocol 2 is protocol 1
+    _, p1, _ = run_cli(["stationary", "--protocol", "1", *point], capsys)
+    code, p2, _ = run_cli(["stationary", "--protocol", "2", *point], capsys)
+    assert code == 0 and p2 == p1
+    assert parse_csv(p2)[1][0][7] == "closed-form"
+    if "--n-spins" not in point:
+        grid = ["--grid", "0.5,2", *point[2:]]
+        _, p1, _ = run_cli(["sweep", "--protocol", "1", *grid], capsys)
+        code, p2, _ = run_cli(["sweep", "--protocol", "2", *grid], capsys)
+        assert code == 0 and p2 == p1
 
 
 def test_ensemble_outputs_and_round_trip(tmp_path, capsys):

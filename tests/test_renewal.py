@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
+from spinreset import finite_size, renewal
 from spinreset.observables import connected_correlation, excitation_density
 from spinreset.renewal import (
     DriveParams,
@@ -176,49 +177,75 @@ def test_renewal_state_against_direct_quadrature():
 
 def test_reset_weights_validation():
     with pytest.raises(ValueError):
-        ResetWeights(0.7, 0.4, 1.0, 0.0, 0.0, 1.0)  # c's don't sum to 1
+        ResetWeights(0.7, 0.4)  # c's don't sum to 1
     with pytest.raises(ValueError):
-        ResetWeights(0.5, 0.5, 0.9, 0.2, 0.0, 1.0)  # up-row sum != 1
-    with pytest.raises(ValueError):
-        ResetWeights(0.5, 0.5, 1.2, -0.2, 0.0, 1.0)  # out of range
+        ResetWeights(1.2, -0.2)  # out of range
 
 
 def test_reset_rates_thermo_branches():
     dist = POISSON
     below = reset_rates_R(DriveParams(0.7, 1.0), dist)
     assert below.c_up == 1.0 and below.c_down == 0.0
-    assert below.R_up_down == 0.0 and not below.degenerate
+    assert not below.degenerate
     at = reset_rates_R(DriveParams(1.0, 1.0), dist)
     assert at.c_up == 1.0 and at.degenerate
     above = reset_rates_R(DriveParams(1.5, 1.0), dist)
     assert above.c_up == above.c_down == 0.5
-    assert 0.0 < above.R_up_down < 0.5
-    assert above.R_down_up == above.R_up_down  # symmetric chain
-    # the flip window mass: chopped with the same gamma stays close
+    assert not above.degenerate
     above_c = reset_rates_R(DriveParams(1.5, 1.0), WaitingTime.chopped(0.5, 60.0))
-    assert above_c.R_up_down == pytest.approx(above.R_up_down, abs=1e-6)
+    assert above_c.c_up == above_c.c_down == 0.5
 
 
-def test_reset_rates_thermo_against_quadrature():
-    # R_up_down = P(flip prob at the reset time exceeds 1/2)
-    params = DriveParams(1.5, 1.0)
-    val, _ = integrate.quad(
-        lambda t: waiting_density(POISSON, t) * (flip_probability(params, t) > 0.5),
-        0.0, 120.0, limit=2000)
-    assert reset_rates_R(params, POISSON).R_up_down == pytest.approx(val, abs=1e-6)
+def test_reset_rates_thermo_chopped_cutoff_before_first_flip_window():
+    # in the limit a reset flips only where the flip probability exceeds
+    # 1/2; a cutoff before the first such window keeps every reset on up
+    params = DriveParams(2.0, 1.0)
+    w = params.effective_rabi
+    t1 = optimize.brentq(lambda t: flip_probability(params, t) - 0.5, 0.0, 0.5 * math.pi / w,
+                         xtol=1e-15)
+    short = reset_rates_R(params, WaitingTime.chopped(0.5, t1 * (1.0 - 1e-6)))
+    assert short.c_up == 1.0 and short.c_down == 0.0 and not short.degenerate
+    long = reset_rates_R(params, WaitingTime.chopped(0.5, t1 * (1.0 + 1e-6)))
+    assert long.c_up == long.c_down == 0.5
+    dist = WaitingTime.chopped(0.5, 0.1)
+    st2, st1 = stationary_state_p2(params, dist), stationary_state_p1(params, dist)
+    np.testing.assert_array_equal(st2.state, st1.state)
+    np.testing.assert_array_equal(st2.pair_state, st1.pair_state)
+    assert st2.density == st1.density and st2.note == ""
 
 
 def test_reset_rates_finite_n():
     params = DriveParams(1.5, 1.0)
-    with pytest.raises(ValueError):
-        reset_rates_R(params, POISSON, n_spins=10)
-    rates = [reset_rates_R(params, POISSON, n_spins=n).R_up_down for n in (11, 101, 1001)]
-    thermo = reset_rates_R(params, POISSON).R_up_down
-    gaps = [abs(r - thermo) for r in rates]
-    assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
-    # below threshold the step never fires in the limit but finite N leaks
-    leak = reset_rates_R(DriveParams(0.95, 1.0), POISSON, n_spins=11).R_up_down
-    assert 0.0 < leak < 0.5
+    for bad in (10, -3, 0):
+        with pytest.raises(ValueError, match="positive odd"):
+            reset_rates_R(params, POISSON, n_spins=bad)
+    for n in (1, 11, 1001):
+        assert reset_rates_R(params, POISSON, n_spins=n).c_up == 0.5
+    # below threshold the step never fires in the limit, but finite N
+    # leaks, so the chain still reaches all-down; omega == delta is no
+    # special case
+    for omega in (0.95, 1.0):
+        weights = reset_rates_R(DriveParams(omega, 1.0), POISSON, n_spins=11)
+        assert weights.c_up == weights.c_down == 0.5 and not weights.degenerate
+    # without a drive no spin ever leaves up
+    for dist in (POISSON, CHOPPED):
+        idle = reset_rates_R(DriveParams(0.0, 1.0), dist, n_spins=51)
+        assert idle.c_up == 1.0 and idle.c_down == 0.0 and not idle.degenerate
+
+
+def test_reset_rates_compute_no_rate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reset_rates_R must not integrate a rate")
+
+    monkeypatch.setattr(integrate, "quad", forbidden)
+    # Through the module (a lazy `finite_size.transition_prob_exact`) and
+    # through renewal's own namespace (a `from .finite_size import ...`).
+    monkeypatch.setattr(finite_size, "transition_prob_exact", forbidden)
+    monkeypatch.setattr(renewal, "transition_prob_exact", forbidden, raising=False)
+    for omega in (0.0, 0.7, 1.0, 1.5):
+        for dist in (POISSON, CHOPPED):
+            for n in (None, 11):
+                reset_rates_R(DriveParams(omega, 1.0), dist, n_spins=n)
 
 
 def test_stationary_state_p2():
