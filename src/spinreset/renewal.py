@@ -97,13 +97,6 @@ def waiting_time_from_uniform(dist: WaitingTime, u):
     return -np.log1p(-np.asarray(u) * scale) / g
 
 
-def sample_waiting_time(dist: WaitingTime, rng: np.random.Generator, size=None):
-    """Draw waiting times by inverse-CDF sampling."""
-    u = rng.random(size)
-    out = waiting_time_from_uniform(dist, u)
-    return out if size is not None else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Survival-weighted time averages.
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ Reproducibility contract: trajectory i draws its waiting times from a
 counter-based stream keyed by (seed, i, 0), and its reset times are
 their running sum, added left to right as a scalar walk would.  Only a
 finite-N conditional protocol measures; it alone builds the stream
-(seed, i, 1) and takes two measurement uniforms per reset from it.
+(seed, i, 1) and takes two measurement uniforms per reset from it.  A
+reset uses both uniforms whatever it measures, but the engine computes
+only what the reset rule needs: whether the measured density is <= 1/2
+comes from one binomial cdf value, and protocol 3's stay-up count is
+drawn only where a reset flips.
 Chunks of CHUNK trajectories are reduced independently and combined in
 index order, so results are bitwise identical for any worker count.
 Changing CHUNK would change the rounding pattern of the reduction (not
@@ -30,6 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import bdtr, bdtrik
 
+from .finite_size import _check_n
 from .renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
 from .spin_dynamics import DriveParams
 
@@ -79,8 +84,8 @@ class SimConfig:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.n_spins is not None and (self.n_spins < 1 or self.n_spins % 2 == 0):
-            raise ValueError(f"n_spins must be odd (or None), got {self.n_spins}")
+        if self.n_spins is not None:
+            object.__setattr__(self, "n_spins", _check_n(self.n_spins))
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.average_window is not None:
@@ -178,6 +183,20 @@ def binomial_quantile(u, n, p):
             ka[up] += 1
         k[active] = ka
     return int(k[0]) if scalar else k
+
+
+def _quantile_at_most(u, n, q, h):
+    """binomial_quantile(u, n, q) <= h, decided from one cdf value.
+
+    The quantile is the smallest k with bdtr(k, n, q) >= u, and bdtr
+    does not decrease in k, so it is <= h exactly when u <= bdtr(h, n, q)
+    (h clipped to bdtr's domain [0, n]; no quantile is below 0).  For
+    q >= 1 binomial_quantile returns n outright, even at u = 0, so there
+    n itself is compared with h.
+    """
+    h = np.asarray(h)
+    at_most = (h >= 0) & (u <= bdtr(np.clip(h, 0, n).astype(float), n, q))
+    return np.where(q >= 1.0, n <= h, at_most)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +403,16 @@ class _ChunkState:
             up = count == n
             u = np.where(up, u_up, u_down)
             q = np.where(up, 1.0 - p, p)
-            minority = u <= bdtr(float(half), n, q)
-            self.count[idx] = np.where(minority, 0, n)
+            self.count[idx] = np.where(_quantile_at_most(u, n, q, half), 0, n)
         else:
-            stay_up = binomial_quantile(u_up, count, 1.0 - p)
+            # the measured count is stay_up + flip_up; it is needed only
+            # where it is <= half, which one cdf value of stay_up decides
+            q = 1.0 - p
             flip_up = binomial_quantile(u_down, n - count, p)
-            measured = np.atleast_1d(stay_up + flip_up)
-            flip_all = measured * 2 <= n  # measured density <= 1/2
-            self.count[idx] = np.where(flip_all, n - measured, n)
+            flip = _quantile_at_most(u_up, count, q, half - flip_up)
+            stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
+            self.count[idx] = n
+            self.count[idx[flip]] = n - stay_up - flip_up[flip]
 
     def record(self, tg: float, acc, gi: int):
         s = tg - self.t_last

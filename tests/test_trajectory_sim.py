@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +12,7 @@ from spinreset.trajectory_sim import (
     EnsembleStats,
     ProtocolKind,
     SimConfig,
+    _ChunkState,
     _trajectory_streams,
     binomial_quantile,
     run_ensemble,
@@ -21,12 +24,12 @@ POISSON = WaitingTime.poisson(0.5)
 PARAMS = DriveParams(omega=1.3, delta=1.0)
 
 
-def small_config(protocol, n_spins=None, n_traj=128, omega=1.3, seed=3):
-    grid = tuple(np.linspace(0.0, 8.0, 9))
+def small_config(protocol, n_spins=None, n_traj=128, omega=1.3, seed=3, horizon=8.0):
+    grid = tuple(np.linspace(0.0, horizon, 9))
     return SimConfig(protocol=protocol, params=DriveParams(omega=omega, delta=1.0),
-                     dist=POISSON, observation_time=8.0, sample_grid=grid,
+                     dist=POISSON, observation_time=horizon, sample_grid=grid,
                      n_trajectories=n_traj, seed=seed, n_spins=n_spins,
-                     average_window=(4.0, 8.0))
+                     average_window=(horizon / 2, horizon))
 
 
 def test_sim_config_validation():
@@ -60,6 +63,12 @@ def test_sim_config_validation():
                   **{**base, "seed": -1})
 
 
+@pytest.mark.parametrize("n_spins", [5.5, 4, 0, -3])
+def test_sim_config_rejects_n_spins_that_is_not_a_positive_odd_integer(n_spins):
+    with pytest.raises(ValueError, match="positive odd integer"):
+        small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=n_spins)
+
+
 def test_binomial_quantile_matches_cumsum_oracle():
     rng = np.random.default_rng(9)
     for n in (1, 5, 51, 201):
@@ -86,6 +95,87 @@ def test_binomial_quantile_round_trips_cdf():
         lo = 0.0 if k == 0 else cum[k - 1]
         u = 0.5 * (lo + cum[k])
         assert binomial_quantile(u, n, p) == k
+
+
+def _measured_count(n, count, u_up, u_down, p):
+    # both binomials drawn in full, as the scalar reference measures
+    return (binomial_quantile(u_up, count, 1.0 - p)
+            + binomial_quantile(u_down, n - count, p))
+
+
+def _two_quantile_rule(protocol, n, count, u_up, u_down, p):
+    measured = _measured_count(n, count, u_up, u_down, p)
+    minority = 2 * measured <= n
+    if protocol is ProtocolKind.CONDITIONAL_TWO_STATE:
+        return np.where(minority, 0, n)
+    return np.where(minority, n - measured, n)
+
+
+def _engine_rule(protocol, n, count, u_up, u_down, p):
+    # one reset per row through the engine's measurement step
+    state = types.SimpleNamespace(
+        config=types.SimpleNamespace(n_spins=n, protocol=protocol),
+        cursor=np.zeros(count.size, dtype=np.int64),
+        meas_u=np.column_stack([u_up, u_down]), count=count.copy())
+    _ChunkState._finite_measurement(state, np.arange(count.size), p)
+    return state.count
+
+
+@pytest.mark.parametrize("n", [11, 201, 1001])
+def test_finite_measurement_matches_two_quantile_rule(n):
+    rng = np.random.default_rng(n)
+    half = (n - 1) // 2
+    # every combination of the edge values: u_up = 0, p = 0 and 1, a p
+    # whose 1 - p rounds to 1, count = N and (N + 1) / 2, and counts that
+    # let flip_up alone exceed half
+    mesh = np.meshgrid([0.0, 0.5, 1.0 - 2.0**-53], [0.0, 0.5, 0.999999],
+                       [n, half + 1, half, 0], [0.0, 1e-17, 0.3, 0.5, 0.999, 1.0],
+                       indexing="ij")
+    edges = [a.ravel() for a in mesh]  # u_up, u_down, count, p
+    edges[2] = edges[2].astype(np.int64)
+    assert np.any(binomial_quantile(edges[1], n - edges[2], edges[3]) > half)
+    size = 100_000
+    draws = (rng.random(size), rng.random(size), rng.integers(0, n + 1, size), rng.random(size))
+    # protocol 2 shares the majority test, on fewer rows
+    for protocol, rows in ((ProtocolKind.CONDITIONAL_FLIP, size),
+                           (ProtocolKind.CONDITIONAL_TWO_STATE, 20_000)):
+        for u_up, u_down, count, p in (edges, draws):
+            u_up, u_down, count, p = (a[:rows] for a in (u_up, u_down, count, p))
+            if protocol is ProtocolKind.CONDITIONAL_TWO_STATE:
+                count = np.where(count > half, n, 0)  # all-up or all-down origins
+            np.testing.assert_array_equal(
+                _engine_rule(protocol, n, count, u_up, u_down, p),
+                _two_quantile_rule(protocol, n, count, u_up, u_down, p))
+
+
+def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
+    # every reset draws flip_up; stay_up only where the measured density
+    # is <= 1/2, so the quantile's work follows the flips
+    sizes = []
+    quantile = trajectory_sim.binomial_quantile
+    monkeypatch.setattr(trajectory_sim, "binomial_quantile",
+                        lambda u, n, p: sizes.append(np.size(u)) or quantile(u, n, p))
+    measure = _ChunkState._finite_measurement
+    resets = flips = 0
+
+    def checked(self, idx, p):
+        nonlocal resets, flips
+        n, base = self.config.n_spins, 2 * self.cursor[idx]
+        args = (n, self.count[idx], self.meas_u[idx, base], self.meas_u[idx, base + 1], p)
+        flipped = np.count_nonzero(2 * _measured_count(*args) <= n)
+        expect = _two_quantile_rule(ProtocolKind.CONDITIONAL_FLIP, *args)
+        first = len(sizes)
+        measure(self, idx, p)
+        assert sizes[first] == idx.size  # flip_up, for every reset
+        assert sum(sizes[first + 1:]) == flipped  # stay_up, for the flips alone
+        np.testing.assert_array_equal(self.count[idx], expect)
+        resets += idx.size
+        flips += flipped
+
+    monkeypatch.setattr(_ChunkState, "_finite_measurement", checked)
+    run_ensemble(small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=201, omega=1.1,
+                              horizon=200.0, n_traj=64))
+    assert 0 < flips < resets / 2
 
 
 def test_measurement_outcome_thermo_is_deterministic():
@@ -149,10 +239,18 @@ def test_trajectory_without_resets_is_free_evolution():
     np.testing.assert_allclose(pair[0], np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
 
-@pytest.mark.parametrize("protocol", list(ProtocolKind))
-@pytest.mark.parametrize("n_spins", [None, 11])
-def test_ensemble_matches_scalar_reference(protocol, n_spins):
-    config = small_config(protocol, n_spins=n_spins)
+# The N = 201 case sits where about a fifth of the resets flip, so the
+# engine's cdf-decided flips meet the reference's two full quantiles often.
+REFERENCE_CASES = [pytest.param(n, p, {}, id=f"{n}-{p}")
+                   for n in (None, 11) for p in ProtocolKind]
+REFERENCE_CASES.append(pytest.param(201, ProtocolKind.CONDITIONAL_FLIP,
+                                    dict(omega=1.1, horizon=200.0, n_traj=64),
+                                    id="201-ProtocolKind.CONDITIONAL_FLIP"))
+
+
+@pytest.mark.parametrize("n_spins, protocol, overrides", REFERENCE_CASES)
+def test_ensemble_matches_scalar_reference(protocol, n_spins, overrides):
+    config = small_config(protocol, n_spins=n_spins, **overrides)
     stats_out = run_ensemble(config)
     n = config.n_trajectories
     ds, xs, pairs = [], [], []
