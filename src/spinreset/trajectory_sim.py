@@ -17,6 +17,12 @@ reset uses both uniforms whatever it measures, but the engine computes
 only what the reset rule needs: whether the measured density is <= 1/2
 comes from one binomial cdf value, and protocol 3's stay-up count is
 drawn only where a reset flips.
+A stream (seed, i, kind) is a Philox stream whose key is
+SeedSequence(entropy=seed, spawn_key=(i, kind)).generate_state(2,
+uint64) and whose counter starts at 0, so its bytes are those of
+numpy's own Generator(Philox(SeedSequence(...))).  A chunk derives all
+its rows' keys in one vectorized pass of that hash and reads every row
+through one Philox re-keyed per row.
 Chunks of CHUNK trajectories are reduced independently and combined in
 index order, so results are bitwise identical for any worker count.
 Changing CHUNK would change the rounding pattern of the reduction (not
@@ -26,6 +32,7 @@ the statistics), so it is a fixed constant, not a knob.
 from __future__ import annotations
 
 import enum
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +51,15 @@ SLAB_ROWS = 64
 
 _WAIT_STREAM = 0
 _MEASURE_STREAM = 1
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_PHILOX_BLOCK = 4  # uint64 outputs per Philox counter value
 
 
 class ProtocolKind(enum.Enum):
@@ -82,8 +98,13 @@ class SimConfig:
             raise ValueError("sample_grid must lie within [0, observation_time]")
         if self.n_trajectories < 1:
             raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        try:
+            seed = operator.index(self.seed)  # 1.5, -0.5 and "3" are no seeds
+        except TypeError:
+            seed = None
+        if seed is None or not (0 <= seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         if self.n_spins is not None:
             object.__setattr__(self, "n_spins", _check_n(self.n_spins))
         if self.workers < 1:
@@ -140,12 +161,106 @@ class EnsembleStats:
     chunk_window_pair_means: Optional[np.ndarray] = None
 
 
-def _trajectory_streams(seed: int, index: int, measured: bool):
-    """(wait stream, measurement stream or None) of trajectory index."""
-    def stream(kind):
-        return np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(index, kind))))
-    return stream(_WAIT_STREAM), stream(_MEASURE_STREAM) if measured else None
+def _seed_sequence_words(x: int) -> list:
+    """SeedSequence's coercion of an int >= 0: little-endian uint32 words."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _philox_keys(entropy: list) -> np.ndarray:
+    """(rows, 2) keys that Philox(SeedSequence) draws from each row's entropy.
+
+    entropy is a list of at least _POOL_SIZE uint32 arrays, word by word,
+    each of shape (rows,) or (1,) for a word every row shares.  This is
+    SeedSequence's mix_entropy followed by generate_state(2, uint64),
+    with every uint32 operation applied to all rows at once; the hash
+    constants do not depend on the data, so they stay Python ints, and
+    the shared words are mixed once.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    out = []
+    for value in pool:  # generate_state: 4 uint32 words, read as 2 uint64
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
+    return np.column_stack([out[0] | out[1] << np.uint64(32),
+                            out[2] | out[3] << np.uint64(32)])
+
+
+def _trajectory_streams(seed: int, index: np.ndarray, kind: int) -> np.ndarray:
+    """(rows, 2) Philox keys of the streams (seed, i, kind), i in index.
+
+    Row r is the key of Philox(SeedSequence(entropy=seed, spawn_key=(i,
+    kind))), bit for bit.  The entropy is assembled as SeedSequence does
+    it: the seed's words padded with zeros to the pool size, then i's
+    words (two from 2**32 on) and kind's.
+    """
+    index = np.asarray(index, dtype=np.uint64)
+    run = _seed_sequence_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    lo = (index & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (index >> np.uint64(32)).astype(np.uint32)
+    shared = [np.array([w], dtype=np.uint32) for w in run]
+    tail = np.array([kind], dtype=np.uint32)
+    keys = np.empty((index.size, 2), dtype=np.uint64)
+    for rows, spawn in ((hi == 0, (lo,)), (hi > 0, (lo, hi))):
+        if rows.any():
+            keys[rows] = _philox_keys(shared + [w[rows] for w in spawn] + [tail])
+    return keys
+
+
+class _RowStreams:
+    """The streams of one kind for a chunk's rows, read through one Philox.
+
+    Philox makes its outputs four at a time: draw j of a stream is word
+    j % 4 of the block at counter j // 4 + 1, and a fresh stream has
+    counter 0 and no buffered words.  fill sets the row's key and counter
+    skip // 4 and discards skip % 4 draws, so the row continues exactly
+    where an earlier fill of `skip` values stopped.  Each chunk owns its
+    own instance: chunks run on threads.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.bit_generator = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self.bit_generator)
+        self.state = self.bit_generator.state
+
+    def fill(self, row: int, out: np.ndarray, skip: int = 0):
+        """out <- uniforms skip, skip + 1, ... of the row's stream."""
+        block, offset = divmod(skip, _PHILOX_BLOCK)
+        self.state["state"]["key"] = self.keys[row]
+        self.state["state"]["counter"] = (block, 0, 0, 0)
+        self.bit_generator.state = self.state  # buffer_pos stays 4: nothing buffered
+        if offset:
+            self.generator.random(offset)
+        self.generator.random(out=out)
 
 
 def binomial_quantile(u, n, p):
@@ -309,19 +424,22 @@ def _initial_wait_capacity(dist: WaitingTime, horizon: float) -> int:
     return max(WAIT_BLOCK, int(expect + 6.0 * np.sqrt(expect) + 8.0))
 
 
-def _reset_times(dist: WaitingTime, gens, t_end: float) -> np.ndarray:
+def _reset_times(dist: WaitingTime, streams: _RowStreams, t_end: float) -> np.ndarray:
     """Each stream's running sum of waits, up to its first reset after t_end.
 
-    A row still short of t_end continues its own sum in further blocks,
-    so every entry is the same left-to-right sum however the draws are
-    blocked.  Entries past a row's last reset are +inf.
+    A row still short of t_end continues its own stream and its own sum
+    in further blocks, so every entry is the same left-to-right sum
+    however the draws are blocked.  Entries past a row's last reset are
+    +inf.
     """
     resets, block = None, _initial_wait_capacity(dist, t_end)
-    short = np.arange(len(gens))
+    short = np.arange(len(streams.keys))
+    drawn = 0
     while short.size:
         w = np.empty((short.size, block))
         for row, i in zip(w, short):
-            gens[i].random(out=row)
+            streams.fill(i, row, skip=drawn)
+        drawn += block
         # a few rows at a time: chunk-sized temporaries would stay
         # resident in the allocator's heap after the chunk
         for slab in np.split(w, range(SLAB_ROWS, len(w), SLAB_ROWS)):
@@ -346,17 +464,19 @@ class _ChunkState:
         self.config = config
         finite = config.n_spins is not None
         measured = finite and config.protocol is not ProtocolKind.UNCONDITIONAL_RESET
-        streams = [_trajectory_streams(config.seed, start + i, measured) for i in range(rows)]
+        index = np.arange(start, start + rows)
+        waits = _RowStreams(_trajectory_streams(config.seed, index, _WAIT_STREAM))
         t_end = config.sample_grid[-1]
-        self.resets = _reset_times(config.dist, [s[0] for s in streams], t_end)
+        self.resets = _reset_times(config.dist, waits, t_end)
         self.cursor = np.zeros(rows, dtype=np.int64)
         self.t_last = np.zeros(rows)
 
         if measured:
+            meas = _RowStreams(_trajectory_streams(config.seed, index, _MEASURE_STREAM))
             applied = np.count_nonzero(self.resets <= t_end, axis=1)
             self.meas_u = np.empty((rows, 2 * int(applied.max())))
-            for row, (_, gen), k in zip(self.meas_u, streams, applied):
-                gen.random(out=row[:2 * k])
+            for i, (row, k) in enumerate(zip(self.meas_u, applied)):
+                meas.fill(i, row[:2 * k])
 
         if finite:
             self.count = np.full(rows, config.n_spins, dtype=np.int64)

@@ -3,8 +3,9 @@
 The test oracle of the vectorized engine in spinreset.trajectory_sim.
 It walks a single trajectory through its reset events in plain Python,
 using the same closed-form records as the engine, so fed with the
-per-trajectory streams of run_ensemble it reproduces the ensemble
-averages to rounding.
+per-trajectory streams of run_ensemble (numpy_streams builds them with
+numpy's own SeedSequence and Philox, not with the engine's keys) it
+reproduces the ensemble averages to rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from spinreset.trajectory_sim import (
     _record_thermo,
     binomial_quantile,
 )
+
+
+def numpy_streams(seed: int, index: int):
+    """(wait, measurement) generators of trajectory index, as numpy builds them."""
+    return tuple(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(index, kind)))) for kind in (0, 1))
 
 
 def sample_waiting_time(dist: WaitingTime, rng: np.random.Generator, size=None):

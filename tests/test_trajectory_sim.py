@@ -13,12 +13,13 @@ from spinreset.trajectory_sim import (
     ProtocolKind,
     SimConfig,
     _ChunkState,
+    _RowStreams,
     _trajectory_streams,
     binomial_quantile,
     run_ensemble,
 )
 
-from reference_sim import apply_reset_rule, measurement_outcome, run_trajectory
+from reference_sim import apply_reset_rule, measurement_outcome, numpy_streams, run_trajectory
 
 POISSON = WaitingTime.poisson(0.5)
 PARAMS = DriveParams(omega=1.3, delta=1.0)
@@ -255,8 +256,7 @@ def test_ensemble_matches_scalar_reference(protocol, n_spins, overrides):
     n = config.n_trajectories
     ds, xs, pairs = [], [], []
     for i in range(n):
-        wait, meas = _trajectory_streams(config.seed, i, True)
-        d, x, pair = run_trajectory(config, wait, meas)
+        d, x, pair = run_trajectory(config, *numpy_streams(config.seed, i))
         ds.append(d)
         xs.append(x)
         pairs.append(pair)
@@ -287,8 +287,7 @@ def test_window_correlation_stderr_delta_method():
     widx = config.window_indices()
     wd, wx = [], []
     for i in range(config.n_trajectories):
-        wait, meas = _trajectory_streams(config.seed, i, True)
-        d, x, _ = run_trajectory(config, wait, meas)
+        d, x, _ = run_trajectory(config, *numpy_streams(config.seed, i))
         wd.append(d[widx].mean())
         wx.append(x[widx].mean())
     wd, wx = np.array(wd), np.array(wx)
@@ -340,7 +339,7 @@ def test_protocols_coincide_below_threshold():
 
 def test_finite_n_density_is_lattice_valued():
     config = small_config(ProtocolKind.CONDITIONAL_TWO_STATE, n_spins=5, n_traj=1)
-    d, x, pair = run_trajectory(config, *_trajectory_streams(config.seed, 0, True))
+    d, x, pair = run_trajectory(config, *numpy_streams(config.seed, 0))
     # from a sharp count the density is a hypergeometric average, but at
     # t = 0 it must sit exactly on the lattice
     assert d[0] == 1.0
@@ -398,19 +397,53 @@ def test_output_does_not_depend_on_wait_buffer_size(protocol, n_spins, monkeypat
 
 
 def test_measurement_stream_is_built_only_where_measured(monkeypatch):
-    keys = []
+    # streams are keyed once per chunk and kind, for all of its rows
+    keys, calls = [], []
+    derive = trajectory_sim._trajectory_streams
 
-    class Recording(np.random.SeedSequence):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            keys.append(tuple(self.spawn_key))
+    def recording(seed, index, kind):
+        calls.append(kind)
+        keys.extend((int(i), kind) for i in index)
+        return derive(seed, index, kind)
 
-    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    monkeypatch.setattr(trajectory_sim, "_trajectory_streams", recording)
     n = 16
     for protocol in ProtocolKind:
         for n_spins in (None, 11):
             keys.clear()
+            calls.clear()
             run_ensemble(small_config(protocol, n_spins=n_spins, n_traj=n))
             measured = n_spins is not None and protocol is not ProtocolKind.UNCONDITIONAL_RESET
             expect = [(i, 0) for i in range(n)] + [(i, 1) for i in range(n) if measured]
             assert sorted(keys) == sorted(expect)
+            assert calls == ([0, 1] if measured else [0])
+
+
+KEY_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
+KEY_INDICES = [0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**32 + 5]
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_stream_keys_match_seed_sequence(seed, kind):
+    keys = _trajectory_streams(seed, np.array(KEY_INDICES, dtype=np.uint64), kind)
+    streams = _RowStreams(keys)
+    for row, i in enumerate(KEY_INDICES):
+        bit_generator = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i, kind)))
+        assert keys[row].tolist() == bit_generator.state["state"]["key"].tolist(), (seed, i, kind)
+        expect = np.random.Generator(bit_generator).random(200)
+        # skip > 0: a row short of the horizon re-keys and skips what it drew
+        for skip in (0, 1, 3, 4, 5, 67):
+            got = np.empty(200 - skip)
+            streams.fill(row, got, skip=skip)
+            assert got.tobytes() == expect[skip:].tobytes(), (seed, i, kind, skip)
+
+
+@pytest.mark.parametrize("seed", [1.5, -0.5, "3", 2**64])
+def test_sim_config_rejects_seed_that_is_not_a_64_bit_unsigned_integer(seed):
+    with pytest.raises(ValueError, match="64-bit unsigned integer"):
+        small_config(ProtocolKind.UNCONDITIONAL_RESET, seed=seed)
+
+
+def test_sim_config_stores_the_seed_as_int():
+    assert type(small_config(ProtocolKind.UNCONDITIONAL_RESET, seed=np.uint64(7)).seed) is int
