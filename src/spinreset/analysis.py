@@ -18,7 +18,7 @@ import numpy as np
 from .observables import connected_correlation, lqu
 from .renewal import WaitingTime, stationary_state_p1, stationary_state_p2
 from .spin_dynamics import DriveParams
-from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, ordered_map, run_ensemble
+from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensembles
 
 REGIME_CLOSED = "closed-form"
 REGIME_MIXTURE = "mixture"
@@ -76,7 +76,7 @@ class McTemplate:
         self.config(ProtocolKind.UNCONDITIONAL_RESET, DriveParams(1.0), WaitingTime.poisson(1.0))
 
     def config(self, protocol: ProtocolKind, params: DriveParams,
-               dist: WaitingTime, workers: int | None = None) -> SimConfig:
+               dist: WaitingTime) -> SimConfig:
         window = self.average_window
         if window is None:
             window = (2.0 * self.observation_time / 3.0, self.observation_time)
@@ -90,7 +90,7 @@ class McTemplate:
             n_trajectories=self.n_trajectories,
             seed=self.seed,
             n_spins=self.n_spins,
-            workers=self.workers if workers is None else workers,
+            workers=self.workers,
             average_window=window,
         )
 
@@ -221,8 +221,7 @@ def closed_form_row(protocol: ProtocolKind, params: DriveParams, dist: WaitingTi
     return (st.density, 0.0, corr, 0.0, discord, 0.0, regime), st
 
 
-def _mc_row(config: SimConfig):
-    stats = run_ensemble(config)
+def _mc_row(stats: EnsembleStats):
     discord, discord_err = ensemble_lqu(stats)
     return (stats.window_density, stats.window_density_stderr,
             stats.window_correlation, stats.window_correlation_stderr,
@@ -236,10 +235,13 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
 
     Exact rows where the renewal treatment applies; Monte Carlo rows for
     the flip protocol and for finite n_spins (taken from the template),
-    or everywhere when use_mc is set.  Settings no row can run with
-    raise ValueError before any row runs; a Monte Carlo row that raises
-    while running is recorded as failed (NaN values, error kept in
-    row_errors) without aborting the remaining rows.
+    or everywhere when use_mc is set.  The Monte Carlo rows share the
+    template's seed, so they run as one run_ensembles call, in which
+    every row replays each chunk's one schedule.  Settings no row can
+    run with raise ValueError before any row runs.  A row that raises is
+    recorded as failed (NaN values, error kept in row_errors) without
+    aborting the others; if the ensemble run raises, every row fails
+    with its message, and the sweep still returns.
     """
     grid = np.asarray(list(omega_over_delta_grid), dtype=float)
     if grid.size == 0:
@@ -258,16 +260,18 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
         rows = [closed_form_row(protocol, params(x), dist)[0] for x in grid]
         return SweepResult.from_rows(protocol, dist, delta, grid, rows)
 
-    def attempt(config):
-        # rows run on worker threads, each single-worker; a failure is
-        # returned as its message and recorded below in grid order
+    def outcome(fn, arg):
+        # a failure is returned as its message and recorded below in grid order
         try:
-            return _mc_row(config)
+            return fn(arg)
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    configs = [mc.config(protocol, params(x), dist, workers=1) for x in grid]
-    rows = ordered_map(attempt, configs, mc.workers)
+    ensembles = outcome(run_ensembles, [mc.config(protocol, params(x), dist) for x in grid])
+    if isinstance(ensembles, str):  # no row has a value: each fails with the run
+        rows = [ensembles] * grid.size
+    else:
+        rows = [outcome(_mc_row, stats) for stats in ensembles]
     errors = {i: r for i, r in enumerate(rows) if isinstance(r, str)}
     nan_row = (math.nan,) * 6 + (REGIME_FAILED,)
     rows = [nan_row if isinstance(r, str) else r for r in rows]

@@ -23,10 +23,14 @@ uint64) and whose counter starts at 0, so its bytes are those of
 numpy's own Generator(Philox(SeedSequence(...))).  A chunk derives all
 its rows' keys in one vectorized pass of that hash and reads every row
 through one Philox re-keyed per row.
-Chunks of CHUNK trajectories are reduced independently and combined in
-index order, so results are bitwise identical for any worker count.
-Changing CHUNK would change the rounding pattern of the reduction (not
-the statistics), so it is a fixed constant, not a knob.
+None of these draws depends on the drive, so ensembles that differ only
+in it (the rows of a sweep) share each chunk's schedule: run_ensembles
+draws it once and replays it for every drive, and each drive's sums are
+its own run_ensemble's bit for bit.  Chunks of CHUNK trajectories are
+reduced independently (on the worker threads) and combined in index
+order, so results are bitwise identical for any worker count.  Changing
+CHUNK would change the rounding pattern of the reduction (not the
+statistics), so it is a fixed constant, not a knob.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import enum
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -421,7 +425,7 @@ def _new_accumulators(n_grid):
 def _initial_wait_capacity(dist: WaitingTime, horizon: float) -> int:
     mean_wait = _fourier_weight(dist, 0.0).real
     expect = horizon / mean_wait
-    return max(WAIT_BLOCK, int(expect + 6.0 * np.sqrt(expect) + 8.0))
+    return int(expect + 6.0 * np.sqrt(expect) + 8.0)
 
 
 def _reset_times(dist: WaitingTime, streams: _RowStreams, t_end: float) -> np.ndarray:
@@ -456,12 +460,18 @@ def _reset_times(dist: WaitingTime, streams: _RowStreams, t_end: float) -> np.nd
 
 
 class _ChunkState:
-    """Per-chunk trajectory arrays and each trajectory's whole schedule,
-    drawn before the grid walk: its reset times and, where the protocol
-    measures, two measurement uniforms per reset on the grid."""
+    """One chunk's schedule, drawn before the grid walk (each trajectory's
+    reset times and, where the protocol measures, two measurement uniforms
+    per reset on the grid), and the origin state n0 or count of every drive
+    that replays it: one row per drive, shape (drives, rows)."""
 
-    def __init__(self, config: SimConfig, start: int, rows: int):
-        self.config = config
+    def __init__(self, configs: list, start: int, rows: int):
+        config = self.config = configs[0]  # every field but params is shared
+        self.params = [c.params for c in configs]
+        obar = [p.effective_rabi for p in self.params]
+        # p = ratio * sin(obar * tau)^2 per drive; a drive with obar = 0 keeps p = 0
+        self.obar, self.ratio = np.array([obar, [(p.omega / o) ** 2 if o else 0.0
+                                                 for p, o in zip(self.params, obar)]])[:, :, None]
         finite = config.n_spins is not None
         measured = finite and config.protocol is not ProtocolKind.UNCONDITIONAL_RESET
         index = np.arange(start, start + rows)
@@ -478,14 +488,15 @@ class _ChunkState:
             for i, (row, k) in enumerate(zip(self.meas_u, applied)):
                 meas.fill(i, row[:2 * k])
 
+        shape = (len(configs), rows)
         if finite:
-            self.count = np.full(rows, config.n_spins, dtype=np.int64)
+            self.count = np.full(shape, config.n_spins, dtype=np.int64)
         else:
-            self.n0 = np.ones(rows)
+            self.n0 = np.ones(shape)
 
     def advance_to(self, tg: float):
-        """Apply every reset event with time <= tg, chunk-wide."""
-        params, proto, n_spins = self.config.params, self.config.protocol, self.config.n_spins
+        """Apply every reset event with time <= tg, chunk-wide, for every drive."""
+        proto = self.config.protocol
         idx = np.arange(self.cursor.size)
         while True:
             # only rows that just reset can have another reset due
@@ -494,36 +505,35 @@ class _ChunkState:
             if not due.any():
                 return
             idx, t_reset = idx[due], t_reset[due]
-            tau = t_reset - self.t_last[idx]
-            p = np.clip(_phase_terms(params, tau)[0], 0.0, 1.0)
-            if proto is ProtocolKind.UNCONDITIONAL_RESET:
-                pass  # origin state never changes
-            elif n_spins is None:
-                d = self.n0[idx] + (1.0 - 2.0 * self.n0[idx]) * p
-                if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
-                    self.n0[idx] = np.where(d > 0.5, 1.0, 0.0)
+            if proto is not ProtocolKind.UNCONDITIONAL_RESET:  # its origin never changes
+                sin = np.sin(self.obar * (t_reset - self.t_last[idx]))
+                p = np.clip(self.ratio * (sin * sin), 0.0, 1.0)  # (drives, due rows)
+                if self.config.n_spins is not None:
+                    self._finite_measurement(idx, p)
                 else:
-                    self.n0[idx] = np.where(d > 0.5, 1.0, 1.0 - d)
-            else:
-                self._finite_measurement(idx, p)
+                    n0 = self.n0[:, idx]
+                    d = n0 + (1.0 - 2.0 * n0) * p
+                    flipped = 0.0 if proto is ProtocolKind.CONDITIONAL_TWO_STATE else 1.0 - d
+                    self.n0[:, idx] = np.where(d > 0.5, 1.0, flipped)
             self.t_last[idx] = t_reset
             self.cursor[idx] += 1
 
     def _finite_measurement(self, idx, p):
+        """New up-counts count[..., idx]; a row's uniforms serve every drive."""
         n = self.config.n_spins
         proto = self.config.protocol
         half = (n - 1) // 2
         base = 2 * self.cursor[idx]
-        u_up = self.meas_u[idx, base]
+        count = self.count[..., idx]
+        u_up = np.broadcast_to(self.meas_u[idx, base], count.shape)
         u_down = self.meas_u[idx, base + 1]
-        count = self.count[idx]
         if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
             # origins are all-up or all-down, so only one of the two
             # binomials is nonempty and the majority test needs just its cdf
             up = count == n
             u = np.where(up, u_up, u_down)
             q = np.where(up, 1.0 - p, p)
-            self.count[idx] = np.where(_quantile_at_most(u, n, q, half), 0, n)
+            self.count[..., idx] = np.where(_quantile_at_most(u, n, q, half), 0, n)
         else:
             # the measured count is stay_up + flip_up; it is needed only
             # where it is <= half, which one cdf value of stay_up decides
@@ -531,27 +541,33 @@ class _ChunkState:
             flip_up = binomial_quantile(u_down, n - count, p)
             flip = _quantile_at_most(u_up, count, q, half - flip_up)
             stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
-            self.count[idx] = n
-            self.count[idx[flip]] = n - stay_up - flip_up[flip]
+            count[...] = n
+            count[flip] = n - stay_up - flip_up[flip]
+            self.count[..., idx] = count
 
-    def record(self, tg: float, acc, gi: int):
+    def record(self, tg: float, accs: list, gi: int):
+        """(drives, rows) d and x; each drive's sums go to its own accumulators."""
         s = tg - self.t_last
         if self.config.n_spins is None:
-            return _record_thermo(self.config.params, s, self.n0, acc, gi)
-        return _record_finite(self.config.params, s, self.count.astype(float),
-                              self.config.n_spins, acc, gi)
+            dx = [_record_thermo(params, s, n0, acc, gi)
+                  for params, n0, acc in zip(self.params, self.n0, accs)]
+        else:
+            dx = [_record_finite(params, s, count, self.config.n_spins, acc, gi)
+                  for params, count, acc in zip(self.params, self.count.astype(float), accs)]
+        return np.array(dx).transpose(1, 0, 2)
 
 
-def _chunk_sums(config: SimConfig, start: int, rows: int):
-    state = _ChunkState(config, start, rows)
-    grid = config.sample_grid
-    acc = _new_accumulators(len(grid))
-    widx = set(config.window_indices().tolist())
-    row_d = np.zeros(rows) if widx else None
-    row_x = np.zeros(rows) if widx else None
+def _chunk_sums(configs: list, start: int, rows: int) -> list:
+    """Each drive's moment sums over one chunk, in configs order."""
+    state = _ChunkState(configs, start, rows)
+    grid = configs[0].sample_grid
+    accs = [_new_accumulators(len(grid)) for _ in configs]
+    widx = set(configs[0].window_indices().tolist())
+    row_d = np.zeros((len(configs), rows)) if widx else None
+    row_x = np.zeros((len(configs), rows)) if widx else None
     for gi, tg in enumerate(grid):
         state.advance_to(tg)
-        d, x = state.record(tg, acc, gi)
+        d, x = state.record(tg, accs, gi)
         if gi in widx:
             row_d += d
             row_x += x
@@ -559,12 +575,10 @@ def _chunk_sums(config: SimConfig, start: int, rows: int):
         nw = len(widx)
         row_d /= nw
         row_x /= nw
-        acc["window"] = np.array([
-            row_d.sum(), (row_d * row_d).sum(),
-            row_x.sum(), (row_x * row_x).sum(),
-            (row_d * row_x).sum(),
-        ])
-    return acc
+        for acc, d, x in zip(accs, row_d, row_x):  # each drive's own 1-D sums
+            acc["window"] = np.array([d.sum(), (d * d).sum(), x.sum(), (x * x).sum(),
+                                      (d * x).sum()])
+    return accs
 
 
 def ordered_map(fn, items, workers: int) -> list:
@@ -581,25 +595,44 @@ def ordered_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def run_ensemble(config: SimConfig) -> EnsembleStats:
-    """Simulate the configured ensemble and average it on the sample grid.
+def run_ensembles(configs) -> list:
+    """One EnsembleStats per config, for configs that differ only in params.
 
-    Trajectory i draws from streams keyed by (seed, i); chunks of CHUNK
-    trajectories are simulated independently (possibly on worker
-    threads) and combined in fixed order, so the output is bitwise
-    reproducible for any worker count.  A failing chunk aborts the whole
-    run; no partial averages are ever returned.
+    Trajectory i draws from streams keyed by (seed, i) whatever the drive,
+    so each chunk of CHUNK trajectories draws its schedule once and every
+    drive replays it.  Chunks run independently (on up to `workers`
+    threads) and each drive's sums are combined in fixed order, so every
+    result is bitwise its own run_ensemble's, for any worker count.  A
+    failing chunk aborts the whole run: no partial averages are returned.
     """
     t0 = time.perf_counter()
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    if any(replace(c, params=first.params) != first for c in configs[1:]):
+        raise ValueError("run_ensembles needs configs that differ only in params")
+    n = first.n_trajectories
+    bounds = [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]
+    chunks = ordered_map(lambda b: _chunk_sums(configs, *b), bounds, first.workers)
+    chunk_counts = np.array([r for _, r in bounds], dtype=np.int64)
+    return [_ensemble_stats(config, [accs[k] for accs in chunks], chunk_counts, t0)
+            for k, config in enumerate(configs)]
+
+
+def run_ensemble(config: SimConfig) -> EnsembleStats:
+    """Simulate the configured ensemble and average it on the sample grid."""
+    return run_ensembles([config])[0]
+
+
+def _ensemble_stats(config: SimConfig, chunks: list, chunk_counts: np.ndarray,
+                    t0: float) -> EnsembleStats:
+    """Combine one drive's chunk sums, in chunk order, into its statistics."""
     n = config.n_trajectories
     n_grid = len(config.sample_grid)
-    bounds = [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]
-    chunks = ordered_map(lambda b: _chunk_sums(config, *b), bounds, config.workers)
-
     total = _new_accumulators(n_grid)
     window_sums = np.zeros(5)
     chunk_pair_means = np.empty((len(chunks), n_grid, 4, 4), dtype=complex)
-    chunk_counts = np.array([r for _, r in bounds], dtype=np.int64)
     for ci, acc in enumerate(chunks):  # fixed combination order
         for key in ("sd", "sd2", "sx", "sx2", "sdx", "pair"):
             total[key] += acc[key]

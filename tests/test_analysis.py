@@ -13,6 +13,7 @@ from spinreset.analysis import (
     REGIME_FAILED,
     REGIME_MC,
     REGIME_MIXTURE,
+    SWEEP_COLUMNS,
     SweepResult,
     ensemble_lqu,
     estimate_discontinuity,
@@ -23,7 +24,7 @@ from spinreset.analysis import (
 from spinreset.observables import connected_correlation_closed_form, lqu
 from spinreset.renewal import WaitingTime, stationary_density_closed_form
 from spinreset.spin_dynamics import DriveParams
-from spinreset.trajectory_sim import ProtocolKind, run_ensemble
+from spinreset.trajectory_sim import CHUNK, ProtocolKind, run_ensemble
 
 POISSON = WaitingTime.poisson(0.5)
 
@@ -55,8 +56,9 @@ def test_mc_template_config():
     assert len(cfg.sample_grid) == 4
     assert cfg.sample_grid[0] == 8.0 and cfg.sample_grid[-1] == 12.0
     assert cfg.seed == 5 and cfg.n_trajectories == 100
-    assert mc.config(ProtocolKind.UNCONDITIONAL_RESET, DriveParams(1.0, 1.0),
-                     POISSON, workers=7).workers == 7
+    # the template's workers are the ensemble's chunk threads
+    assert McTemplate(workers=7).config(ProtocolKind.UNCONDITIONAL_RESET,
+                                        DriveParams(1.0, 1.0), POISSON).workers == 7
 
 
 def test_sweep_result_validation():
@@ -99,15 +101,15 @@ def test_closed_form_sweep_protocol_two():
 
 
 def test_mc_sweep_rows_and_row_parallelism():
-    mc = McTemplate(n_trajectories=512, observation_time=6.0, seed=0,
+    mc = McTemplate(n_trajectories=2 * CHUNK + 100, observation_time=6.0, seed=0,
                     average_window=(4.0, 6.0), window_points=5)
     grid = [0.8, 1.1, 1.4]
     serial = sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, grid, mc=mc)
     assert serial.regime == [REGIME_MC] * 3
     assert np.all(serial.density_stderr > 0.0)
-    # row-level threads must not change any number (common random
-    # numbers are per row, not shared state)
-    mc_par = McTemplate(n_trajectories=512, observation_time=6.0, seed=0,
+    # chunk threads must not change any number (every row replays the
+    # chunk's one schedule, and chunks are combined in index order)
+    mc_par = McTemplate(n_trajectories=2 * CHUNK + 100, observation_time=6.0, seed=0,
                         average_window=(4.0, 6.0), window_points=5, workers=3)
     parallel = sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, grid, mc=mc_par)
     np.testing.assert_array_equal(serial.density, parallel.density)
@@ -116,12 +118,15 @@ def test_mc_sweep_rows_and_row_parallelism():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_sweep_records_row_failures(workers, monkeypatch):
-    # a row that raises while running is recorded and the sweep keeps
-    # going, whether the rows run serially or on the row pool
-    def failing(config):
-        raise ValueError(f"injected failure at omega {config.params.omega}")
+    # an ensemble run that raises fails every row of the sweep, which
+    # still returns, whether the chunks run serially or on the pool
+    calls = []
 
-    monkeypatch.setattr(analysis, "run_ensemble", failing)
+    def failing(configs):
+        calls.append(configs)
+        raise ValueError(f"injected failure at omega {configs[0].params.omega}")
+
+    monkeypatch.setattr(analysis, "run_ensembles", failing)
     mc = McTemplate(n_trajectories=64, observation_time=6.0, workers=workers,
                     average_window=(4.0, 6.0), window_points=5, n_spins=11)
     sweep = sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, POISSON, [0.9, 1.1],
@@ -130,11 +135,77 @@ def test_mc_sweep_records_row_failures(workers, monkeypatch):
     assert np.all(np.isnan(sweep.density))
     assert set(sweep.row_errors) == {0, 1}
     assert "ValueError" in sweep.row_errors[0]
+    assert sweep.row_errors[1] == sweep.row_errors[0]
+    # one call runs the whole sweep, with every row's drive
+    assert [[c.params.omega for c in configs] for configs in calls] == [[0.9, 1.1]]
+    assert {c.workers for c in calls[0]} == {workers}
+
+
+def test_mc_row_failure_fails_only_its_own_row(monkeypatch):
+    mc_row = analysis._mc_row
+
+    def failing(stats):
+        if stats.config.params.omega == 1.1:
+            raise ValueError("injected failure at omega 1.1")
+        return mc_row(stats)
+
+    monkeypatch.setattr(analysis, "_mc_row", failing)
+    mc = McTemplate(n_trajectories=64, observation_time=6.0,
+                    average_window=(4.0, 6.0), window_points=5)
+    grid = [0.8, 1.1, 1.4]
+    sweep = sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, grid, mc=mc)
+    assert sweep.regime == [REGIME_MC, REGIME_FAILED, REGIME_MC]
+    assert sweep.row_errors == {1: "ValueError: injected failure at omega 1.1"}
+    assert np.isnan(sweep.density[1]) and not np.any(np.isnan(sweep.density[[0, 2]]))
+    monkeypatch.setattr(analysis, "_mc_row", mc_row)
+    clean = sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, grid, mc=mc)
+    np.testing.assert_array_equal(sweep.density[[0, 2]], clean.density[[0, 2]])
+
+
+STATS_ARRAYS = ("density", "density_stderr", "two_point", "two_point_stderr", "correlation",
+                "correlation_stderr", "pair_states", "chunk_pair_means", "chunk_counts",
+                "window_pair", "chunk_window_pair_means")
+STATS_WINDOW = ("window_density", "window_density_stderr", "window_two_point",
+                "window_two_point_stderr", "window_correlation", "window_correlation_stderr")
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("dist", [POISSON, WaitingTime.chopped(0.5, 3.0)],
+                         ids=["poisson", "chopped"])
+@pytest.mark.parametrize("n_spins", [None, 11])
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_mc_sweep_rows_equal_independent_ensembles(protocol, n_spins, dist, workers,
+                                                   monkeypatch):
+    # every row replays the chunk's one schedule, yet each row must be
+    # bit for bit the ensemble its drive gives on its own
+    run = analysis.run_ensembles
+    batches = []
+    monkeypatch.setattr(analysis, "run_ensembles",
+                        lambda configs: batches.append(run(configs)) or batches[-1])
+    mc = McTemplate(n_trajectories=CHUNK + 200, observation_time=8.0, seed=4,
+                    workers=workers, average_window=(4.0, 8.0), window_points=5,
+                    n_spins=n_spins)
+    grid = [0.0, 0.5, 1.0, 1.3]  # Omega = 0 and Omega = Delta included
+    sweep = sweep_stationary(protocol, dist, grid, mc=mc, use_mc=True)
+    assert sweep.regime == [REGIME_MC] * len(grid)
+    [batch] = batches
+    for i, (x, shared) in enumerate(zip(grid, batch)):
+        alone = run_ensemble(mc.config(protocol, DriveParams(x, 1.0), dist))
+        assert shared.config == alone.config
+        for name in STATS_ARRAYS:
+            assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), (x, name)
+        for name in STATS_WINDOW:
+            assert getattr(shared, name) == getattr(alone, name), (x, name)
+        row = analysis._mc_row(alone)
+        got = [getattr(sweep, c)[i] for c in SWEEP_COLUMNS[1:-1]]
+        assert np.array(got).tobytes() == np.array(row[:-1]).tobytes(), x
 
 
 def test_mc_sweep_settings_fail_before_any_row(monkeypatch):
     calls = []
-    monkeypatch.setattr(analysis, "run_ensemble", calls.append)
+    run = analysis.run_ensembles
+    monkeypatch.setattr(analysis, "run_ensembles",
+                        lambda configs: calls.append(configs) or run(configs))
     for bad in (dict(n_spins=10), dict(n_trajectories=0), dict(window_points=0),
                 dict(observation_time=-5.0), dict(workers=0)):
         with pytest.raises(ValueError):
@@ -144,6 +215,10 @@ def test_mc_sweep_settings_fail_before_any_row(monkeypatch):
         sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, [1.1, -0.5],
                          mc=McTemplate(n_trajectories=64))
     assert calls == []
+    # positive control: a valid sweep does reach the patched engine
+    sweep = sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, [1.1],
+                             mc=McTemplate(n_trajectories=64))
+    assert len(calls) == 1 and sweep.regime == [REGIME_MC]
 
 
 def test_use_mc_agrees_with_closed_form():

@@ -130,7 +130,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
     # plots are files: --svg without --output fails before any trajectory runs
     calls = []
-    monkeypatch.setattr(analysis, "run_ensemble", calls.append)
+    run_ensembles = analysis.run_ensembles
+    monkeypatch.setattr(analysis, "run_ensembles",
+                        lambda configs: calls.append(configs) or run_ensembles(configs))
     monkeypatch.setattr(cli, "run_ensemble", calls.append)
     for argv in (["sweep", "--protocol", "1", "--grid", "0.5"],
                  ["sweep", "--protocol", "3", "--grid", "1.1"],
@@ -139,6 +141,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(argv + ["--svg"], capsys)
         assert code == 3 and "--output" in err and out == ""
     assert calls == []
+    # positive control: without --svg the sweeps do reach the patched engine
+    for argv in (["sweep", "--protocol", "3", "--grid", "1.1"],
+                 ["finite-size", "--n-spins", "5", "--grid", "1.1", "--time", "20"]):
+        code, out, _ = run_cli(argv + ["--trajectories", "8"], capsys)
+        assert code == 0 and "monte-carlo" in out
+    assert len(calls) == 2
     assert run_cli(["fit", "--input", str(tmp_path / "missing.csv"),
                     "--observable", "density"], capsys)[0] == 5
     bad = tmp_path / "bad.csv"
@@ -376,14 +384,14 @@ def test_finite_size_json_and_svg_outputs(tmp_path, capsys):
 
 def test_finite_size_reports_failed_rows(capsys, monkeypatch):
     # a row of N = 5 fails while running; the table still prints
-    run_ensemble = analysis.run_ensemble
+    run_ensembles = analysis.run_ensembles
 
-    def failing(config):
-        if config.n_spins == 5:
-            raise ValueError(f"injected failure at omega {config.params.omega}")
-        return run_ensemble(config)
+    def failing(configs):
+        if configs[0].n_spins == 5:
+            raise ValueError(f"injected failure at omega {configs[0].params.omega}")
+        return run_ensembles(configs)
 
-    monkeypatch.setattr(analysis, "run_ensemble", failing)
+    monkeypatch.setattr(analysis, "run_ensembles", failing)
     code, out, err = run_cli(["finite-size", "--n-spins", "5,7", "--grid", "1.1",
                               "--trajectories", "50", "--time", "20",
                               "--window-points", "3"], capsys)

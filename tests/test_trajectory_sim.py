@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from spinreset import trajectory_sim
+from spinreset.analysis import McTemplate, sweep_stationary
 from spinreset.renewal import WaitingTime
 from spinreset.spin_dynamics import DriveParams, flip_probability, free_excitation_density
 from spinreset.trajectory_sim import (
@@ -161,15 +162,16 @@ def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
 
     def checked(self, idx, p):
         nonlocal resets, flips
+        # the origin counts have one row per drive; this ensemble has one
         n, base = self.config.n_spins, 2 * self.cursor[idx]
-        args = (n, self.count[idx], self.meas_u[idx, base], self.meas_u[idx, base + 1], p)
+        args = (n, self.count[:, idx], self.meas_u[idx, base], self.meas_u[idx, base + 1], p)
         flipped = np.count_nonzero(2 * _measured_count(*args) <= n)
         expect = _two_quantile_rule(ProtocolKind.CONDITIONAL_FLIP, *args)
         first = len(sizes)
         measure(self, idx, p)
         assert sizes[first] == idx.size  # flip_up, for every reset
         assert sum(sizes[first + 1:]) == flipped  # stay_up, for the flips alone
-        np.testing.assert_array_equal(self.count[idx], expect)
+        np.testing.assert_array_equal(self.count[:, idx], expect)
         resets += idx.size
         flips += flipped
 
@@ -417,6 +419,20 @@ def test_measurement_stream_is_built_only_where_measured(monkeypatch):
             expect = [(i, 0) for i in range(n)] + [(i, 1) for i in range(n) if measured]
             assert sorted(keys) == sorted(expect)
             assert calls == ([0, 1] if measured else [0])
+    # a sweep draws each chunk's schedule once, whatever its grid length
+    n = CHUNK + 5
+    for protocol in ProtocolKind:
+        for n_spins in (None, 11):
+            measured = n_spins is not None and protocol is not ProtocolKind.UNCONDITIONAL_RESET
+            kinds = [0, 1] if measured else [0]
+            mc = McTemplate(n_trajectories=n, observation_time=4.0, window_points=3,
+                            n_spins=n_spins, workers=2)
+            for grid in ([1.1], [0.5, 1.0, 1.5, 2.0]):
+                keys.clear()
+                calls.clear()
+                sweep_stationary(protocol, POISSON, grid, mc=mc, use_mc=True)
+                assert sorted(calls) == sorted(kinds * 2)  # 2 chunks x kinds
+                assert sorted(keys) == [(i, k) for i in range(n) for k in kinds]
 
 
 KEY_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1]
