@@ -285,7 +285,7 @@ def binomial_quantile(u, n, p):
         with np.errstate(all="ignore"):
             guess = bdtrik(u[active], n[active], p[active])
         guess = np.where(np.isfinite(guess), guess, n[active] * p[active])
-        k[active] = np.clip(np.floor(guess), 0, n[active]).astype(np.int64)
+        k[active] = np.minimum(np.maximum(np.floor(guess), 0.0), n[active]).astype(np.int64)
         ka = k[active]
         na = n[active]
         pa = p[active]
@@ -314,7 +314,7 @@ def _quantile_at_most(u, n, q, h):
     n itself is compared with h.
     """
     h = np.asarray(h)
-    at_most = (h >= 0) & (u <= bdtr(np.clip(h, 0, n).astype(float), n, q))
+    at_most = (h >= 0) & (u <= bdtr(np.minimum(np.maximum(h, 0), n).astype(float), n, q))
     return np.where(q >= 1.0, n <= h, at_most)
 
 
@@ -507,7 +507,7 @@ class _ChunkState:
             idx, t_reset = idx[due], t_reset[due]
             if proto is not ProtocolKind.UNCONDITIONAL_RESET:  # its origin never changes
                 sin = np.sin(self.obar * (t_reset - self.t_last[idx]))
-                p = np.clip(self.ratio * (sin * sin), 0.0, 1.0)  # (drives, due rows)
+                p = np.minimum(self.ratio * (sin * sin), 1.0)  # (drives, due rows), >= 0
                 if self.config.n_spins is not None:
                     self._finite_measurement(idx, p)
                 else:
@@ -523,9 +523,9 @@ class _ChunkState:
         n = self.config.n_spins
         proto = self.config.protocol
         half = (n - 1) // 2
-        base = 2 * self.cursor[idx]
         count = self.count[..., idx]
-        u_up = np.broadcast_to(self.meas_u[idx, base], count.shape)
+        base = 2 * self.cursor[idx] + 0 * count  # count's shape: every drive reads the row's
+        u_up = self.meas_u[idx, base]
         u_down = self.meas_u[idx, base + 1]
         if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
             # origins are all-up or all-down, so only one of the two

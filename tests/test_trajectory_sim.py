@@ -1,4 +1,5 @@
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinreset.trajectory_sim import (
     _trajectory_streams,
     binomial_quantile,
     run_ensemble,
+    run_ensembles,
 )
 
 from reference_sim import apply_reset_rule, measurement_outcome, numpy_streams, run_trajectory
@@ -298,6 +300,35 @@ def test_window_correlation_stderr_delta_method():
     var = (wx.var(ddof=1) + 4 * md**2 * wd.var(ddof=1)
            - 4 * md * np.cov(wd, wx, ddof=1)[0, 1])
     assert out.window_correlation_stderr == pytest.approx(np.sqrt(var / n), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_spins", [None, 11])
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_run_ensembles_gives_each_drive_its_own_ensemble(protocol, n_spins):
+    # drives with effective Rabi frequency 0 (no flip ever), Omega = 0,
+    # Omega = Delta and above share one schedule per chunk
+    drives = [DriveParams(0.0, 0.0), DriveParams(0.0, 1.0), DriveParams(1.0, 1.0), PARAMS]
+    base = small_config(protocol, n_spins=n_spins, n_traj=CHUNK + 40)
+    configs = [replace(base, params=params, workers=2) for params in drives]
+    for shared, config in zip(run_ensembles(configs), configs):
+        alone = run_ensemble(config)
+        assert shared.config == config
+        for name in ("density", "two_point_stderr", "correlation_stderr", "pair_states",
+                     "chunk_pair_means", "window_pair", "chunk_window_pair_means"):
+            assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert shared.window_density == alone.window_density
+        assert shared.window_correlation_stderr == alone.window_correlation_stderr
+    # without a drive the density is frozen at all-up
+    assert np.all(run_ensembles(configs)[0].density == 1.0)
+
+
+def test_run_ensembles_takes_configs_that_differ_only_in_params():
+    base = small_config(ProtocolKind.CONDITIONAL_FLIP)
+    assert run_ensembles([]) == []
+    for change in (dict(seed=4), dict(n_trajectories=64), dict(workers=2),
+                   dict(dist=WaitingTime.poisson(0.6)), dict(n_spins=11)):
+        with pytest.raises(ValueError, match="differ only in params"):
+            run_ensembles([base, replace(base, params=DriveParams(0.5), **change)])
 
 
 def test_ensemble_bitwise_worker_independence():
