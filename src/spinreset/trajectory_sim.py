@@ -469,9 +469,9 @@ class _ChunkState:
         config = self.config = configs[0]  # every field but params is shared
         self.params = [c.params for c in configs]
         obar = [p.effective_rabi for p in self.params]
-        # p = ratio * sin(obar * tau)^2 per drive; a drive with obar = 0 keeps p = 0
-        self.obar, self.ratio = np.array([obar, [(p.omega / o) ** 2 if o else 0.0
-                                                 for p, o in zip(self.params, obar)]])[:, :, None]
+        ratio = [(p.omega / o) ** 2 if o else 0.0 for p, o in zip(self.params, obar)]
+        # columns of p = ratio * sin(obar * tau)^2: a drive with obar = 0 keeps p = 0
+        self.obar, self.ratio = (np.array(v)[:, None] for v in (obar, ratio))
         finite = config.n_spins is not None
         measured = finite and config.protocol is not ProtocolKind.UNCONDITIONAL_RESET
         index = np.arange(start, start + rows)
@@ -524,7 +524,7 @@ class _ChunkState:
         proto = self.config.protocol
         half = (n - 1) // 2
         count = self.count[..., idx]
-        base = 2 * self.cursor[idx] + 0 * count  # count's shape: every drive reads the row's
+        base = 2 * self.cursor[idx] + 0 * count  # per drive and row: all read the row's
         u_up = self.meas_u[idx, base]
         u_down = self.meas_u[idx, base + 1]
         if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
