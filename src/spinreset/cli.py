@@ -241,15 +241,18 @@ def _parse_grid(text: str):
     try:
         if ":" in text:
             lo, hi, step = (float(v) for v in text.split(":"))
-            if step <= 0.0 or hi < lo:
+            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
                 raise ValueError
             count = int(round((hi - lo) / step))
             vals = [lo + k * step for k in range(count + 1)]
             return [v for v in vals if v <= hi + 1e-9]
-        return [float(v) for v in text.split(",")]
+        vals = [float(v) for v in text.split(",")]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError
+        return vals
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"grid must be lo:hi:step or a comma list, got {text!r}") from None
+            f"grid must be lo:hi:step or a comma list of finite numbers, got {text!r}") from None
 
 
 def _parse_window(text: str):
@@ -373,8 +376,8 @@ def _resolve_workers(args) -> int:
 def _resolve_physics(args):
     """(params, dist, unit, delta_zero) from dimensionless CLI groups."""
     delta = args.delta
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not (0.0 <= delta < math.inf):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     delta_zero = delta == 0.0
     unit = 1.0 if delta_zero else delta
     omega = getattr(args, "omega", None)
@@ -449,6 +452,8 @@ def _resolve_horizon(args, protocol, unit) -> float:
         finite = getattr(args, "n_spins", None) is not None
         long_run = finite and protocol is not ProtocolKind.UNCONDITIONAL_RESET
         horizon = 2000.0 if long_run else 30.0
+    elif not (0.0 < horizon < math.inf):
+        raise ValueError(f"--time must be finite and > 0, got {horizon}")
     return horizon / unit
 
 
@@ -503,7 +508,7 @@ def cmd_finite_size(args) -> int:
     if delta_zero:
         raise ValueError("finite-size sweeps need delta > 0")
     workers = _resolve_workers(args)
-    horizon = (2000.0 if args.time is None else args.time) / unit
+    horizon = _resolve_horizon(args, ProtocolKind.CONDITIONAL_TWO_STATE, unit)
     # every template is checked before the first sweep runs
     templates = {n: McTemplate(
         n_trajectories=args.trajectories, observation_time=horizon, seed=args.seed,

@@ -42,11 +42,11 @@ class WaitingTime:
     t_max: float | None = None
 
     def __post_init__(self):
-        if not (self.gamma > 0.0):
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not (0.0 < self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.kind is WaitingKind.CHOPPED_EXPONENTIAL:
-            if self.t_max is None or not (self.t_max > 0.0):
-                raise ValueError(f"t_max must be > 0, got {self.t_max}")
+            if self.t_max is None or not (0.0 < self.t_max < math.inf):
+                raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         elif self.t_max is not None:
             raise ValueError("t_max only applies to the chopped-exponential law")
 

@@ -42,7 +42,7 @@ DOWN = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 class DriveParams:
     """Rabi frequency and detuning of the drive.
 
-    Both are non-negative; the phase diagrams only ever use the ratio
+    Both are finite and non-negative; the phase diagrams only ever use the ratio
     omega/delta >= 0.  The effective Rabi frequency is recomputed on
     access so it can never go stale.
     """
@@ -51,10 +51,10 @@ class DriveParams:
     delta: float = 1.0
 
     def __post_init__(self):
-        if not (self.omega >= 0.0):
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if not (self.delta >= 0.0):
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not (0.0 <= self.omega < np.inf):
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        if not (0.0 <= self.delta < np.inf):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
     @property
     def effective_rabi(self) -> float:

@@ -16,7 +16,11 @@ finite-N conditional protocol measures; it alone builds the stream
 reset uses both uniforms whatever it measures, but the engine computes
 only what the reset rule needs: whether the measured density is <= 1/2
 comes from one binomial cdf value, and protocol 3's stay-up count is
-drawn only where a reset flips.
+drawn only where a reset flips.  Protocol 2 reads that cdf value from a
+table bracket wherever the bracket decides the comparison, and the
+quantile search starts from a normal estimate; neither changes a result,
+since every undecided comparison is made with bdtr and the integer
+quantile does not depend on where its search starts.
 A stream (seed, i, kind) is a Philox stream whose key is
 SeedSequence(entropy=seed, spawn_key=(i, kind)).generate_state(2,
 uint64) and whose counter starts at 0, so its bytes are those of
@@ -40,10 +44,12 @@ import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import bdtr, bdtrik
+# bdtrik is unused; perfbench/layers.py traces trajectory_sim.bdtrik, so the name stays
+from scipy.special import bdtr, bdtrik, ndtri  # noqa: F401
 
 from .finite_size import _check_n
 from .renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
@@ -52,6 +58,9 @@ from .spin_dynamics import DriveParams
 CHUNK = 1024
 WAIT_BLOCK = 64
 SLAB_ROWS = 64
+# protocol 2's cdf table: cells in q (a power of two) and bdtr's relative slack
+_CDF_CELLS = 4096
+_CDF_MARGIN = 1e-7
 
 _WAIT_STREAM = 0
 _MEASURE_STREAM = 1
@@ -90,8 +99,8 @@ class SimConfig:
     average_window: Optional[tuple] = None
 
     def __post_init__(self):
-        if not (self.observation_time > 0.0):
-            raise ValueError(f"observation_time must be > 0, got {self.observation_time}")
+        if not (0.0 < self.observation_time < np.inf):
+            raise ValueError(f"observation_time must be finite and > 0, got {self.observation_time}")
         grid = tuple(float(t) for t in self.sample_grid)
         object.__setattr__(self, "sample_grid", grid)
         if len(grid) == 0:
@@ -270,8 +279,14 @@ class _RowStreams:
 def binomial_quantile(u, n, p):
     """Smallest k with P(Bin(n, p) <= k) >= u, vectorized.
 
-    Seeded from the continuous inverse provided by bdtrik, then fixed up
-    to the exact integer quantile with a couple of cdf comparisons.
+    The search starts from the Cornish-Fisher normal estimate
+    n p + sd z + (1 - 2p)(z^2 - 1)/6 with z = ndtri(u) (0 or n where z
+    is infinite), rounded and clipped to [0, n] (Kachitvichyanukul &
+    Schmeiser, CACM 1988).  It then walks by bdtr comparisons: down while
+    the cdf one below still reaches u, then up while the cdf falls short
+    of it.  The integer quantile does not depend on where the walk
+    starts.  An element that stops on one pass would stop again, so each
+    pass runs only over the elements that moved on the one before.
     """
     scalar = np.ndim(u) == 0 and np.ndim(n) == 0 and np.ndim(p) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -282,26 +297,42 @@ def binomial_quantile(u, n, p):
     active = (n > 0) & (p > 0.0) & (p < 1.0)
     k[(n > 0) & (p >= 1.0)] = n[(n > 0) & (p >= 1.0)]
     if np.any(active):
-        with np.errstate(all="ignore"):
-            guess = bdtrik(u[active], n[active], p[active])
-        guess = np.where(np.isfinite(guess), guess, n[active] * p[active])
-        k[active] = np.minimum(np.maximum(np.floor(guess), 0.0), n[active]).astype(np.int64)
-        ka = k[active]
-        na = n[active]
-        pa = p[active]
-        ua = u[active]
-        while True:
-            down = (ka > 0) & (bdtr((ka - 1).astype(float), na, pa) >= ua)
-            if not down.any():
-                break
-            ka[down] -= 1
-        while True:
-            up = (ka < na) & (bdtr(ka.astype(float), na, pa) < ua)
-            if not up.any():
-                break
-            ka[up] += 1
+        ua, na, pa = u[active], n[active], p[active]
+        z = ndtri(ua)
+        finite = np.isfinite(z)  # u = 0 and u = 1 start at 0 and n
+        z = np.where(finite, z, 0.0)
+        mean = na * pa
+        guess = mean + np.sqrt(mean * (1.0 - pa)) * z + (1.0 - 2.0 * pa) * (z * z - 1.0) / 6.0
+        guess = np.where(finite, guess, np.where(ua > 0.5, na, 0))
+        ka = np.rint(np.clip(guess, 0, na)).astype(np.int64)
+        i = np.nonzero(ka > 0)[0]
+        while i.size:
+            i = i[bdtr((ka[i] - 1).astype(float), na[i], pa[i]) >= ua[i]]
+            ka[i] -= 1
+            i = i[ka[i] > 0]
+        i = np.nonzero(ka < na)[0]
+        while i.size:
+            i = i[bdtr(ka[i].astype(float), na[i], pa[i]) < ua[i]]
+            ka[i] += 1
+            i = i[ka[i] < na[i]]
         k[active] = ka
     return int(k[0]) if scalar else k
+
+
+@lru_cache(maxsize=16)
+def _cdf_bracket(h: int, n: int):
+    """(lo, hi): for q in cell j = floor(q * _CDF_CELLS), lo[j] <= bdtr(h, n, q) <= hi[j].
+
+    bdtr(h, n, q) falls as q rises (0 <= h < n), so on [j/M, (j+1)/M] it
+    lies between the table values at the two ends; the relative margin
+    _CDF_MARGIN covers bdtr's rounding, which stays below 6e-11 up to
+    n = 10**6.
+    """
+    table = bdtr(h, n, np.arange(_CDF_CELLS + 1) / _CDF_CELLS)
+    bracket = table[1:] * (1.0 - _CDF_MARGIN), table[:-1] * (1.0 + _CDF_MARGIN)
+    for side in bracket:  # cached: every caller reads the same arrays
+        side.flags.writeable = False
+    return bracket
 
 
 def _quantile_at_most(u, n, q, h):
@@ -311,8 +342,21 @@ def _quantile_at_most(u, n, q, h):
     does not decrease in k, so it is <= h exactly when u <= bdtr(h, n, q)
     (h clipped to bdtr's domain [0, n]; no quantile is below 0).  For
     q >= 1 binomial_quantile returns n outright, even at u = 0, so there
-    n itself is compared with h.
+    n itself is compared with h.  For scalar n and h (protocol 2's
+    majority test) a table of bdtr(h, n, j / _CDF_CELLS) brackets the cdf
+    value, and bdtr runs only where u falls inside the bracket; every
+    answer is still that of the comparison with bdtr.
     """
+    if np.ndim(n) == 0 and np.ndim(h) == 0 and 0 <= h < n:
+        lo, hi = _cdf_bracket(int(h), int(n))
+        u, q = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(q, dtype=float))
+        inside = (q >= 0.0) & (q < 1.0)  # q * _CDF_CELLS is exact: a power of two
+        j = (np.where(inside, q, 0.0) * _CDF_CELLS).astype(np.int64)
+        at_most = inside & (u <= lo[j])
+        # q >= 1 stays False: the quantile is then n > h
+        undecided = ~at_most & (q < 1.0) & ~(inside & (u > hi[j]))
+        at_most[undecided] = u[undecided] <= bdtr(float(h), n, q[undecided])
+        return at_most
     h = np.asarray(h)
     at_most = (h >= 0) & (u <= bdtr(np.minimum(np.maximum(h, 0), n).astype(float), n, q))
     return np.where(q >= 1.0, n <= h, at_most)

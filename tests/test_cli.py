@@ -158,6 +158,31 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                    capsys)[0] == 5
 
 
+@pytest.mark.parametrize("argv, code, name", [
+    (["ensemble", "--protocol", "1", "--omega", "inf"], 3, "omega"),
+    (["ensemble", "--protocol", "3", "--omega", "1.1", "--n-spins", "11", "--time", "inf"],
+     3, "--time"),
+    (["stationary", "--protocol", "2", "--omega", "1.3", "--delta", "inf"], 3, "delta"),
+    (["ensemble", "--protocol", "1", "--omega", "1.1", "--delta", "inf"], 3, "delta"),
+    (["ensemble", "--protocol", "1", "--omega", "1.1", "--gamma", "inf"], 3, "gamma"),
+    (["ensemble", "--protocol", "1", "--omega", "1.1", "--dist", "chopped", "--tmax", "inf"],
+     3, "t_max"),
+    (["sweep", "--protocol", "1", "--grid", "1:inf:0.1"], 2, "grid"),
+    (["sweep", "--protocol", "1", "--grid", "0.5,nan"], 2, "grid"),
+    (["sweep", "--protocol", "3", "--grid", "1.1", "--time", "inf"], 3, "--time"),
+    (["finite-size", "--n-spins", "5", "--grid", "1.1", "--time", "inf"], 3, "--time"),
+], ids=["omega", "time-finite-n", "stationary-delta", "ensemble-delta", "gamma", "tmax",
+        "grid-range", "grid-list", "sweep-time", "finite-size-time"])
+def test_non_finite_inputs_fail_with_a_reason(argv, code, name, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "run_ensembles", calls.append)
+    monkeypatch.setattr(cli, "run_ensemble", calls.append)
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out, calls) == (code, "", [])
+    assert name in err and "finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("point", [
     ["--omega", "0", "--n-spins", "51"],
     ["--omega", "2", "--dist", "chopped", "--tmax", "0.1"],

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import bdtr
 
 from spinreset import trajectory_sim
 from spinreset.analysis import McTemplate, sweep_stationary
@@ -75,14 +76,20 @@ def test_sim_config_rejects_n_spins_that_is_not_a_positive_odd_integer(n_spins):
 
 def test_binomial_quantile_matches_cumsum_oracle():
     rng = np.random.default_rng(9)
-    for n in (1, 5, 51, 201):
-        for p in (0.02, 0.3, 0.5, 0.97):
-            # cumsum of pmf would drift off the exact cdf at tie points
-            cdf = stats.binom.cdf(np.arange(n + 1), n, p)
-            us = np.concatenate([[0.0, 0.5], rng.random(200)])
-            expect = np.searchsorted(cdf, us, side="left").clip(0, n)
-            got = binomial_quantile(us, n, p)
-            np.testing.assert_array_equal(got, expect)
+    cases = [(n, p) for n in (1, 5, 51, 201) for p in (0.02, 0.3, 0.5, 0.97)]
+    # the normal seed is farthest off at large n and in the tails of p and u
+    cases += [(n, p) for n in (1001, 10001) for p in (0.02, 0.3, 0.5, 0.97)]
+    cases += [(n, p) for n in (1, 5, 51, 201, 1001, 10001) for p in (1e-6, 1.0 - 1e-6)]
+    for n, p in cases:
+        # cumsum of pmf would drift off the exact cdf at tie points
+        cdf = stats.binom.cdf(np.arange(n + 1), n, p)
+        # cdf(5000) = 1/2 exactly at (10001, 1/2): stats.binom.cdf rounds the
+        # tie to 0.49999999999999967, bdtr to 0.5000000000016
+        half = [] if (n, p) == (10001, 0.5) else [0.5]
+        us = np.concatenate([[0.0], half, rng.random(200), [2.0**-53, 1.0 - 2.0**-53]])
+        expect = np.searchsorted(cdf, us, side="left").clip(0, n)
+        got = binomial_quantile(us, n, p)
+        np.testing.assert_array_equal(got, expect)
     # degenerate p
     assert binomial_quantile(0.7, 9, 0.0) == 0
     assert binomial_quantile(0.7, 9, 1.0) == 9
@@ -99,6 +106,27 @@ def test_binomial_quantile_round_trips_cdf():
         lo = 0.0 if k == 0 else cum[k - 1]
         u = 0.5 * (lo + cum[k])
         assert binomial_quantile(u, n, p) == k
+
+
+@pytest.mark.parametrize("n", [1, 3, 11, 201, 1001, 10**6])
+def test_cdf_table_brackets_the_majority_cdf(n):
+    # bdtr(half, n, q) falls as q rises, so on the table cell j = floor(q * M)
+    # it lies in [lo_j, hi_j], and the table decides only outside that range
+    rng = np.random.default_rng(n)
+    half, cells = (n - 1) // 2, trajectory_sim._CDF_CELLS
+    grid = np.arange(cells + 1) / cells
+    q = np.concatenate([rng.random(100_000), grid, np.nextafter(grid, 0.0),
+                        np.nextafter(grid, 2.0)])
+    q = q[(q >= 0.0) & (q < 1.0)]
+    lo, hi = trajectory_sim._cdf_bracket(half, n)
+    j = (q * cells).astype(np.int64)
+    cdf = bdtr(half, n, q)
+    assert np.all((lo[j] <= cdf) & (cdf <= hi[j]))
+    for u in (cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)):
+        np.testing.assert_array_equal(trajectory_sim._quantile_at_most(u, n, q, half),
+                                      u <= cdf)
+    # q = 1 keeps binomial_quantile's answer n, even at u = 0
+    assert not trajectory_sim._quantile_at_most(np.zeros(1), n, np.ones(1), half).any()
 
 
 def _measured_count(n, count, u_up, u_down, p):
