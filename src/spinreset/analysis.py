@@ -5,7 +5,9 @@ stationary observables per point.  Rows use the exact renewal results
 wherever they exist (the unconditional protocol everywhere, the
 conditional two-state protocol in the thermodynamic limit) and Monte
 Carlo ensembles elsewhere (the flip protocol, finite N).  Every row
-records which path produced it.
+records which path produced it.  The exact rows of a sweep are computed
+together, as stacked arrays in one pass over the grid; a single exact
+row is the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .observables import connected_correlation, lqu
-from .renewal import WaitingTime, stationary_state_p1, stationary_state_p2
+from .observables import connected_correlations, lqu, lqu_stack
+from .renewal import WaitingTime, stationary_states_p1, stationary_states_p2
 from .spin_dynamics import DriveParams
 from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensembles
 
@@ -45,11 +47,16 @@ EXCHANGE_TOL = 1e-8
 
 
 def require_exchange_symmetric(pair_state: np.ndarray, tol: float = EXCHANGE_TOL):
-    """Reject two-spin states where the local-observable slot would matter."""
+    """Reject two-spin states where the local-observable slot would matter.
+
+    Takes one state or a stack of them; the first failing one names the error.
+    """
     pair_state = np.asarray(pair_state)
-    gap = np.max(np.abs(_SWAP @ pair_state @ _SWAP - pair_state))
-    if gap > tol:
-        raise ValueError(f"two-spin state is not exchange symmetric (max deviation {gap:.3g})")
+    gap = np.max(np.abs(_SWAP @ pair_state @ _SWAP - pair_state), axis=(-2, -1))
+    bad = np.flatnonzero(gap > tol)
+    if bad.size:
+        raise ValueError("two-spin state is not exchange symmetric "
+                         f"(max deviation {np.ravel(gap)[bad[0]]:.3g})")
 
 
 @dataclass(frozen=True)
@@ -201,24 +208,37 @@ def ensemble_lqu(stats: EnsembleStats):
     return value, math.sqrt(s2 / w.sum())
 
 
-def closed_form_row(protocol: ProtocolKind, params: DriveParams, dist: WaitingTime,
-                    n_spins: int | None = None):
-    """One exact sweep row and the stationary state it comes from.
+def closed_form_rows(protocol: ProtocolKind, params_list, dist: WaitingTime,
+                     n_spins: int | None = None):
+    """Exact sweep rows for a grid of drives and the stationary states they come from.
 
-    The conditional protocol is labelled a mixture of its two reset
-    branches, except where its reset chain never leaves all-up (no weight
-    on all-down), so the state is the unconditional closed form.
+    One batched pass: the states, their checks, the correlation and the
+    discord are computed as stacked arrays.  The conditional protocol is
+    labelled a mixture of its two reset branches, except where its reset
+    chain never leaves all-up (no weight on all-down), so the state is
+    the unconditional closed form.
     """
     if protocol is ProtocolKind.UNCONDITIONAL_RESET:
-        st = stationary_state_p1(params, dist)
-        regime = REGIME_CLOSED
+        states = stationary_states_p1(params_list, dist)
+        regimes = [REGIME_CLOSED] * len(states)
     else:
-        st = stationary_state_p2(params, dist, n_spins)
-        regime = REGIME_CLOSED if st.weights.c_down == 0.0 else REGIME_MIXTURE
-    require_exchange_symmetric(st.pair_state)
-    corr = connected_correlation(st.pair_state)
-    discord = lqu(st.pair_state).value
-    return (st.density, 0.0, corr, 0.0, discord, 0.0, regime), st
+        states = stationary_states_p2(params_list, dist, n_spins)
+        regimes = [REGIME_CLOSED if st.weights.c_down == 0.0 else REGIME_MIXTURE
+                   for st in states]
+    pairs = np.array([st.pair_state for st in states])
+    require_exchange_symmetric(pairs)
+    corr = connected_correlations(pairs)
+    discord = lqu_stack(pairs)[0]
+    rows = [(st.density, 0.0, float(c), 0.0, float(d), 0.0, regime)
+            for st, c, d, regime in zip(states, corr, discord, regimes)]
+    return rows, states
+
+
+def closed_form_row(protocol: ProtocolKind, params: DriveParams, dist: WaitingTime,
+                    n_spins: int | None = None):
+    """One exact sweep row and the stationary state it comes from."""
+    rows, states = closed_form_rows(protocol, [params], dist, n_spins)
+    return rows[0], states[0]
 
 
 def _mc_row(stats: EnsembleStats):
@@ -235,7 +255,9 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
 
     Exact rows where the renewal treatment applies; Monte Carlo rows for
     the flip protocol and for finite n_spins (taken from the template),
-    or everywhere when use_mc is set.  The Monte Carlo rows share the
+    or everywhere when use_mc is set.  The exact rows are one
+    closed_form_rows call; a row failing its checks fails the sweep with
+    the error that row raises on its own.  The Monte Carlo rows share the
     template's seed, so they run as one run_ensembles call, in which
     every row replays each chunk's one schedule.  Settings no row can
     run with raise ValueError before any row runs.  A row that raises is
@@ -257,7 +279,14 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
         return DriveParams(omega=x * delta, delta=delta)
 
     if not needs_mc:
-        rows = [closed_form_row(protocol, params(x), dist)[0] for x in grid]
+        try:
+            rows, _ = closed_form_rows(protocol, [params(x) for x in grid], dist)
+        except ValueError:
+            # the batch runs each check over the whole stack; row by row,
+            # the first failing row raises its own error
+            for x in grid:
+                closed_form_row(protocol, params(x), dist)
+            raise
         return SweepResult.from_rows(protocol, dist, delta, grid, rows)
 
     def outcome(fn, arg):

@@ -606,9 +606,12 @@ def _verify_checks():
         exact = stationary_density_closed_form(params, dist)
         st = stationary_state_p1(params, dist)
         worst_poly = max(worst_poly, abs(st.density - exact))
-        quad = exp_weighted_average(
-            dist, lambda t: free_two_spin_state(params, t, "up", "up")[0, 0].real
-            + free_two_spin_state(params, t, "up", "up")[1, 1].real)
+
+        def density(t):
+            rho = free_two_spin_state(params, t, "up", "up")
+            return rho[0, 0].real + rho[1, 1].real
+
+        quad = exp_weighted_average(dist, density)
         worst_quad = max(worst_quad, abs(quad - exact))
     check("density: closed form vs renewal average", worst_poly < 1e-10, f"max {worst_poly:.2e}")
     check("density: closed form vs quadrature", worst_quad < 1e-8, f"max {worst_quad:.2e}")

@@ -26,8 +26,11 @@ class ApproxVariant(enum.Enum):
 
 
 def _check_n(n_spins: int) -> int:
-    n = int(n_spins)
-    if n != n_spins or n < 1 or n % 2 == 0:
+    try:
+        n = int(n_spins)
+    except (OverflowError, ValueError):  # inf, nan
+        n = None
+    if n is None or n != n_spins or n < 1 or n % 2 == 0:
         raise ValueError(f"n_spins must be a positive odd integer, got {n_spins}")
     return n
 

@@ -9,7 +9,11 @@ chain, which follow from whether that chain can leave all-up.
 
 Trajectory entries are TrigPoly objects, so every time integral here is
 done term by term in closed form; an adaptive vector-quadrature path
-exists as an independent cross-check for callables.
+exists as an independent cross-check for callables.  The stationary
+states of a grid of drives are averaged in one batched pass
+(TrigPolyBatch) that rounds exactly as the TrigPoly row code, which
+stays as the general path for the rows the batch cannot reproduce; one
+state is the one-row case.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 from scipy import integrate
 
 from .finite_size import _check_n
-from .spin_dynamics import DriveParams, free_pair_poly, free_qubit_poly
-from .trigpoly import TrigPoly
+from .spin_dynamics import DriveParams, free_pair_poly, free_qubit_poly, free_state_batch
+from .trigpoly import TrigPoly, _bucket
 
 WEIGHT_TOL = 1e-12
 
@@ -179,8 +183,8 @@ def renewal_state_at_time(params: DriveParams, gamma: float, t: float, pair: boo
     reset-history integral; converges to stationary_state_p1 as t grows.
     Stated for Poisson resetting only.
     """
-    if not (gamma > 0.0):
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (0.0 < gamma < math.inf):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     if t < 0.0:
         raise ValueError("time must be >= 0")
     entries = free_pair_poly(params, "up", "up") if pair else free_qubit_poly(params, "up")
@@ -222,8 +226,12 @@ class StationaryState:
     note: str = field(default="")
 
 
-def _stationary_from_branches(dist: WaitingTime, params: DriveParams, branches):
-    """Mix survival-weighted averages of free evolutions from pure origins."""
+def _branch_mix_poly(dist: WaitingTime, params: DriveParams, branches):
+    """Mix survival-weighted averages of free evolutions from pure origins.
+
+    The TrigPoly form of one row: the general path, taken by the rows a
+    batch cannot reproduce.
+    """
     state = np.zeros((2, 2), dtype=complex)
     pair = np.zeros((4, 4), dtype=complex)
     for weight, origin in branches:
@@ -234,10 +242,107 @@ def _stationary_from_branches(dist: WaitingTime, params: DriveParams, branches):
     return 0.5 * (state + state.conj().T), 0.5 * (pair + pair.conj().T)
 
 
+# the free entries live on the frequencies k * obar for these k, the
+# amplitudes they are built from on k = +-1
+_ENTRY_MULTIPLES = (0, 2, -2, 4, -4)
+_ALL_MULTIPLES = _ENTRY_MULTIPLES + (1, -1)
+_BATCH_MIN_ROWS = 5
+
+
+def _average_batch(dist: WaitingTime, entries: np.ndarray, weights: dict):
+    """_average_poly of every entry for every row, bit for bit.
+
+    entries is an object array of TrigPolyBatch, weights[k] the (re, im)
+    of U(k * obar) per row.  The sum over terms starts at 0 as sum()
+    does, and the division by u0 takes the form of the scalar type it
+    stands in for: CPython's complex quotient for the Poisson law's
+    complex, numpy's reciprocal product for the chopped law's
+    complex128.  Entries that is_real accepts get an imaginary part of
+    exactly 0.  Returns the (rows, *entries.shape) averages and the rows
+    where is_real cannot be settled the way TrigPoly settles it.
+    """
+    u0 = _fourier_weight(dist, 0.0).real
+    n = len(weights[0][0])
+    out = np.empty((n,) + entries.shape, dtype=complex)
+    unsure = np.zeros(n, dtype=bool)
+    for idx in np.ndindex(*entries.shape):
+        re = im = None
+        for k, (cr, ci) in entries[idx].coeffs.items():
+            ur, ui = weights[k]
+            tr, ti = cr * ur - ci * ui, cr * ui + ci * ur
+            re, im = (0.0 + tr, 0.0 + ti) if re is None else (re + tr, im + ti)
+        if dist.kind is WaitingKind.POISSON:
+            re, im = (re + im * 0.0) / u0, (im - re * 0.0) / u0
+        else:
+            scale = 1.0 / u0
+            re, im = (re + im * 0.0) * scale, (im - re * 0.0) * scale
+        real, unsure_here = entries[idx].is_real()
+        unsure |= unsure_here
+        at = (slice(None),) + idx
+        out.real[at] = re
+        out.imag[at] = np.where(real, 0.0, im)
+    return out, unsure
+
+
+def _branch_mix(dist: WaitingTime, params_list, mixes):
+    """Stacked stationary (state, pair) of rows mixing all-up and all-down.
+
+    mixes[i] = (c_up, c_down) of row i.  Each branch is built and
+    averaged once for the whole grid (TrigPolyBatch); a row the batch
+    cannot reproduce bit for bit takes the TrigPoly path: obar = 0, two
+    multiples k * obar in one rounding bucket, a coefficient near the
+    drop threshold, or an is_real verdict too close to call.  So do the
+    rows of a grid shorter than _BATCH_MIN_ROWS, where the batch's fixed
+    cost (a few thousand small array operations) exceeds theirs.
+    """
+    n = len(params_list)
+    obars = [p.effective_rabi for p in params_list]
+    if n < _BATCH_MIN_ROWS:
+        general = np.ones(n, dtype=bool)
+    else:
+        general = np.array([ob == 0.0 or len({_bucket(k * ob) for k in _ALL_MULTIPLES})
+                            < len(_ALL_MULTIPLES) for ob in obars], dtype=bool)
+    c_up, c_down = np.array(mixes, dtype=float).reshape(n, 2).T
+    state = np.zeros((n, 2, 2), dtype=complex)
+    pair = np.zeros((n, 4, 4), dtype=complex)
+    if not general.all():
+        weights = {}
+        for k in _ENTRY_MULTIPLES:
+            u = np.array([complex(_fourier_weight(dist, k * ob)) for ob in obars])
+            weights[k] = (u.real, u.imag)
+        omega = np.array([p.omega for p in params_list])
+        delta = np.array([p.delta for p in params_list])
+        obar = np.where(general, 1.0, obars)  # general rows: placeholders, replaced below
+        for origin, c in (("up", c_up), ("down", c_down)):
+            rows = c != 0.0
+            if not rows.any():
+                continue
+            with np.errstate(all="ignore"):
+                qubit, two = free_state_batch(omega, delta, obar, origin)
+                avg_q, unsure_q = _average_batch(dist, qubit, weights)
+                avg_p, unsure_p = _average_batch(dist, two, weights)
+            unsafe = np.logical_or.reduce([e.unsafe for e in (*qubit.flat, *two.flat)])
+            general |= rows & (unsure_q | unsure_p | unsafe)
+            w = c[rows, None, None]
+            state[rows] += w * avg_q[rows]
+            pair[rows] += w * avg_p[rows]
+    state = 0.5 * (state + state.conj().swapaxes(-1, -2))
+    pair = 0.5 * (pair + pair.conj().swapaxes(-1, -2))
+    for i in np.flatnonzero(general):
+        up, down = mixes[i]
+        state[i], pair[i] = _branch_mix_poly(dist, params_list[i], [(up, "up"), (down, "down")])
+    return state, pair
+
+
+def stationary_states_p1(params_list, dist: WaitingTime) -> list:
+    """stationary_state_p1 for every drive of a grid, in one batched pass."""
+    state, pair = _branch_mix(dist, params_list, [(1.0, 0.0)] * len(params_list))
+    return [StationaryState(s, p, float(s[0, 0].real)) for s, p in zip(state, pair)]
+
+
 def stationary_state_p1(params: DriveParams, dist: WaitingTime) -> StationaryState:
     """Stationary state of the unconditional protocol (reset to all-up)."""
-    state, pair = _stationary_from_branches(dist, params, [(1.0, "up")])
-    return StationaryState(state, pair, float(state[0, 0].real))
+    return stationary_states_p1([params], dist)[0]
 
 
 def stationary_density_closed_form(params: DriveParams, dist: WaitingTime) -> float:
@@ -292,6 +397,18 @@ def reset_rates_R(params: DriveParams, dist: WaitingTime, n_spins: int | None = 
     return ResetWeights(1.0, 0.0, degenerate=degenerate)
 
 
+def stationary_states_p2(params_list, dist: WaitingTime, n_spins: int | None = None) -> list:
+    """stationary_state_p2 for every drive of a grid, in one batched pass."""
+    weights = [reset_rates_R(p, dist, n_spins) for p in params_list]
+    state, pair = _branch_mix(dist, params_list, [(w.c_up, w.c_down) for w in weights])
+    out = []
+    for s, p, w in zip(state, pair, weights):
+        density = 0.5 if w.c_up == w.c_down else float(s[0, 0].real)
+        note = "omega == delta assigned to the omega < delta branch" if w.degenerate else ""
+        out.append(StationaryState(s, p, density, weights=w, note=note))
+    return out
+
+
 def stationary_state_p2(params: DriveParams, dist: WaitingTime,
                         n_spins: int | None = None) -> StationaryState:
     """Stationary state of the conditional (majority-vote) protocol.
@@ -300,13 +417,4 @@ def stationary_state_p2(params: DriveParams, dist: WaitingTime,
     and all-down.  With equal weights the density is 1/2 by symmetry,
     and that value is returned exactly.
     """
-    weights = reset_rates_R(params, dist, n_spins)
-    state, pair = _stationary_from_branches(
-        dist, params, [(weights.c_up, "up"), (weights.c_down, "down")]
-    )
-    if weights.c_up == weights.c_down:
-        density = 0.5
-    else:
-        density = float(state[0, 0].real)
-    note = "omega == delta assigned to the omega < delta branch" if weights.degenerate else ""
-    return StationaryState(state, pair, density, weights=weights, note=note)
+    return stationary_states_p2([params], dist, n_spins)[0]

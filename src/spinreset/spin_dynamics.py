@@ -9,6 +9,9 @@ ones, which is what makes the reset protocols solvable.
 All frequencies are understood in units of the detuning delta and times
 in units of 1/delta, but nothing here enforces that normalization; the
 formulas are homogeneous.
+
+The *_batch functions build the trig-polynomial entries of a whole grid
+of drives at once, on the multiples k * obar of each row's frequency.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import TrigPoly, kron_poly, poly_matrix
+from .trigpoly import TrigPoly, TrigPolyBatch, kron_poly, poly_matrix
 
 # Tolerances for state validation.  Ensemble-averaged matrices pick up
 # rounding noise roughly at the 1e-12 level; these sit safely above it.
@@ -61,30 +64,46 @@ class DriveParams:
         return float(np.hypot(self.omega, self.delta))
 
 
-def _require_state(rho, dim: int) -> np.ndarray:
+def require_states(rho, dim: int) -> np.ndarray:
+    """Validate a stack (n, dim, dim) of density matrices.
+
+    Each check runs over the whole stack in turn (Hermitian, unit trace,
+    PSD), and the first matrix failing it names the error.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (dim, dim):
+        raise ValueError(f"expected a stack of {dim}x{dim} matrices, got shape {rho.shape}")
+    herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = np.flatnonzero(herm > HERMITICITY_TOL)
+    if bad.size:
+        raise ValueError(f"matrix is not Hermitian (max deviation {herm[bad[0]]:.3e})")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = np.flatnonzero(abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise ValueError(f"matrix has trace {tr[bad[0]]}, expected 1")
+    lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))[:, 0]
+    bad = np.flatnonzero(lam < -PSD_EPS)
+    if bad.size:
+        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {lam[bad[0]]:.3e})")
+    return rho
+
+
+def as_stack(rho, dim: int) -> np.ndarray:
+    """One dim x dim matrix as a stack of one, for the stacked checks."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {herm:.3e})")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"matrix has trace {tr}, expected 1")
-    lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if lam[0] < -PSD_EPS:
-        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {lam[0]:.3e})")
-    return rho
+    return rho[None]
 
 
 def require_qubit_state(rho) -> np.ndarray:
     """Validate a 2x2 density matrix (Hermitian, unit trace, PSD)."""
-    return _require_state(rho, 2)
+    return require_states(as_stack(rho, 2), 2)[0]
 
 
 def require_two_qubit_state(rho) -> np.ndarray:
     """Validate a 4x4 density matrix."""
-    return _require_state(rho, 4)
+    return require_states(as_stack(rho, 4), 4)[0]
 
 
 def flip_probability(params: DriveParams, t):
@@ -134,7 +153,10 @@ def evolve_qubit(params: DriveParams, t: float, initial) -> np.ndarray:
     """Unitary conjugation of a qubit state by the drive propagator."""
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    rho = require_qubit_state(initial)
+    return _evolve(params, t, require_qubit_state(initial))
+
+
+def _evolve(params: DriveParams, t: float, rho: np.ndarray) -> np.ndarray:
     u = propagator(params, t)
     return u @ rho @ u.conj().T
 
@@ -149,9 +171,14 @@ def _pure_state(init: str) -> np.ndarray:
 
 def free_two_spin_state(params: DriveParams, t: float, init_j: str, init_k: str) -> np.ndarray:
     """Joint state of two non-interacting spins evolved from |init_j init_k>."""
-    rj = evolve_qubit(params, t, _pure_state(init_j))
-    rk = evolve_qubit(params, t, _pure_state(init_k))
-    return np.kron(rj, rk)
+    origin_j, origin_k = _pure_state(init_j), _pure_state(init_k)
+    if t < 0.0:
+        raise ValueError("time must be >= 0")
+    # pure origins are valid states by construction: no validation pass
+    rj = _evolve(params, t, origin_j)
+    rk = rj if init_k == init_j else _evolve(params, t, origin_k)
+    # np.kron's own broadcast product, without its set-up cost
+    return (rj[:, None, :, None] * rk[None, :, None, :]).reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +193,13 @@ def free_two_spin_state(params: DriveParams, t: float, init_j: str, init_k: str)
 # ---------------------------------------------------------------------------
 
 
-def free_amplitudes(params: DriveParams, init: str):
-    """Spinor amplitudes (a_up(t), a_down(t)) as TrigPoly."""
-    obar = params.effective_rabi
-    if obar == 0.0:
-        one, zero = TrigPoly.constant(1.0), TrigPoly()
-        return (one, zero) if init == "up" else (zero, one)
-    alpha = TrigPoly(
-        {obar: 0.5 - params.delta / (2.0 * obar), -obar: 0.5 + params.delta / (2.0 * obar)}
-    )
-    beta = TrigPoly(
-        {obar: -params.omega / (2.0 * obar), -obar: params.omega / (2.0 * obar)}
-    )
+def _amplitude_coeffs(omega, delta, obar):
+    """Coefficients of alpha and beta on exp(i obar t) and exp(-i obar t)."""
+    return ((0.5 - delta / (2.0 * obar), 0.5 + delta / (2.0 * obar)),
+            (-omega / (2.0 * obar), omega / (2.0 * obar)))
+
+
+def _from_origin(alpha, beta, init: str):
     if init == "up":
         return alpha, beta
     if init == "down":
@@ -185,15 +207,54 @@ def free_amplitudes(params: DriveParams, init: str):
     raise ValueError(f"initial state must be 'up' or 'down', got {init!r}")
 
 
+def free_amplitudes(params: DriveParams, init: str):
+    """Spinor amplitudes (a_up(t), a_down(t)) as TrigPoly."""
+    obar = params.effective_rabi
+    if obar == 0.0:
+        one, zero = TrigPoly.constant(1.0), TrigPoly()
+        return (one, zero) if init == "up" else (zero, one)
+    alpha, beta = (TrigPoly({obar: plus, -obar: minus})
+                   for plus, minus in _amplitude_coeffs(params.omega, params.delta, obar))
+    return _from_origin(alpha, beta, init)
+
+
+def free_amplitudes_batch(omega, delta, obar, init: str):
+    """free_amplitudes for a grid of drives, keyed by multiples of obar.
+
+    omega, delta and obar are arrays over the rows (obar as
+    DriveParams.effective_rabi computes it, obar > 0); the coefficients
+    are those free_amplitudes builds, bit for bit.
+    """
+    n, zero = len(obar), np.zeros(len(obar))
+    alpha, beta = (TrigPolyBatch(n, {1: (plus, zero), -1: (minus, zero)})
+                   for plus, minus in _amplitude_coeffs(omega, delta, obar))
+    return _from_origin(alpha, beta, init)
+
+
+def _qubit_entries(amps) -> np.ndarray:
+    return poly_matrix([[amps[i] * amps[j].conj() for j in range(2)] for i in range(2)])
+
+
 def free_qubit_poly(params: DriveParams, init: str) -> np.ndarray:
     """Entries of the reset-free qubit state as a 2x2 array of TrigPoly."""
-    amps = free_amplitudes(params, init)
-    return poly_matrix([[amps[i] * amps[j].conj() for j in range(2)] for i in range(2)])
+    return _qubit_entries(free_amplitudes(params, init))
 
 
 def free_pair_poly(params: DriveParams, init_j: str, init_k: str) -> np.ndarray:
     """Entries of the reset-free two-spin product state, 4x4 TrigPoly array."""
     return kron_poly(free_qubit_poly(params, init_j), free_qubit_poly(params, init_k))
+
+
+def free_state_batch(omega, delta, obar, init: str):
+    """Qubit (2x2) and two-spin (4x4, both spins from init) entries over a grid.
+
+    Object arrays of TrigPolyBatch on the multiples k in {0, +-2} and
+    {0, +-2, +-4} of obar; row i matches free_qubit_poly and
+    free_pair_poly(params, init, init) of its drive wherever the batch
+    does not flag it unsafe.
+    """
+    qubit = _qubit_entries(free_amplitudes_batch(omega, delta, obar, init))
+    return qubit, kron_poly(qubit, qubit)
 
 
 def flip_probability_poly(params: DriveParams) -> TrigPoly:

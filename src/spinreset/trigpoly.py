@@ -9,6 +9,10 @@ densities) is of the form
 with a handful of real frequencies w.  Keeping track of the pairs
 (w, c_w) instead of sampling f on a grid lets the renewal layer do all
 of its time integrals analytically.
+
+TrigPolyBatch holds one such sum per row of a drive grid, on the
+frequencies k * scale[row], and repeats TrigPoly's arithmetic on whole
+columns of coefficients at once, rounding for rounding.
 """
 
 from __future__ import annotations
@@ -141,3 +145,57 @@ def kron_poly(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 for l in range(cb):
                     out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
     return out
+
+
+class TrigPolyBatch:
+    """One TrigPoly per grid row, on the frequencies k * scale[row].
+
+    Keys are the integers k and coefficients are (re, im) float arrays over
+    the rows.  Every operation repeats TrigPoly's, rounding for rounding:
+    complex products are written out as CPython evaluates them (numpy's
+    complex array kernels may fuse a multiply-add and round differently),
+    and a first insertion adds the coefficient to 0.0.  That holds while a
+    row's terms stay in the shared key order, so ``unsafe`` flags the rows
+    where TrigPoly would drop a coefficient (it comes within reach of
+    _COEFF_EPS; a later re-add appends it at the end).  Rows whose
+    frequencies share a rounding bucket are the caller's to flag.
+    """
+
+    __slots__ = ("coeffs", "unsafe")
+
+    def __init__(self, n: int, coeffs=None):
+        self.coeffs: dict[int, tuple] = {}
+        self.unsafe = np.zeros(n, dtype=bool)
+        if coeffs:
+            for k, (re, im) in coeffs.items():
+                self._add_term(k, re, im)
+
+    def _add_term(self, k, re, im):
+        old = self.coeffs.get(k)
+        new = (0.0 + re, 0.0 + im) if old is None else (old[0] + re, old[1] + im)
+        # np.hypot and CPython's abs may differ in the last bit: keep a margin
+        self.unsafe |= ~(np.hypot(*new) > 2.0 * _COEFF_EPS)
+        self.coeffs[k] = new
+
+    def __mul__(self, other) -> "TrigPolyBatch":
+        out = TrigPolyBatch(len(self.unsafe))
+        out.unsafe = self.unsafe | other.unsafe
+        for k1, (r1, i1) in self.coeffs.items():
+            for k2, (r2, i2) in other.coeffs.items():
+                out._add_term(k1 + k2, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+        return out
+
+    def conj(self) -> "TrigPolyBatch":
+        out = TrigPolyBatch(len(self.unsafe),
+                            {-k: (re, -im) for k, (re, im) in self.coeffs.items()})
+        out.unsafe |= self.unsafe
+        return out
+
+    def is_real(self, tol=1e-12):
+        """TrigPoly.is_real per row, and the rows too close to tol to tell."""
+        gap = np.zeros(len(self.unsafe))
+        for k, (re, im) in self.coeffs.items():
+            mirror = self.coeffs.get(-k, (0.0, 0.0))
+            gap = np.maximum(gap, np.hypot(re - mirror[0], im + mirror[1]))
+        unsure = ~np.isfinite(gap) | ((gap > tol / 8.0) & (gap < 8.0 * tol))
+        return gap <= tol, unsure

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinreset import analysis
+from spinreset import analysis, renewal
 from spinreset.analysis import (
     DEFAULT_BASELINES,
     JumpEstimate,
@@ -98,6 +98,85 @@ def test_closed_form_sweep_protocol_two():
         sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, POISSON, [])
     with pytest.raises(ValueError):
         sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, POISSON, [0.5], delta=0.0)
+
+
+def _reference_row(protocol, params, dist):
+    """One exact row the pre-batch way: TrigPoly state, 2-D observables."""
+    weights = renewal.reset_rates_R(params, dist)
+    if protocol is ProtocolKind.UNCONDITIONAL_RESET:
+        branches = [(1.0, "up")]
+    else:
+        branches = [(weights.c_up, "up"), (weights.c_down, "down")]
+    state, pair = renewal._branch_mix_poly(dist, params, branches)
+    if protocol is ProtocolKind.CONDITIONAL_TWO_STATE and weights.c_up == weights.c_down:
+        density = 0.5
+    else:
+        density = float(state[0, 0].real)
+    n1, num = np.diag([1.0, 0.0]), np.eye(2)
+    nj, nk = np.kron(n1, num).astype(complex), np.kron(num, n1).astype(complex)
+    nn = np.kron(n1, n1).astype(complex)
+    corr = float(np.trace(nn @ pair).real - np.trace(nj @ pair).real * np.trace(nk @ pair).real)
+    lam, vec = np.linalg.eigh(0.5 * (pair + pair.conj().T))
+    sq = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    sq_locals = [sq @ np.kron(np.array(s, dtype=complex), np.eye(2)) for s in paulis]
+    w = np.array([[np.trace(a @ b).real for b in sq_locals] for a in sq_locals])
+    value = 1.0 - float(np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
+    return (density, corr, min(max(value, 0.0), 1.0)), state, pair
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("protocol", [ProtocolKind.UNCONDITIONAL_RESET,
+                                      ProtocolKind.CONDITIONAL_TWO_STATE])
+@pytest.mark.parametrize("dist", [POISSON, WaitingTime.poisson(1.7),
+                                  WaitingTime.chopped(0.5, 4.0), WaitingTime.chopped(1.7, 2.5)],
+                         ids=["poisson", "poisson-1.7", "chopped", "chopped-1.7"])
+def test_batched_rows_equal_the_per_row_reference_bit_for_bit(protocol, dist, monkeypatch):
+    rng = np.random.default_rng(4)
+    generic = [(x, 1.0) for x in np.r_[np.arange(0.01, 3.0, 0.0475), rng.uniform(0.0, 3.0, 25)]]
+    # degenerate term structure: a coefficient TrigPoly drops (omega/delta
+    # = 0, 1e-12, 2), frequencies in one rounding bucket (tiny obar via
+    # small delta); omega = delta is the protocol-2 threshold
+    degenerate = ([(x, 1.0) for x in (0.0, 1e-12, 1.0, 2.0)]
+                  + [(x * 1e-10, 1e-10) for x in (0.5, 1.5)])
+    drives = generic + degenerate + [(x * 1e-3, 1e-3) for x in (0.5, 1.0, 1.5)]
+    params = [DriveParams(om, de) for om, de in drives]
+    general = []
+    per_row = renewal._branch_mix_poly
+    monkeypatch.setattr(renewal, "_branch_mix_poly",
+                        lambda d, p, b: general.append(p) or per_row(d, p, b))
+    rows, states = analysis.closed_form_rows(protocol, params, dist)
+    # the batch computes every generic row itself
+    assert {(p.omega, p.delta) for p in general} >= {
+        (om, de) for om, de in degenerate if (om, de) != (1.0, 1.0)}
+    assert not {(p.omega, p.delta) for p in general} & set(generic)
+    for p, row, st in zip(params, rows, states):
+        (density, corr, discord), state, pair = _reference_row(protocol, p, dist)
+        assert np.array_equal(_bits(st.state), _bits(state)), p
+        assert np.array_equal(_bits(st.pair_state), _bits(pair)), p
+        got = np.array([row[0], row[2], row[4]], dtype=complex)
+        assert np.array_equal(_bits(got), _bits([density, corr, discord])), p
+        # and the one-row case is the same code
+        one, _ = analysis.closed_form_row(protocol, p, dist)
+        assert np.array_equal(_bits([one[0], one[2], one[4]]), _bits(got)), p
+
+
+@pytest.mark.parametrize("protocol", [ProtocolKind.UNCONDITIONAL_RESET,
+                                      ProtocolKind.CONDITIONAL_TWO_STATE])
+def test_sweep_row_failing_a_batched_check_raises_the_per_row_error(protocol):
+    # so short a cutoff that the averaged state is not PSD: the sweep fails
+    # with the first failing row's own message
+    dist = WaitingTime.chopped(0.5, 1e-6)
+    grid = [0.5, 0.9, 1.3, 1.7, 2.0, 2.5]
+    with pytest.raises(ValueError) as per_row:
+        analysis.closed_form_row(protocol, DriveParams(grid[0], 1.0), dist)
+    with pytest.raises(ValueError) as swept:
+        sweep_stationary(protocol, dist, grid)
+    assert str(swept.value) == str(per_row.value)
+    assert "not positive semidefinite" in str(swept.value)
 
 
 def test_mc_sweep_rows_and_row_parallelism():

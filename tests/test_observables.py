@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,9 @@ def test_closed_form_correlation_branches():
     assert connected_correlation_closed_form(2, above, g) == pytest.approx(expect2, abs=1e-15)
     with pytest.raises(ValueError):
         connected_correlation_closed_form(3, p, g)
-    with pytest.raises(ValueError):
-        connected_correlation_closed_form(1, p, 0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            connected_correlation_closed_form(1, p, bad)
 
 
 def test_closed_form_matches_renewal_pair_state():

@@ -146,8 +146,9 @@ def test_renewal_state_relaxes_to_stationary():
     np.testing.assert_allclose(late, st.state, atol=1e-12)
     late_pair = renewal_state_at_time(params, gamma, 120.0, pair=True)
     np.testing.assert_allclose(late_pair, st.pair_state, atol=1e-12)
-    with pytest.raises(ValueError):
-        renewal_state_at_time(params, 0.0, 1.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            renewal_state_at_time(params, bad, 1.0)
     with pytest.raises(ValueError):
         renewal_state_at_time(params, gamma, -1.0)
 

@@ -68,7 +68,7 @@ def test_sim_config_validation():
                   **{**base, "seed": -1})
 
 
-@pytest.mark.parametrize("n_spins", [5.5, 4, 0, -3])
+@pytest.mark.parametrize("n_spins", [5.5, 4, 0, -3, float("inf"), float("nan")])
 def test_sim_config_rejects_n_spins_that_is_not_a_positive_odd_integer(n_spins):
     with pytest.raises(ValueError, match="positive odd integer"):
         small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=n_spins)
