@@ -20,9 +20,9 @@ from .analysis import (
     sweep_stationary,
 )
 from .observables import LquResult, connected_correlation, lqu
-from .renewal import StationaryState, WaitingTime, stationary_state_p1, stationary_state_p2
+from .renewal import ProtocolKind, StationaryState, WaitingTime, stationary_state_p1, stationary_state_p2
 from .spin_dynamics import DriveParams
-from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensemble
+from .trajectory_sim import EnsembleStats, SimConfig, run_ensemble
 
 __all__ = [
     "DriveParams",

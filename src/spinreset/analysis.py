@@ -1,13 +1,14 @@
 """Phase-diagram sweeps, jump estimates, and power-law exponent fits.
 
 A sweep walks a grid of omega/delta values and produces one row of
-stationary observables per point.  Rows use the exact renewal results
-wherever they exist (the unconditional protocol everywhere, the
-conditional two-state protocol in the thermodynamic limit) and Monte
-Carlo ensembles elsewhere (the flip protocol, finite N).  Every row
-records which path produced it.  The exact rows of a sweep are computed
-together, as stacked arrays in one pass over the grid; a single exact
-row is the one-row case of the same code.
+stationary observables per point.  Rows use the exact renewal states
+wherever the protocol has one and measures no finite sample (the
+unconditional protocol everywhere, the conditional two-state protocol in
+the thermodynamic limit) and Monte Carlo ensembles elsewhere (the flip
+protocol, finite N).  Every row records which path produced it.  The
+exact rows of a sweep are computed together, as stacked arrays in one
+pass over the grid; a single exact row is the one-row case of the same
+code.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .observables import connected_correlations, lqu, lqu_stack
-from .renewal import WaitingTime, stationary_states_p1, stationary_states_p2
+from .renewal import ProtocolKind, WaitingTime, stationary_states
 from .spin_dynamics import DriveParams
-from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensembles
+from .trajectory_sim import EnsembleStats, SimConfig, run_ensembles
 
 REGIME_CLOSED = "closed-form"
 REGIME_MIXTURE = "mixture"
@@ -102,6 +103,11 @@ class McTemplate:
         )
 
 
+def _require_increasing(grid: np.ndarray):
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("omega_over_delta grid must be strictly increasing")
+
+
 @dataclass
 class SweepResult:
     """One stationary-observable row per omega/delta grid point."""
@@ -123,8 +129,7 @@ class SweepResult:
 
     def __post_init__(self):
         self.omega_over_delta = np.asarray(self.omega_over_delta, dtype=float)
-        if np.any(np.diff(self.omega_over_delta) <= 0.0):
-            raise ValueError("omega_over_delta grid must be strictly increasing")
+        _require_increasing(self.omega_over_delta)
         n = len(self.omega_over_delta)
         for name in SWEEP_COLUMNS[1:-1]:
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -213,18 +218,13 @@ def closed_form_rows(protocol: ProtocolKind, params_list, dist: WaitingTime,
     """Exact sweep rows for a grid of drives and the stationary states they come from.
 
     One batched pass: the states, their checks, the correlation and the
-    discord are computed as stacked arrays.  The conditional protocol is
-    labelled a mixture of its two reset branches, except where its reset
-    chain never leaves all-up (no weight on all-down), so the state is
-    the unconditional closed form.
+    discord are computed as stacked arrays.  A row whose state puts
+    weight on the all-down branch is labelled a mixture; the others are
+    the unconditional closed form.  A protocol with no exact state
+    raises ValueError.
     """
-    if protocol is ProtocolKind.UNCONDITIONAL_RESET:
-        states = stationary_states_p1(params_list, dist)
-        regimes = [REGIME_CLOSED] * len(states)
-    else:
-        states = stationary_states_p2(params_list, dist, n_spins)
-        regimes = [REGIME_CLOSED if st.weights.c_down == 0.0 else REGIME_MIXTURE
-                   for st in states]
+    states = stationary_states(protocol, params_list, dist, n_spins)
+    regimes = [REGIME_CLOSED if st.weights.c_down == 0.0 else REGIME_MIXTURE for st in states]
     pairs = np.array([st.pair_state for st in states])
     require_exchange_symmetric(pairs)
     corr = connected_correlations(pairs)
@@ -253,9 +253,9 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
                      use_mc: bool = False) -> SweepResult:
     """Stationary density, correlation and discord across a drive grid.
 
-    Exact rows where the renewal treatment applies; Monte Carlo rows for
-    the flip protocol and for finite n_spins (taken from the template),
-    or everywhere when use_mc is set.  The exact rows are one
+    Exact rows where the protocol has an exact state and does not
+    measure at the template's n_spins; Monte Carlo rows elsewhere, or
+    everywhere when use_mc is set.  The exact rows are one
     closed_form_rows call; a row failing its checks fails the sweep with
     the error that row raises on its own.  The Monte Carlo rows share the
     template's seed, so they run as one run_ensembles call, in which
@@ -268,12 +268,11 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
     grid = np.asarray(list(omega_over_delta_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("omega_over_delta grid must not be empty")
+    _require_increasing(grid)
     if delta <= 0.0:
         raise ValueError("sweeps need delta > 0 (the grid is in units of delta)")
     mc = mc or McTemplate()
-    needs_mc = (use_mc
-                or protocol is ProtocolKind.CONDITIONAL_FLIP
-                or (mc.n_spins is not None and protocol is not ProtocolKind.UNCONDITIONAL_RESET))
+    needs_mc = use_mc or not protocol.has_exact_state or protocol.measures(mc.n_spins)
 
     def params(x):
         return DriveParams(omega=x * delta, delta=delta)

@@ -36,6 +36,7 @@ from .analysis import (
 from .finite_size import _check_n
 from .observables import connected_correlation, connected_correlation_closed_form, lqu
 from .renewal import (
+    ProtocolKind,
     WaitingKind,
     WaitingTime,
     renewal_state_at_time,
@@ -44,7 +45,7 @@ from .renewal import (
     stationary_state_p2,
 )
 from .spin_dynamics import DriveParams
-from .trajectory_sim import EnsembleStats, ProtocolKind, SimConfig, run_ensemble
+from .trajectory_sim import EnsembleStats, SimConfig, run_ensemble
 
 WORKERS_ENV = "SPINRESET_WORKERS"
 
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stationary", help="exact stationary observables at one parameter point")
-    p.add_argument("--protocol", type=int, choices=(1, 2), required=True)
+    p.add_argument("--protocol", type=int, required=True,
+                   choices=[k.value for k in ProtocolKind if k.has_exact_state])
     _add_physics_args(p)
     p.add_argument("--n-spins", type=int, default=None)
     _add_output_args(p)
@@ -449,9 +451,7 @@ def _resolve_horizon(args, protocol, unit) -> float:
     """Observation time in internal units from the T*delta CLI group."""
     horizon = args.time
     if horizon is None:
-        finite = getattr(args, "n_spins", None) is not None
-        long_run = finite and protocol is not ProtocolKind.UNCONDITIONAL_RESET
-        horizon = 2000.0 if long_run else 30.0
+        horizon = 2000.0 if protocol.measures(getattr(args, "n_spins", None)) else 30.0
     elif not (0.0 < horizon < math.inf):
         raise ValueError(f"--time must be finite and > 0, got {horizon}")
     return horizon / unit
@@ -591,7 +591,7 @@ def _verify_checks():
     from .renewal import exp_weighted_average
     from .spin_dynamics import free_two_spin_state
     from .observables import hermitian_sqrt
-    from .finite_size import ApproxVariant, transition_prob_approx, transition_prob_exact
+    from .finite_size import transition_prob_approx, transition_prob_exact
 
     checks = []
 
@@ -645,8 +645,7 @@ def _verify_checks():
     ps = np.linspace(0.05, 0.95, 37)
     diffs = []
     for n in (51, 201, 1001):
-        diffs.append(max(abs(transition_prob_exact(n, p)
-                             - transition_prob_approx(n, p, ApproxVariant.NORMAL_ERF))
+        diffs.append(max(abs(transition_prob_exact(n, p) - transition_prob_approx(n, p))
                          for p in ps))
     check("finite N: erf error shrinks with N",
           diffs[0] > diffs[1] > diffs[2] and diffs[2] < 5e-3,

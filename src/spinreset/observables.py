@@ -1,4 +1,4 @@
-"""Scalar observables: density, connected correlation, and discord.
+"""Two-spin observables: connected correlation and discord.
 
 The discord measure used throughout is the local quantum uncertainty,
 1 - lambda_max(W) with W_ab = Tr[sqrt(rho) (sigma_a x 1) sqrt(rho)
@@ -27,9 +27,7 @@ from .spin_dynamics import (
     DriveParams,
     HERMITICITY_TOL,
     as_stack,
-    require_qubit_state,
     require_states,
-    require_two_qubit_state,
 )
 
 CORRELATION_TOL = 1e-10
@@ -42,18 +40,6 @@ _LOCALS = [np.kron(s, IDENTITY_2) for s in PAULI]
 
 def _trace(m):
     return np.trace(m, axis1=-2, axis2=-1)
-
-
-def excitation_density(state) -> float:
-    """Tr[n rho] per spin; two-spin input is averaged over the two spins."""
-    state = np.asarray(state)
-    if state.shape == (2, 2):
-        rho = require_qubit_state(state)
-        return float(np.trace(NUMBER_OP @ rho).real)
-    rho = require_two_qubit_state(state)
-    nj = np.trace(_N_FIRST @ rho).real
-    nk = np.trace(_N_SECOND @ rho).real
-    return float(0.5 * (nj + nk))
 
 
 def connected_correlations(states) -> np.ndarray:

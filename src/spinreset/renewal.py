@@ -14,6 +14,9 @@ states of a grid of drives are averaged in one batched pass
 (TrigPolyBatch) that rounds exactly as the TrigPoly row code, which
 stays as the general path for the rows the batch cannot reproduce; one
 state is the one-row case.
+
+ProtocolKind is defined here with the two rules every path reads:
+has_exact_state and measures.
 """
 
 from __future__ import annotations
@@ -30,6 +33,21 @@ from .spin_dynamics import DriveParams, free_pair_poly, free_qubit_poly, free_st
 from .trigpoly import TrigPoly, _bucket
 
 WEIGHT_TOL = 1e-12
+
+
+class ProtocolKind(enum.Enum):
+    UNCONDITIONAL_RESET = 1
+    CONDITIONAL_TWO_STATE = 2
+    CONDITIONAL_FLIP = 3
+
+    @property
+    def has_exact_state(self) -> bool:
+        """Protocols 1 and 2 have an exact stationary state, at any N."""
+        return self in (ProtocolKind.UNCONDITIONAL_RESET, ProtocolKind.CONDITIONAL_TWO_STATE)
+
+    def measures(self, n_spins) -> bool:
+        """A conditional protocol at finite N measures a finite sample at each reset."""
+        return n_spins is not None and self is not ProtocolKind.UNCONDITIONAL_RESET
 
 
 class WaitingKind(enum.Enum):
@@ -106,12 +124,49 @@ def waiting_time_from_uniform(dist: WaitingTime, u):
 # ---------------------------------------------------------------------------
 
 
+# below this gamma * t_max the chopped law's U(w) takes the single-fraction
+# form: the two-fraction form cancels to about 1e-16 / (gamma t_max)^2
+_CHOPPED_SERIES_BELOW = 0.5
+_PHI2_TERMS = tuple(1.0 / math.factorial(k + 2) for k in range(20))
+
+
+def _phi2(x):
+    """(exp(x) - 1 - x) / x^2, by its Taylor series where |x| < 1."""
+    if abs(x) >= 1.0:
+        return (np.exp(x) - 1.0 - x) / (x * x)
+    acc = _PHI2_TERMS[-1]
+    for c in _PHI2_TERMS[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _fourier_weight_short(g: float, t_max: float, w: float):
+    """U(w) of the chopped law at small gamma * t_max, as complex128 (the
+    type _average_batch's chopped division form stands in for).
+
+    With a = g t_max and c = exp(-a), U(w) = N(w) / (i w (g - i w) (1 - c))
+    where N(w) = i w (1 - c) - c g (exp(i w t_max) - 1); the terms that
+    cancel in N are written through phi2, and U(0) likewise.
+    """
+    a = g * t_max
+    one_minus_c = -math.expm1(-a)
+    if w == 0.0:
+        return np.complex128(t_max * (one_minus_c - a * _phi2(-a)) / one_minus_c)
+    x = np.complex128(1j * w * t_max)
+    phi2_x = _phi2(x)
+    num = (-1j * w * (a * a * _phi2(-a)) + g * (w * t_max) ** 2 * phi2_x
+           + g * one_minus_c * (x + x * x * phi2_x))
+    return num / (1j * w * (g - 1j * w)) / one_minus_c
+
+
 def _fourier_weight(dist: WaitingTime, w: float) -> complex:
     """U(w) = integral q(t) exp(i w t) dt over the support of q."""
     g = dist.gamma
     if dist.kind is WaitingKind.POISSON:
         return 1.0 / (g - 1j * w)
     t_max = dist.t_max
+    if g * t_max < _CHOPPED_SERIES_BELOW:
+        return _fourier_weight_short(g, t_max, w)
     e_max = math.exp(-g * t_max)
     part = (1.0 - np.exp((1j * w - g) * t_max)) / (g - 1j * w)
     if w == 0.0:
@@ -334,17 +389,6 @@ def _branch_mix(dist: WaitingTime, params_list, mixes):
     return state, pair
 
 
-def stationary_states_p1(params_list, dist: WaitingTime) -> list:
-    """stationary_state_p1 for every drive of a grid, in one batched pass."""
-    state, pair = _branch_mix(dist, params_list, [(1.0, 0.0)] * len(params_list))
-    return [StationaryState(s, p, float(s[0, 0].real)) for s, p in zip(state, pair)]
-
-
-def stationary_state_p1(params: DriveParams, dist: WaitingTime) -> StationaryState:
-    """Stationary state of the unconditional protocol (reset to all-up)."""
-    return stationary_states_p1([params], dist)[0]
-
-
 def stationary_density_closed_form(params: DriveParams, dist: WaitingTime) -> float:
     """Stationary excitation density of the unconditional protocol.
 
@@ -397,9 +441,22 @@ def reset_rates_R(params: DriveParams, dist: WaitingTime, n_spins: int | None = 
     return ResetWeights(1.0, 0.0, degenerate=degenerate)
 
 
-def stationary_states_p2(params_list, dist: WaitingTime, n_spins: int | None = None) -> list:
-    """stationary_state_p2 for every drive of a grid, in one batched pass."""
-    weights = [reset_rates_R(p, dist, n_spins) for p in params_list]
+def stationary_states(protocol: ProtocolKind, params_list, dist: WaitingTime,
+                      n_spins: int | None = None) -> list:
+    """Exact stationary states of a protocol for every drive of a grid, in one batched pass.
+
+    Each state mixes the survival-averaged evolutions from all-up and
+    all-down: protocol 1 with weights (1, 0), protocol 2 with its reset
+    chain's (reset_rates_R).  With equal weights the density is 1/2 by
+    symmetry, and that value is returned exactly.  A protocol with no
+    exact state raises ValueError.
+    """
+    if not protocol.has_exact_state:
+        raise ValueError(f"protocol {protocol.value} ({protocol.name}) has no exact stationary state")
+    if protocol is ProtocolKind.UNCONDITIONAL_RESET:
+        weights = [ResetWeights(1.0, 0.0)] * len(params_list)
+    else:
+        weights = [reset_rates_R(p, dist, n_spins) for p in params_list]
     state, pair = _branch_mix(dist, params_list, [(w.c_up, w.c_down) for w in weights])
     out = []
     for s, p, w in zip(state, pair, weights):
@@ -409,12 +466,12 @@ def stationary_states_p2(params_list, dist: WaitingTime, n_spins: int | None = N
     return out
 
 
+def stationary_state_p1(params: DriveParams, dist: WaitingTime) -> StationaryState:
+    """Stationary state of the unconditional protocol (reset to all-up)."""
+    return stationary_states(ProtocolKind.UNCONDITIONAL_RESET, [params], dist)[0]
+
+
 def stationary_state_p2(params: DriveParams, dist: WaitingTime,
                         n_spins: int | None = None) -> StationaryState:
-    """Stationary state of the conditional (majority-vote) protocol.
-
-    A weighted mixture of the survival-averaged evolutions from all-up
-    and all-down.  With equal weights the density is 1/2 by symmetry,
-    and that value is returned exactly.
-    """
-    return stationary_states_p2([params], dist, n_spins)[0]
+    """Stationary state of the conditional (majority-vote) protocol."""
+    return stationary_states(ProtocolKind.CONDITIONAL_TWO_STATE, [params], dist, n_spins)[0]

@@ -101,11 +101,6 @@ def require_qubit_state(rho) -> np.ndarray:
     return require_states(as_stack(rho, 2), 2)[0]
 
 
-def require_two_qubit_state(rho) -> np.ndarray:
-    """Validate a 4x4 density matrix."""
-    return require_states(as_stack(rho, 4), 4)[0]
-
-
 def flip_probability(params: DriveParams, t):
     """Probability that a spin prepared in |up> is measured down after time t.
 

@@ -39,7 +39,6 @@ statistics), so it is a fixed constant, not a knob.
 
 from __future__ import annotations
 
-import enum
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +51,7 @@ import numpy as np
 from scipy.special import bdtr, bdtrik, ndtri  # noqa: F401
 
 from .finite_size import _check_n
-from .renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
+from .renewal import ProtocolKind, WaitingTime, _fourier_weight, waiting_time_from_uniform
 from .spin_dynamics import DriveParams
 
 CHUNK = 1024
@@ -73,12 +72,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 _PHILOX_BLOCK = 4  # uint64 outputs per Philox counter value
-
-
-class ProtocolKind(enum.Enum):
-    UNCONDITIONAL_RESET = 1
-    CONDITIONAL_TWO_STATE = 2
-    CONDITIONAL_FLIP = 3
 
 
 @dataclass(frozen=True)
@@ -517,7 +510,7 @@ class _ChunkState:
         # columns of p = ratio * sin(obar * tau)^2: a drive with obar = 0 keeps p = 0
         self.obar, self.ratio = (np.array(v)[:, None] for v in (obar, ratio))
         finite = config.n_spins is not None
-        measured = finite and config.protocol is not ProtocolKind.UNCONDITIONAL_RESET
+        self.measured = config.protocol.measures(config.n_spins)
         index = np.arange(start, start + rows)
         waits = _RowStreams(_trajectory_streams(config.seed, index, _WAIT_STREAM))
         t_end = config.sample_grid[-1]
@@ -525,7 +518,7 @@ class _ChunkState:
         self.cursor = np.zeros(rows, dtype=np.int64)
         self.t_last = np.zeros(rows)
 
-        if measured:
+        if self.measured:
             meas = _RowStreams(_trajectory_streams(config.seed, index, _MEASURE_STREAM))
             applied = np.count_nonzero(self.resets <= t_end, axis=1)
             self.meas_u = np.empty((rows, 2 * int(applied.max())))
@@ -552,7 +545,7 @@ class _ChunkState:
             if proto is not ProtocolKind.UNCONDITIONAL_RESET:  # its origin never changes
                 sin = np.sin(self.obar * (t_reset - self.t_last[idx]))
                 p = np.minimum(self.ratio * (sin * sin), 1.0)  # (drives, due rows), >= 0
-                if self.config.n_spins is not None:
+                if self.measured:
                     self._finite_measurement(idx, p)
                 else:
                     n0 = self.n0[:, idx]

@@ -18,11 +18,7 @@ from spinreset.analysis import (
     sweep_stationary,
 )
 from spinreset.cli import execute_command
-from spinreset.finite_size import (
-    ApproxVariant,
-    transition_prob_approx,
-    transition_prob_exact,
-)
+from spinreset.finite_size import transition_prob_approx, transition_prob_exact
 from spinreset.observables import (
     connected_correlation,
     connected_correlation_closed_form,
@@ -173,7 +169,7 @@ def test_criterion_08_finite_n_probability_oracle():
     diffs = []
     for n in (51, 201, 1001, 5001):
         gap = np.max(np.abs(transition_prob_exact(n, ps)
-                            - transition_prob_approx(n, ps, ApproxVariant.NORMAL_ERF)))
+                            - transition_prob_approx(n, ps)))
         diffs.append(float(gap))
     assert diffs[0] > diffs[1] > diffs[2] > diffs[3]
     assert diffs[2] < 5e-3

@@ -132,8 +132,11 @@ def _bits(x):
 @pytest.mark.parametrize("protocol", [ProtocolKind.UNCONDITIONAL_RESET,
                                       ProtocolKind.CONDITIONAL_TWO_STATE])
 @pytest.mark.parametrize("dist", [POISSON, WaitingTime.poisson(1.7),
-                                  WaitingTime.chopped(0.5, 4.0), WaitingTime.chopped(1.7, 2.5)],
-                         ids=["poisson", "poisson-1.7", "chopped", "chopped-1.7"])
+                                  WaitingTime.chopped(0.5, 4.0), WaitingTime.chopped(1.7, 2.5),
+                                  WaitingTime.chopped(0.5, 2e-8), WaitingTime.chopped(1.7, 1e-4),
+                                  WaitingTime.chopped(0.5, 0.6)],
+                         ids=["poisson", "poisson-1.7", "chopped", "chopped-1.7",
+                              "chopped-short", "chopped-1.7-short", "chopped-below-cutoff"])
 def test_batched_rows_equal_the_per_row_reference_bit_for_bit(protocol, dist, monkeypatch):
     rng = np.random.default_rng(4)
     generic = [(x, 1.0) for x in np.r_[np.arange(0.01, 3.0, 0.0475), rng.uniform(0.0, 3.0, 25)]]
@@ -166,10 +169,14 @@ def test_batched_rows_equal_the_per_row_reference_bit_for_bit(protocol, dist, mo
 
 @pytest.mark.parametrize("protocol", [ProtocolKind.UNCONDITIONAL_RESET,
                                       ProtocolKind.CONDITIONAL_TWO_STATE])
-def test_sweep_row_failing_a_batched_check_raises_the_per_row_error(protocol):
-    # so short a cutoff that the averaged state is not PSD: the sweep fails
-    # with the first failing row's own message
-    dist = WaitingTime.chopped(0.5, 1e-6)
+def test_sweep_row_failing_a_batched_check_raises_the_per_row_error(protocol, monkeypatch):
+    # survival weights off their law by a factor 40 at every nonzero
+    # frequency leave states that are not PSD: the sweep fails with the
+    # first failing row's own message
+    weight = renewal._fourier_weight
+    monkeypatch.setattr(renewal, "_fourier_weight",
+                        lambda d, w: weight(d, w) * (40.0 if w else 1.0))
+    dist = WaitingTime.chopped(0.5, 4.0)
     grid = [0.5, 0.9, 1.3, 1.7, 2.0, 2.5]
     with pytest.raises(ValueError) as per_row:
         analysis.closed_form_row(protocol, DriveParams(grid[0], 1.0), dist)
@@ -290,9 +297,10 @@ def test_mc_sweep_settings_fail_before_any_row(monkeypatch):
         with pytest.raises(ValueError):
             McTemplate(**bad)
     # a grid value no row can run with is an error too, as in exact sweeps
-    with pytest.raises(ValueError):
-        sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, [1.1, -0.5],
-                         mc=McTemplate(n_trajectories=64))
+    for grid in ([1.1, -0.5], [1.2, 1.1], [1.1, 1.1]):
+        with pytest.raises(ValueError):
+            sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, grid,
+                             mc=McTemplate(n_trajectories=64))
     assert calls == []
     # positive control: a valid sweep does reach the patched engine
     sweep = sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, [1.1],
@@ -338,6 +346,20 @@ def test_jump_protocol_two_is_exact():
     assert jump.stderr == 0.0
     assert jump.left == pytest.approx(25.0 / 33.0, abs=1e-15)
     assert jump.right == 0.5
+
+
+def test_exact_rows_refuse_a_protocol_with_no_exact_state():
+    params = DriveParams(1.3, 1.0)
+    with pytest.raises(ValueError, match="protocol 3"):
+        analysis.closed_form_rows(ProtocolKind.CONDITIONAL_FLIP, [params] * 6, POISSON)
+    with pytest.raises(ValueError, match="protocol 3"):
+        analysis.closed_form_row(ProtocolKind.CONDITIONAL_FLIP, params, POISSON)
+    # a protocol-3 sweep labelled exact has no branch to evaluate at the
+    # critical point: it raises instead of reading protocol 2's
+    xs = [0.9, 1.1]
+    sweep = synthetic_sweep(xs, [0.7, 0.5], regime=[REGIME_CLOSED, REGIME_MC])
+    with pytest.raises(ValueError, match="protocol 3"):
+        estimate_discontinuity(sweep, 1.0)
 
 
 def test_jump_protocol_one_is_zero():

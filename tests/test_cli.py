@@ -95,6 +95,9 @@ def test_stationary_is_scale_invariant(capsys):
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli(["stationary", "--protocol", "1"], capsys)[0] == 2  # missing omega
     assert run_cli(["stationary", "--protocol", "7", "--omega", "1"], capsys)[0] == 2
+    # protocol 3 has no exact state, so it is no stationary choice
+    code, _, err = run_cli(["stationary", "--protocol", "3", "--omega", "1"], capsys)
+    assert code == 2 and "--protocol {1,2}" in err
     assert run_cli(["bogus-command"], capsys)[0] == 2
     assert run_cli(["--help"], capsys)[0] == 0
     assert run_cli(["stationary", "--protocol", "1", "--omega", "-3"], capsys)[0] == 3

@@ -1,14 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
 
-from spinreset.finite_size import (
-    ApproxVariant,
-    transition_prob_approx,
-    transition_prob_exact,
-)
+from spinreset.finite_size import transition_prob_approx, transition_prob_exact
 
 
 def test_input_validation():
@@ -20,7 +14,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         transition_prob_exact(3, 1.1)
     with pytest.raises(ValueError):
-        transition_prob_approx(4, 0.3, ApproxVariant.NORMAL_ERF)
+        transition_prob_approx(4, 0.3)
 
 
 def test_small_n_by_hand():
@@ -72,41 +66,8 @@ def test_exact_survives_large_n():
 def test_normal_erf_endpoints_and_sanity():
     for n in (51, 201):
         grid = np.linspace(0.0, 1.0, 41)
-        vals = transition_prob_approx(n, grid, ApproxVariant.NORMAL_ERF)
+        vals = transition_prob_approx(n, grid)
         assert vals[0] == 0.0 and vals[-1] == 1.0
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
-    assert transition_prob_approx(201, 0.5, ApproxVariant.NORMAL_ERF) == pytest.approx(
-        0.5, abs=1e-6)
-
-
-def test_asymptotic_variant():
-    with pytest.raises(ValueError):
-        transition_prob_approx(51, 0.5, ApproxVariant.ASYMPTOTIC)
-    # stays a probability on both sides of 1/2, and converges to the erf
-    # form in relative (tail-scaled) accuracy as N grows
-    for p in (0.4, 0.6):
-        errs = []
-        for n in (51, 201, 1001):
-            a = transition_prob_approx(n, p, ApproxVariant.ASYMPTOTIC)
-            e = transition_prob_approx(n, p, ApproxVariant.NORMAL_ERF)
-            assert 0.0 <= a <= 1.0
-            tail = min(e, 1.0 - e)
-            errs.append(abs(a - e) / tail)
-        assert errs[0] > errs[1] > errs[2]
-    assert transition_prob_approx(51, 0.0, ApproxVariant.ASYMPTOTIC) == 0.0
-    assert transition_prob_approx(51, 1.0, ApproxVariant.ASYMPTOTIC) == 1.0
-
-
-def test_asymptotic_tail_formula():
-    # the leading endpoint term of the Gaussian integral, written out
-    n, p = 501, 0.4
-    var = p * (1 - p)
-    lead = math.sqrt(2 * var) / (2 * math.sqrt(math.pi * n)) * (
-        math.exp(-n * (0.5 - p) ** 2 / (2 * var)) / (0.5 - p)
-        - math.exp(-n * (1.0 - p) ** 2 / (2 * var)) / (1.0 - p))
-    assert transition_prob_approx(n, p, ApproxVariant.ASYMPTOTIC) == pytest.approx(
-        lead, rel=1e-12)
-    # mirrored point: complement structure, still within [0, 1]
-    high = transition_prob_approx(n, 0.6, ApproxVariant.ASYMPTOTIC)
-    assert 1.0 - high == pytest.approx(lead, rel=1e-3)
+    assert transition_prob_approx(201, 0.5) == pytest.approx(0.5, abs=1e-6)

@@ -6,7 +6,6 @@ import pytest
 from spinreset.observables import (
     connected_correlation,
     connected_correlation_closed_form,
-    excitation_density,
     hermitian_sqrt,
     lqu,
 )
@@ -31,14 +30,6 @@ def random_two_qubit(rng, rank=4):
 def bell_state():
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return np.outer(v, v).astype(complex)
-
-
-def test_excitation_density_values():
-    assert excitation_density(np.diag([1.0, 0.0])) == 1.0
-    assert excitation_density(np.diag([0.3, 0.7])) == pytest.approx(0.3, abs=1e-15)
-    # asymmetric product state averages the two spins
-    rho = np.kron(np.diag([0.9, 0.1]), np.diag([0.1, 0.9])).astype(complex)
-    assert excitation_density(rho) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_connected_correlation_values():

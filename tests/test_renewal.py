@@ -1,13 +1,16 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
 from spinreset import finite_size, renewal
-from spinreset.observables import connected_correlation, excitation_density
+from spinreset.observables import connected_correlation
 from spinreset.renewal import (
     DriveParams,
+    ProtocolKind,
     ResetWeights,
     WaitingTime,
     exp_weighted_average,
@@ -16,6 +19,7 @@ from spinreset.renewal import (
     stationary_density_closed_form,
     stationary_state_p1,
     stationary_state_p2,
+    stationary_states,
     survival_probability,
     waiting_density,
     waiting_time_from_uniform,
@@ -25,6 +29,7 @@ from spinreset.spin_dynamics import (
     flip_probability,
     flip_probability_poly,
     free_qubit_poly,
+    require_qubit_state,
 )
 
 from reference_sim import sample_waiting_time
@@ -105,7 +110,7 @@ def test_poisson_stationary_density_closed_form():
         assert stationary_density_closed_form(params, dist) == pytest.approx(expect, abs=0)
         st = stationary_state_p1(params, dist)
         assert st.density == pytest.approx(expect, abs=1e-12)
-        assert excitation_density(st.state) == pytest.approx(expect, abs=1e-12)
+        assert require_qubit_state(st.state)[0, 0].real == pytest.approx(expect, abs=1e-12)
     # omega = delta = 1, gamma = 1/2 is the rational point 25/33
     assert stationary_density_closed_form(DriveParams(1.0, 1.0), dist) == pytest.approx(
         25.0 / 33.0, abs=1e-16)
@@ -261,7 +266,7 @@ def test_stationary_state_p2():
     assert "omega == delta" in at.note
     above = stationary_state_p2(DriveParams(1.5, 1.0), dist)
     assert above.density == 0.5  # exact by symmetry
-    assert excitation_density(above.state) == pytest.approx(0.5, abs=1e-14)
+    assert require_qubit_state(above.state)[0, 0].real == pytest.approx(0.5, abs=1e-14)
     # pair state carries positive correlations from the shared reset age
     assert connected_correlation(above.pair_state) > 0.0
     # exchange symmetry of the pair
@@ -269,3 +274,68 @@ def test_stationary_state_p2():
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     np.testing.assert_allclose(swap @ above.pair_state @ swap, above.pair_state,
                                atol=1e-12)
+
+
+def _reference_state(protocol, params, gamma, t_max):
+    """50-digit stationary qubit state, pair state and density under the chopped law.
+
+    The free amplitudes are built from omega and delta, and each
+    frequency's survival weight is the two-fraction integral, evaluated
+    with enough digits to spare for its cancellation.
+    """
+    with mpmath.workdps(50):
+        g, t = mpmath.mpf(gamma), mpmath.mpf(t_max)
+        obar = mpmath.sqrt(mpmath.mpf(params.omega) ** 2 + mpmath.mpf(params.delta) ** 2)
+        c = mpmath.exp(-g * t)
+        u = {0: ((1 - c) / g - c * t) / (1 - c)}
+        for k in range(-4, 5):
+            if k:
+                w = k * obar
+                part = (1 - mpmath.exp((1j * w - g) * t)) / (g - 1j * w)
+                u[k] = (part - c * (mpmath.exp(1j * w * t) - 1) / (1j * w)) / (1 - c)
+        r, h = mpmath.mpf(params.delta) / (2 * obar), mpmath.mpf(params.omega) / (2 * obar)
+        alpha, beta = {1: 0.5 - r, -1: 0.5 + r}, {1: -h, -1: h}
+        origins = {"up": (alpha, beta), "down": (beta, {1: alpha[-1], -1: alpha[1]})}
+        if protocol is ProtocolKind.UNCONDITIONAL_RESET:
+            weights = ResetWeights(1.0, 0.0)
+        else:
+            weights = reset_rates_R(params, WaitingTime.chopped(gamma, t_max))
+        state, pair = mpmath.matrix(2, 2), mpmath.matrix(4, 4)
+        signs = (1, -1)
+        for weight, origin in ((weights.c_up, "up"), (weights.c_down, "down")):
+            a = origins[origin]
+            for i, j in itertools.product(range(2), repeat=2):
+                state[i, j] += weight * sum(a[i][s] * a[j][v] * u[s - v] for s in signs
+                                            for v in signs) / u[0]
+            for i, k, j, m in itertools.product(range(2), repeat=4):
+                pair[2 * i + k, 2 * j + m] += weight * sum(
+                    a[i][s1] * a[k][s2] * a[j][s3] * a[m][s4] * u[s1 + s2 - s3 - s4]
+                    for s1, s2, s3, s4 in itertools.product(signs, repeat=4)) / u[0]
+        density = mpmath.mpf(0.5) if weights.c_up == weights.c_down else mpmath.re(state[0, 0])
+        return state, pair, density
+
+
+@pytest.mark.parametrize("protocol", [ProtocolKind.UNCONDITIONAL_RESET,
+                                      ProtocolKind.CONDITIONAL_TWO_STATE])
+@pytest.mark.parametrize("gamma", [0.5, 1.7])
+def test_chopped_states_match_a_50_digit_reference_at_any_gamma_t_max(protocol, gamma):
+    # the waits are nearly uniform on [0, t_max] at small gamma * t_max,
+    # where the two-fraction survival weight cancels; down to 1e-8 every
+    # entry stays within a few rounding errors of the exact value
+    worst = 0.0
+    for a in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 0.99, 1.0, 2.0, 1e3):
+        for x in (0.3, 1.3, 2.0):
+            params = DriveParams(x, 1.0)
+            st = stationary_states(protocol, [params], WaitingTime.chopped(gamma, a / gamma))[0]
+            ref_state, ref_pair, ref_density = _reference_state(protocol, params, gamma,
+                                                                a / gamma)
+            for got, ref in ((st.state, ref_state), (st.pair_state, ref_pair)):
+                for i, j in np.ndindex(*got.shape):
+                    worst = max(worst, abs(mpmath.mpc(complex(got[i, j])) - ref[i, j]))
+            worst = max(worst, abs(st.density - ref_density))
+    assert worst <= 2e-15
+
+
+def test_stationary_states_refuse_a_protocol_with_no_exact_state():
+    with pytest.raises(ValueError, match="protocol 3"):
+        stationary_states(ProtocolKind.CONDITIONAL_FLIP, [DriveParams(1.3)], POISSON)

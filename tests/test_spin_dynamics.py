@@ -12,7 +12,7 @@ from spinreset.spin_dynamics import (
     free_two_spin_state,
     propagator,
     require_qubit_state,
-    require_two_qubit_state,
+    require_states,
 )
 
 RNG = np.random.default_rng(42)
@@ -99,7 +99,7 @@ def test_two_spin_state_is_product_of_singles():
     rj = evolve_qubit(params, t, np.diag([1.0, 0.0]).astype(complex))
     rk = evolve_qubit(params, t, np.diag([0.0, 1.0]).astype(complex))
     np.testing.assert_allclose(rho, np.kron(rj, rk), atol=1e-14)
-    require_two_qubit_state(rho)
+    require_states(rho[None], 4)
     with pytest.raises(ValueError):
         free_two_spin_state(params, t, "sideways", "up")
 
