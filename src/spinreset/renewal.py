@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
+from . import integrate
 from .finite_size import _check_n
 from .spin_dynamics import DriveParams, free_pair_poly, free_qubit_poly, free_state_batch
 from .trigpoly import TrigPoly, _bucket
@@ -81,20 +81,38 @@ class WaitingTime:
         return cls(WaitingKind.CHOPPED_EXPONENTIAL, gamma, t_max)
 
 
+# Below this gamma * t_max the chopped law's differences of exponentials
+# cancel: its normalization 1 - exp(-gamma t_max) goes through expm1, and
+# U(w) and the closed-form density through phi2 (the two-fraction U(w)
+# cancels to about 1e-16 / (gamma t_max)^2).  From here up every formula
+# keeps its direct form, and its bytes.
+_CHOPPED_SERIES_BELOW = 0.5
+
+
+def _chopped_mass(g: float, t_max: float) -> float:
+    """1 - exp(-g t_max), the chopped law's normalization."""
+    if g * t_max < _CHOPPED_SERIES_BELOW:
+        return -math.expm1(-g * t_max)
+    return 1.0 - math.exp(-g * t_max)
+
+
 def survival_probability(dist: WaitingTime, t):
     """P(tau > t): exp(-gamma t), truncated and renormalized when chopped."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be >= 0")
+    g = dist.gamma
     if dist.kind is WaitingKind.POISSON:
-        out = np.exp(-dist.gamma * t)
+        out = np.exp(-g * t)
     else:
-        e_max = math.exp(-dist.gamma * dist.t_max)
-        out = np.where(
-            t < dist.t_max,
-            (np.exp(-dist.gamma * t) - e_max) / (1.0 - e_max),
-            0.0,
-        )
+        t_max = dist.t_max
+        if g * t_max < _CHOPPED_SERIES_BELOW:
+            # exp(-g t) - exp(-g t_max) = exp(-g t) (1 - exp(-g (t_max - t)))
+            inside = np.minimum(t, t_max)
+            tail = np.exp(-g * inside) * -np.expm1(-g * (t_max - inside))
+        else:
+            tail = np.exp(-g * t) - math.exp(-g * t_max)
+        out = np.where(t < t_max, tail / _chopped_mass(g, t_max), 0.0)
     return out if out.shape else float(out)
 
 
@@ -105,7 +123,7 @@ def waiting_density(dist: WaitingTime, t):
     if dist.kind is WaitingKind.POISSON:
         out = g * np.exp(-g * t)
     else:
-        norm = 1.0 - math.exp(-g * dist.t_max)
+        norm = _chopped_mass(g, dist.t_max)
         out = np.where(t < dist.t_max, g * np.exp(-g * t) / norm, 0.0)
     return out if out.shape else float(out)
 
@@ -115,7 +133,7 @@ def waiting_time_from_uniform(dist: WaitingTime, u):
     g = dist.gamma
     if dist.kind is WaitingKind.POISSON:
         return -np.log1p(-np.asarray(u)) / g
-    scale = 1.0 - math.exp(-g * dist.t_max)
+    scale = _chopped_mass(g, dist.t_max)
     return -np.log1p(-np.asarray(u) * scale) / g
 
 
@@ -124,9 +142,6 @@ def waiting_time_from_uniform(dist: WaitingTime, u):
 # ---------------------------------------------------------------------------
 
 
-# below this gamma * t_max the chopped law's U(w) takes the single-fraction
-# form: the two-fraction form cancels to about 1e-16 / (gamma t_max)^2
-_CHOPPED_SERIES_BELOW = 0.5
 _PHI2_TERMS = tuple(1.0 / math.factorial(k + 2) for k in range(20))
 
 
@@ -149,7 +164,7 @@ def _fourier_weight_short(g: float, t_max: float, w: float):
     cancel in N are written through phi2, and U(0) likewise.
     """
     a = g * t_max
-    one_minus_c = -math.expm1(-a)
+    one_minus_c = _chopped_mass(g, t_max)
     if w == 0.0:
         return np.complex128(t_max * (one_minus_c - a * _phi2(-a)) / one_minus_c)
     x = np.complex128(1j * w * t_max)
@@ -190,9 +205,12 @@ def _quad_upper_limit(dist: WaitingTime) -> float:
 
 
 def _average_callable(dist: WaitingTime, f):
-    val, _ = integrate.quad_vec(lambda t: survival_probability(dist, t) * f(t),
-                                0.0, _quad_upper_limit(dist))
-    return val / _fourier_weight(dist, 0.0).real
+    def weighted(nodes):
+        vals = np.array([f(t) for t in nodes.tolist()])
+        q = survival_probability(dist, nodes)
+        return q.reshape(q.shape + (1,) * (vals.ndim - 1)) * vals
+
+    return integrate.quad(weighted, 0.0, _quad_upper_limit(dist)) / _fourier_weight(dist, 0.0).real
 
 
 def exp_weighted_average(dist: WaitingTime, f):
@@ -201,7 +219,7 @@ def exp_weighted_average(dist: WaitingTime, f):
     f may be a TrigPoly, an object array of TrigPoly (integrated in
     closed form term by term) or a plain callable t -> scalar/array.  A
     callable is integrated as a whole by one adaptive vector quadrature
-    (scipy.integrate.quad_vec), so every entry shares the same
+    (integrate.quad, Gauss-Kronrod 10/21), so every entry shares the same
     subintervals; the two paths agree to 1e-8.
     """
     if isinstance(f, TrigPoly):
@@ -407,6 +425,11 @@ def stationary_density_closed_form(params: DriveParams, dist: WaitingTime) -> fl
     gt = g * t_max
     if gt > 700.0:
         corr = 0.0
+    elif gt < _CHOPPED_SERIES_BELOW:
+        # expm1(gt) - gt = gt^2 phi2(gt); with y = 2 w t_max the bracket is
+        # y^2 (Re phi2(iy) + g/(2w) Im phi2(iy)): no term cancels
+        p = _phi2(np.complex128(2j * w * t_max))
+        corr = 4.0 * w**2 * (p.real + g / (2.0 * w) * p.imag) / _phi2(gt)
     else:
         s, c = math.sin(w * t_max), math.cos(w * t_max)
         corr = g**2 / (math.expm1(gt) - gt) * (2.0 * s * s - (g / w) * s * c + gt)

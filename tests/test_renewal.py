@@ -29,6 +29,7 @@ from spinreset.spin_dynamics import (
     flip_probability,
     flip_probability_poly,
     free_qubit_poly,
+    free_two_spin_state,
     require_qubit_state,
 )
 
@@ -70,6 +71,28 @@ def test_inverse_cdf_inverts_the_cdf(dist):
         assert np.all(ts < dist.t_max)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.7])
+@pytest.mark.parametrize("gtm", [1e-8, 1e-6, 1e-4, 0.3])
+def test_chopped_law_is_exact_to_rounding_at_small_gamma_t_max(gtm, gamma):
+    # 1 - exp(-g t_max) and exp(-g t) - exp(-g t_max) cancel here: both
+    # go through expm1, so every value stays within a few rounding errors
+    dist = WaitingTime.chopped(gamma, gtm / gamma)
+    worst = 0.0
+    with mpmath.workdps(50):
+        g, t_max = mpmath.mpf(gamma), mpmath.mpf(dist.t_max)
+        mass = -mpmath.expm1(-g * t_max)
+        for frac in (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0 - 1e-6):
+            t = dist.t_max * frac
+            ref_q = (mpmath.exp(-g * t) - mpmath.exp(-g * t_max)) / mass
+            ref_f = g * mpmath.exp(-g * t) / mass
+            ref_t = -mpmath.log1p(-mpmath.mpf(frac) * mass) / g
+            worst = max(worst, abs(survival_probability(dist, t) / ref_q - 1),
+                        abs(waiting_density(dist, t) / ref_f - 1))
+            if frac:
+                worst = max(worst, abs(waiting_time_from_uniform(dist, frac) / ref_t - 1))
+    assert worst <= 1e-14
+
+
 def test_sampling_statistics():
     rng = np.random.default_rng(11)
     n = 200_000
@@ -98,6 +121,61 @@ def test_exp_weighted_average_routes_agree(dist):
     np.testing.assert_allclose(mat_poly, mat_quad, atol=1e-9)
     with pytest.raises(TypeError):
         exp_weighted_average(dist, 3.0)
+
+
+def _pair_integrand(dist, params):
+    """Survival-weighted free pair state from all-up, at one time or a node array."""
+    def at(t):
+        return survival_probability(dist, t) * free_two_spin_state(params, float(t), "up", "up")
+
+    def on_nodes(nodes):
+        return np.array([at(t) for t in nodes.tolist()])
+    return at, on_nodes
+
+
+QUAD_CASES = [(dist, omega) for gamma in (0.5, 1.7)
+              for dist in (WaitingTime.poisson(gamma), WaitingTime.chopped(gamma, 4.0))
+              for omega in (0.3, 1.3, 2.0)]
+
+
+@pytest.mark.parametrize("dist,omega", QUAD_CASES,
+                         ids=[f"{d.kind.value}-{d.gamma}-{om}" for d, om in QUAD_CASES])
+def test_gauss_kronrod_quad_matches_quad_vec_with_no_more_evaluations(dist, omega):
+    at, on_nodes = _pair_integrand(dist, DriveParams(omega, 1.0))
+    hi = renewal._quad_upper_limit(dist)
+    calls = [0, 0]
+
+    def counted_scalar(t):
+        calls[0] += 1
+        return at(t)
+
+    def counted_nodes(nodes):
+        calls[1] += len(nodes)
+        return on_nodes(nodes)
+
+    ref, _ = integrate.quad_vec(counted_scalar, 0.0, hi)
+    got = renewal.integrate.quad(counted_nodes, 0.0, hi)
+    assert got.shape == (4, 4)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert calls[1] <= calls[0]
+
+
+def test_gauss_kronrod_quad_scalar_integrand_and_failures():
+    # the density verify integrates: a scalar per node, a scalar result
+    params, dist = DriveParams(1.0, 1.0), POISSON
+
+    def density(t):
+        rho = free_two_spin_state(params, t, "up", "up")
+        return rho[0, 0].real + rho[1, 1].real
+
+    quad = exp_weighted_average(dist, density)
+    assert np.ndim(quad) == 0
+    assert quad == pytest.approx(stationary_density_closed_form(params, dist), abs=1e-12)
+    assert renewal.integrate.quad(np.cos, 0.0, 1.0) == pytest.approx(math.sin(1.0), abs=1e-15)
+    with pytest.raises(ValueError, match="not finite"):
+        renewal.integrate.quad(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+    with pytest.raises(ValueError, match="did not converge"):
+        renewal.integrate.quad(lambda x: np.sin(1.0 / x), 1e-3, 1.0, limit=4)
 
 
 def test_poisson_stationary_density_closed_form():
@@ -138,6 +216,19 @@ def test_chopped_density_converges_to_poisson():
     # extreme truncation must not overflow the correction term
     far = stationary_density_closed_form(params, WaitingTime.chopped(0.5, 2000.0))
     assert far == pytest.approx(poisson_val, abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.7])
+def test_chopped_density_closed_form_at_small_gamma_t_max(gamma):
+    # expm1(gt) - gt and the bracket cancel below the cutoff; through phi2
+    # the closed form stays on the stationary state's density
+    for gtm in (1e-8, 1e-6, 1e-4, 0.3):
+        dist = WaitingTime.chopped(gamma, gtm / gamma)
+        for omega in (0.3, 1.3, 2.0):
+            params = DriveParams(omega, 1.0)
+            closed = stationary_density_closed_form(params, dist)
+            assert abs(closed - stationary_state_p1(params, dist).density) <= 1e-15
+            assert closed <= 1.0
 
 
 def test_renewal_state_relaxes_to_stationary():
@@ -245,6 +336,7 @@ def test_reset_rates_compute_no_rate(monkeypatch):
         raise AssertionError("reset_rates_R must not integrate a rate")
 
     monkeypatch.setattr(integrate, "quad", forbidden)
+    monkeypatch.setattr(renewal.integrate, "quad", forbidden)
     # Through the module (a lazy `finite_size.transition_prob_exact`) and
     # through renewal's own namespace (a `from .finite_size import ...`).
     monkeypatch.setattr(finite_size, "transition_prob_exact", forbidden)
