@@ -4,7 +4,7 @@ One rule, QUADPACK's qk21 (Piessens et al., *QUADPACK*, 1983): a 21-point
 Kronrod extension of the 10-point Gauss rule on each panel, with the
 QUADPACK error estimate taken in the 2-norm over all entries, so every
 entry shares the same panels.  The panel with the largest estimate is
-bisected until the summed estimate falls below epsrel * ||I|| / 8, the
+bisected until the summed estimate falls below 1e-8 * ||I|| / 8, the
 global stopping rule of scipy.integrate.quad_vec at its defaults.
 """
 
@@ -40,6 +40,8 @@ _GAUSS = np.array([
     0.295524224714752870173892994651338,
 ])
 _GAUSS = np.concatenate([_GAUSS, _GAUSS[::-1]])
+_EPSREL = 1e-8
+_LIMIT = 10000
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -67,15 +69,15 @@ def _panel(f, a: float, b: float):
     return (h * s_k).reshape(out.shape[1:]), err, rounding
 
 
-def quad(f, a: float, b: float, epsrel: float = 1e-8, limit: int = 10000):
+def quad(f, a: float, b: float):
     """Integral of f over the finite interval [a, b].
 
     f takes a 1-D array of nodes and returns one value per node: an
     array of shape (len(nodes), *shape).  The result has that shape
     (a numpy scalar for a scalar integrand).  Stops once the summed
-    error estimate is below epsrel * ||I|| / 8 (2-norm), or below the
+    error estimate is below _EPSREL * ||I|| / 8 (2-norm), or below the
     accumulated rounding estimate, after at least one bisection.  Raises
-    ValueError on a non-finite integrand value, or when limit panels do
+    ValueError on a non-finite integrand value, or when _LIMIT panels do
     not meet the tolerance.
     """
     a, b = float(a), float(b)
@@ -93,8 +95,8 @@ def quad(f, a: float, b: float, epsrel: float = 1e-8, limit: int = 10000):
             heapq.heappush(panels, (-err, next(order), x1, x2, part))
         total = total - old
         error += neg_err
-        if error <= max(epsrel * float(np.linalg.norm(total)) / 8.0, rounding):
+        if error <= max(_EPSREL * float(np.linalg.norm(total)) / 8.0, rounding):
             return total[()]
-        if len(panels) >= limit:
-            raise ValueError(f"quadrature did not converge in {limit} panels "
+        if len(panels) >= _LIMIT:
+            raise ValueError(f"quadrature did not converge in {_LIMIT} panels "
                              f"(error estimate {error:.3g})")

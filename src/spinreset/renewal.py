@@ -81,19 +81,15 @@ class WaitingTime:
         return cls(WaitingKind.CHOPPED_EXPONENTIAL, gamma, t_max)
 
 
-# Below this gamma * t_max the chopped law's differences of exponentials
-# cancel: its normalization 1 - exp(-gamma t_max) goes through expm1, and
-# U(w) and the closed-form density through phi2 (the two-fraction U(w)
-# cancels to about 1e-16 / (gamma t_max)^2).  From here up every formula
-# keeps its direct form, and its bytes.
+# Below this gamma * t_max the chopped law's U(w) and closed-form density
+# go through phi2 (the two-fraction U(w) cancels to about
+# 1e-16 / (gamma t_max)^2); from here up they keep their direct forms.
 _CHOPPED_SERIES_BELOW = 0.5
 
 
 def _chopped_mass(g: float, t_max: float) -> float:
     """1 - exp(-g t_max), the chopped law's normalization."""
-    if g * t_max < _CHOPPED_SERIES_BELOW:
-        return -math.expm1(-g * t_max)
-    return 1.0 - math.exp(-g * t_max)
+    return -math.expm1(-g * t_max)
 
 
 def survival_probability(dist: WaitingTime, t):
@@ -105,26 +101,11 @@ def survival_probability(dist: WaitingTime, t):
     if dist.kind is WaitingKind.POISSON:
         out = np.exp(-g * t)
     else:
+        # exp(-g t) - exp(-g t_max) = exp(-g t) (1 - exp(-g (t_max - t)))
         t_max = dist.t_max
-        if g * t_max < _CHOPPED_SERIES_BELOW:
-            # exp(-g t) - exp(-g t_max) = exp(-g t) (1 - exp(-g (t_max - t)))
-            inside = np.minimum(t, t_max)
-            tail = np.exp(-g * inside) * -np.expm1(-g * (t_max - inside))
-        else:
-            tail = np.exp(-g * t) - math.exp(-g * t_max)
+        inside = np.minimum(t, t_max)
+        tail = np.exp(-g * inside) * -np.expm1(-g * (t_max - inside))
         out = np.where(t < t_max, tail / _chopped_mass(g, t_max), 0.0)
-    return out if out.shape else float(out)
-
-
-def waiting_density(dist: WaitingTime, t):
-    """Probability density f(t) of the waiting time."""
-    t = np.asarray(t, dtype=float)
-    g = dist.gamma
-    if dist.kind is WaitingKind.POISSON:
-        out = g * np.exp(-g * t)
-    else:
-        norm = _chopped_mass(g, dist.t_max)
-        out = np.where(t < dist.t_max, g * np.exp(-g * t) / norm, 0.0)
     return out if out.shape else float(out)
 
 
