@@ -119,21 +119,6 @@ def flip_probability(params: DriveParams, t):
     return out if out.shape else float(out)
 
 
-def free_excitation_density(params: DriveParams, t, n0):
-    """Mean excitation density at time t for reset-free evolution.
-
-    n0 is the excitation density of the (product) initial condition:
-    a fraction n0 of the spins starts in |up>, the rest in |down>.
-    The up and down branches are mirror images, d_up = 1 - d_down.
-    """
-    n0 = np.asarray(n0, dtype=float)
-    if np.any(n0 < 0.0) or np.any(n0 > 1.0):
-        raise ValueError("n0 must lie in [0, 1]")
-    p = flip_probability(params, t)
-    out = n0 * (1.0 - p) + (1.0 - n0) * p
-    return out if np.ndim(out) else float(out)
-
-
 def propagator(params: DriveParams, t: float) -> np.ndarray:
     """Single-spin unitary exp(-i H t) in axis-angle form."""
     obar = params.effective_rabi

@@ -35,6 +35,14 @@ reduced independently (on the worker threads) and combined in index
 order, so results are bitwise identical for any worker count.  Changing
 CHUNK would change the rounding pattern of the reduction (not the
 statistics), so it is a fixed constant, not a knob.
+A chunk records every drive's rows at a grid time in one pass.  The
+density and two-point sums are numpy's sums over each drive's rows.
+Each pair-state entry sums the terms (w a_ij) b_kl of w kron(a, b) over
+the rows left to right, every complex product written out on floats, as
+a per-drive einsum("n,nij,nkl->ikjl", w, a, b) sums them; the
+reference simulator in tests/ keeps that einsum as the oracle.  At
+finite N the four origin blocks are added in the order up-up, up-down,
+down-up, down-down.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .spin_dynamics import DriveParams
 
 CHUNK = 1024
 WAIT_BLOCK = 64
+MAX_FIRST_WAIT_BLOCK = 2**27  # waiting times (1 GiB) a chunk may draw in its first block
 SLAB_ROWS = 64
 # protocol 2's cdf table: cells in q (a power of two) and bdtr's relative slack
 _CDF_CELLS = 4096
@@ -356,91 +365,107 @@ def _quantile_at_most(u, n, q, h):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form observables of a trajectory at time s after its last reset.
+# Closed-form observables of a chunk's rows at age s after their last reset.
+# Every array is (drives, rows); a drive's per-drive constants are (drives, 1)
+# columns.
 # ---------------------------------------------------------------------------
 
 
-def _phase_terms(params: DriveParams, s: np.ndarray):
-    """flip probability p(s), sin^2 and sin*cos of the Rabi phase."""
-    obar = params.effective_rabi
-    if obar == 0.0:
-        z = np.zeros_like(s)
-        return z, z, z
-    sin = np.sin(obar * s)
-    cos = np.cos(obar * s)
+def _phase_terms(obar: np.ndarray, ratio: np.ndarray, s: np.ndarray):
+    """flip probability p = ratio * sin^2(obar s), sin^2 and sin*cos of the Rabi phase.
+
+    ratio = (omega / obar)^2, and 0 where obar = 0, so such a drive has
+    p = sin^2 = sin*cos = 0.
+    """
+    phase = obar * s
+    sin = np.sin(phase)
     s2 = sin * sin
-    return (params.omega / obar) ** 2 * s2, s2, sin * cos
+    return ratio * s2, s2, sin * np.cos(phase)
 
 
-def _coherence(params: DriveParams, s2: np.ndarray, sc: np.ndarray) -> np.ndarray:
-    """Off-diagonal entry of the up-branch qubit state."""
-    obar = params.effective_rabi
-    if obar == 0.0:
-        return np.zeros_like(s2, dtype=complex)
-    return (params.delta * params.omega / obar**2) * s2 + 1j * (params.omega / obar) * sc
+# The pair state of a grid point is sum_n w_n kron(a_n, b_n) over a chunk's
+# rows n, summed as einsum("n,nij,nkl->ikjl", w, a, b) sums it: each
+# entry left to right over n, of (w a_ij) b_kl with every complex product
+# written out on floats (re = xr yr - xi yi, im = xr yi + xi yr) and w
+# entering as w + 0j.  a and b are qubit states [[u, c], [c*, p]] (the up
+# branch) or [[p, -c], [-c*, u]] (the down branch), so, up to an exact sign,
+# each term is one of 16 real per-row columns of (w x) y, x and y in
+# {u, p, cr, ci}.  They are summed with np.add.accumulate, which adds left
+# to right as einsum does, and sign flips of a sum are exact.  accumulate
+# starts from the first term where einsum starts from +0.0, which changes
+# only the sign of a zero sum; added to the accumulator, which starts at
+# +0.0, both give the same bits.  (numpy's complex multiply may fuse a
+# multiply-add, so it cannot stand in for the written-out products.)
+#
+# The branches as (symbol, sign) per entry 2i + j, symbols in (u, c, c*, p)
+# order, so that the up branch's entry 2i + j is symbol 2i + j.
+_UP = np.arange(4), np.ones(4)
+_DOWN = np.array([3, 1, 2, 0]), np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _pair_accumulate(out, weights, left, right):
-    # sum_n w_n * kron(left_n, right_n), laid out as a 4x4 block
-    out += np.einsum("n,nij,nkl->ikjl", weights, left, right, optimize=False).reshape(4, 4)
+def _kron_layout(left, right):
+    """Symbol product (4 x + y, flattened) and sign of each kron(a, b) entry.
+
+    Entry (2i + k, 2j + l) of kron(a, b) is a_ij b_kl.
+    """
+    i, k, j, l = np.indices((2, 2, 2, 2)).reshape(4, 4, 4)
+    x, y = 2 * i + j, 2 * k + l
+    return 4 * left[0][x] + right[0][y], left[1][x] * right[1][y]
 
 
-def _record_thermo(params, s, n0, acc, gi):
-    p, s2, sc = _phase_terms(params, s)
-    d = n0 + (1.0 - 2.0 * n0) * p
-    coh = (2.0 * n0 - 1.0) * _coherence(params, s2, sc)
-    mu = np.empty(s.shape + (2, 2), dtype=complex)
-    mu[:, 0, 0] = d
-    mu[:, 1, 1] = 1.0 - d
-    mu[:, 0, 1] = coh
-    mu[:, 1, 0] = coh.conj()
-    x = d * d
-    _accumulate_scalars(acc, gi, d, x)
-    _pair_accumulate(acc["pair"][gi], np.ones_like(d), mu, mu)
-    return d, x
+_UP_UP = _kron_layout(_UP, _UP)
+_FINITE_BLOCKS = (_UP_UP, _kron_layout(_UP, _DOWN), _kron_layout(_DOWN, _UP),
+                  _kron_layout(_DOWN, _DOWN))
 
 
-def _record_finite(params, s, count, n_spins, acc, gi):
-    p, s2, sc = _phase_terms(params, s)
-    coh = _coherence(params, s2, sc)
-    d_up = 1.0 - p
-    d_down = p
-    frac = count / n_spins
-    d = frac * d_up + (1.0 - frac) * d_down
-    if n_spins > 1:
-        # pick two distinct spins: hypergeometric origin weights
-        denom = n_spins * (n_spins - 1.0)
-        c_uu = count * (count - 1.0) / denom
-        c_ud = count * (n_spins - count) / denom
-        c_dd = (n_spins - count) * (n_spins - count - 1.0) / denom
+def _row_sum(column: np.ndarray) -> np.ndarray:
+    """Sums of a (..., rows) column over its rows, left to right."""
+    return np.add.accumulate(column, axis=-1, out=column)[..., -1].copy()
+
+
+def _symbol_products(w, u, p, cr, ci) -> np.ndarray:
+    """(..., drives, 16): sum over rows of (w x) y for x, y in (u, c, c*, p), at 4 x + y.
+
+    u, p, cr and ci are (drives, rows); w is (..., drives, rows), one
+    weight per leading index, or None for unit weights, which einsum's
+    w * x leaves exact; then x y = y x, and six of the 16 columns repeat
+    others or vanish.
+    """
+    if w is None:
+        wu, wp, wr, wi = u, p, cr, ci
     else:
-        c_uu, c_ud, c_dd = frac, np.zeros_like(frac), 1.0 - frac
-    x = c_uu * d_up * d_up + 2.0 * c_ud * d_up * d_down + c_dd * d_down * d_down
-    _accumulate_scalars(acc, gi, d, x)
-    rho_up = np.empty(s.shape + (2, 2), dtype=complex)
-    rho_up[:, 0, 0] = d_up
-    rho_up[:, 1, 1] = d_down
-    rho_up[:, 0, 1] = coh
-    rho_up[:, 1, 0] = coh.conj()
-    rho_down = np.empty_like(rho_up)
-    rho_down[:, 0, 0] = d_down
-    rho_down[:, 1, 1] = d_up
-    rho_down[:, 0, 1] = -coh
-    rho_down[:, 1, 0] = -coh.conj()
-    pair = acc["pair"][gi]
-    _pair_accumulate(pair, c_uu, rho_up, rho_up)
-    _pair_accumulate(pair, c_ud, rho_up, rho_down)
-    _pair_accumulate(pair, c_ud, rho_down, rho_up)
-    _pair_accumulate(pair, c_dd, rho_down, rho_down)
-    return d, x
+        wu, wp, wr, wi = w * u, w * p, w * cr, w * ci
+    uu, up, pp = _row_sum(wu * u), _row_sum(wu * p), _row_sum(wp * p)
+    ucr, uci, pcr, pci = _row_sum(wu * cr), _row_sum(wu * ci), _row_sum(wp * cr), _row_sum(wp * ci)
+    cc_re, cc_im = _row_sum(wr * cr - wi * ci), _row_sum(wr * ci + wi * cr)
+    cn_re = _row_sum(wr * cr + wi * ci)
+    zero = np.zeros_like(uu)
+    if w is None:
+        pu, cru, ciu, crp, cip, cn_im = up, ucr, uci, pcr, pci, zero
+    else:
+        pu, cru, ciu, crp, cip = (_row_sum(a * b) for a, b in
+                                  ((wp, u), (wr, u), (wi, u), (wr, p), (wi, p)))
+        cn_im = _row_sum(wi * cr - wr * ci)
+    out = np.empty(uu.shape + (16,), dtype=complex)
+    out.real = np.stack([uu, ucr, ucr, up, cru, cc_re, cn_re, crp,
+                         cru, cn_re, cc_re, crp, pu, pcr, pcr, pp], axis=-1)
+    out.imag = np.stack([zero, uci, -uci, zero, ciu, cc_im, cn_im, cip,
+                         -ciu, -cn_im, -cc_im, -cip, zero, pci, -pci, zero], axis=-1)
+    return out
+
+
+def _pair_block(products, layout) -> np.ndarray:
+    """(drives, 4, 4) sum of w kron(a, b), from _symbol_products and a _kron_layout."""
+    index, sign = layout
+    return products[..., index] * sign
 
 
 def _accumulate_scalars(acc, gi, d, x):
-    acc["sd"][gi] += d.sum()
-    acc["sd2"][gi] += (d * d).sum()
-    acc["sx"][gi] += x.sum()
-    acc["sx2"][gi] += (x * x).sum()
-    acc["sdx"][gi] += (d * x).sum()
+    acc["sd"][:, gi] += d.sum(axis=1)
+    acc["sd2"][:, gi] += (d * d).sum(axis=1)
+    acc["sx"][:, gi] += x.sum(axis=1)
+    acc["sx2"][:, gi] += (x * x).sum(axis=1)
+    acc["sdx"][:, gi] += (d * x).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +473,32 @@ def _accumulate_scalars(acc, gi, d, x):
 # ---------------------------------------------------------------------------
 
 
-def _new_accumulators(n_grid):
-    return {
-        "sd": np.zeros(n_grid),
-        "sd2": np.zeros(n_grid),
-        "sx": np.zeros(n_grid),
-        "sx2": np.zeros(n_grid),
-        "sdx": np.zeros(n_grid),
-        "pair": np.zeros((n_grid, 4, 4), dtype=complex),
-    }
+def _new_accumulators(*shape):
+    """Zero moment sums of the given (drives, grid points) shape."""
+    acc = {key: np.zeros(shape) for key in ("sd", "sd2", "sx", "sx2", "sdx")}
+    acc["pair"] = np.zeros(shape + (4, 4), dtype=complex)
+    return acc
+
+
+def _expected_resets(dist: WaitingTime, horizon: float) -> float:
+    return horizon / _fourier_weight(dist, 0.0).real
 
 
 def _initial_wait_capacity(dist: WaitingTime, horizon: float) -> int:
-    mean_wait = _fourier_weight(dist, 0.0).real
-    expect = horizon / mean_wait
+    expect = _expected_resets(dist, horizon)
     return int(expect + 6.0 * np.sqrt(expect) + 8.0)
+
+
+def _check_first_wait_block(dist: WaitingTime, horizon: float, rows: int):
+    """ValueError where a chunk of `rows` would draw over MAX_FIRST_WAIT_BLOCK waits at once."""
+    expect = _expected_resets(dist, horizon)
+    # the first test keeps an infinite expectation away from int()
+    if (rows * expect >= MAX_FIRST_WAIT_BLOCK
+            or rows * _initial_wait_capacity(dist, horizon) > MAX_FIRST_WAIT_BLOCK):
+        raise ValueError(
+            f"about {expect:.4g} resets per trajectory by t = {horizon:g}: a chunk of "
+            f"{rows} trajectories would draw over {MAX_FIRST_WAIT_BLOCK} waiting times at "
+            "once; shorten the time or lower the reset rate")
 
 
 def _reset_times(dist: WaitingTime, streams: _RowStreams, t_end: float) -> np.ndarray:
@@ -507,8 +543,12 @@ class _ChunkState:
         self.params = [c.params for c in configs]
         obar = [p.effective_rabi for p in self.params]
         ratio = [(p.omega / o) ** 2 if o else 0.0 for p, o in zip(self.params, obar)]
+        # the up branch's coherence is coh_re * sin^2 + i coh_im * sin*cos
+        coh_re = [p.delta * p.omega / o**2 if o else 0.0 for p, o in zip(self.params, obar)]
+        coh_im = [p.omega / o if o else 0.0 for p, o in zip(self.params, obar)]
         # columns of p = ratio * sin(obar * tau)^2: a drive with obar = 0 keeps p = 0
-        self.obar, self.ratio = (np.array(v)[:, None] for v in (obar, ratio))
+        self.obar, self.ratio, self.coh_re, self.coh_im = (
+            np.array(v)[:, None] for v in (obar, ratio, coh_re, coh_im))
         finite = config.n_spins is not None
         self.measured = config.protocol.measures(config.n_spins)
         index = np.arange(start, start + rows)
@@ -582,29 +622,54 @@ class _ChunkState:
             count[flip] = n - stay_up - flip_up[flip]
             self.count[..., idx] = count
 
-    def record(self, tg: float, accs: list, gi: int):
-        """(drives, rows) d and x; each drive's sums go to its own accumulators."""
+    def record(self, tg: float, acc: dict, gi: int):
+        """Every drive's (drives, rows) d and x at grid point gi, summed into acc."""
         s = tg - self.t_last
-        if self.config.n_spins is None:
-            dx = [_record_thermo(params, s, n0, acc, gi)
-                  for params, n0, acc in zip(self.params, self.n0, accs)]
+        p, s2, sc = _phase_terms(self.obar, self.ratio, s)
+        cr, ci = self.coh_re * s2, self.coh_im * sc  # the up branch's coherence
+        n = self.config.n_spins
+        if n is None:
+            n0 = self.n0
+            d = n0 + (1.0 - 2.0 * n0) * p
+            x = d * d
+            polar = 2.0 * n0 - 1.0  # the origin's polarization scales the coherence
+            products = _symbol_products(None, d, 1.0 - d, polar * cr, polar * ci)
+            blocks = [_pair_block(products, _UP_UP)]
         else:
-            dx = [_record_finite(params, s, count, self.config.n_spins, acc, gi)
-                  for params, count, acc in zip(self.params, self.count.astype(float), accs)]
-        return np.array(dx).transpose(1, 0, 2)
+            count = self.count.astype(float)
+            d_up, d_down = 1.0 - p, p
+            frac = count / n
+            d = frac * d_up + (1.0 - frac) * d_down
+            if n > 1:
+                # pick two distinct spins: hypergeometric origin weights
+                denom = n * (n - 1.0)
+                c_uu = count * (count - 1.0) / denom
+                c_ud = count * (n - count) / denom
+                c_dd = (n - count) * (n - count - 1.0) / denom
+            else:
+                c_uu, c_ud, c_dd = frac, np.zeros_like(frac), 1.0 - frac
+            x = c_uu * d_up * d_up + 2.0 * c_ud * d_up * d_down + c_dd * d_down * d_down
+            uu, ud, dd = _symbol_products(np.stack([c_uu, c_ud, c_dd]), d_up, d_down, cr, ci)
+            blocks = [_pair_block(products, layout)
+                      for products, layout in zip((uu, ud, ud, dd), _FINITE_BLOCKS)]
+        _accumulate_scalars(acc, gi, d, x)
+        pair = acc["pair"][:, gi]
+        for block in blocks:  # uu, ud, du, dd: the order of einsum's four calls
+            pair += block
+        return d, x
 
 
-def _chunk_sums(configs: list, start: int, rows: int) -> list:
-    """Each drive's moment sums over one chunk, in configs order."""
+def _chunk_sums(configs: list, start: int, rows: int) -> dict:
+    """Every drive's moment sums over one chunk, drives in configs order."""
     state = _ChunkState(configs, start, rows)
     grid = configs[0].sample_grid
-    accs = [_new_accumulators(len(grid)) for _ in configs]
+    acc = _new_accumulators(len(configs), len(grid))
     widx = set(configs[0].window_indices().tolist())
     row_d = np.zeros((len(configs), rows)) if widx else None
     row_x = np.zeros((len(configs), rows)) if widx else None
     for gi, tg in enumerate(grid):
         state.advance_to(tg)
-        d, x = state.record(tg, accs, gi)
+        d, x = state.record(tg, acc, gi)
         if gi in widx:
             row_d += d
             row_x += x
@@ -612,10 +677,10 @@ def _chunk_sums(configs: list, start: int, rows: int) -> list:
         nw = len(widx)
         row_d /= nw
         row_x /= nw
-        for acc, d, x in zip(accs, row_d, row_x):  # each drive's own 1-D sums
-            acc["window"] = np.array([d.sum(), (d * d).sum(), x.sum(), (x * x).sum(),
-                                      (d * x).sum()])
-    return accs
+        acc["window"] = np.stack([row_d.sum(axis=1), (row_d * row_d).sum(axis=1),
+                                  row_x.sum(axis=1), (row_x * row_x).sum(axis=1),
+                                  (row_d * row_x).sum(axis=1)], axis=1)
+    return acc
 
 
 def ordered_map(fn, items, workers: int) -> list:
@@ -650,10 +715,12 @@ def run_ensembles(configs) -> list:
     if any(replace(c, params=first.params) != first for c in configs[1:]):
         raise ValueError("run_ensembles needs configs that differ only in params")
     n = first.n_trajectories
+    _check_first_wait_block(first.dist, first.sample_grid[-1], min(CHUNK, n))
     bounds = [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]
     chunks = ordered_map(lambda b: _chunk_sums(configs, *b), bounds, first.workers)
     chunk_counts = np.array([r for _, r in bounds], dtype=np.int64)
-    return [_ensemble_stats(config, [accs[k] for accs in chunks], chunk_counts, t0)
+    return [_ensemble_stats(config, [{key: v[k] for key, v in acc.items()} for acc in chunks],
+                            chunk_counts, t0)
             for k, config in enumerate(configs)]
 
 

@@ -2,10 +2,13 @@
 
 The test oracle of the vectorized engine in spinreset.trajectory_sim.
 It walks a single trajectory through its reset events in plain Python,
-using the same closed-form records as the engine, so fed with the
-per-trajectory streams of run_ensemble (numpy_streams builds them with
-numpy's own SeedSequence and Philox, not with the engine's keys) it
-reproduces the ensemble averages to rounding.
+so fed with the per-trajectory streams of run_ensemble (numpy_streams
+builds them with numpy's own SeedSequence and Philox, not with the
+engine's keys) it reproduces the ensemble averages to rounding.
+
+record_thermo and record_finite are the grid record of one drive, with
+the pair state summed by np.einsum: the oracle of the engine's batched
+record, which repeats einsum's roundings bit for bit.
 """
 
 from __future__ import annotations
@@ -16,21 +19,29 @@ from typing import Optional
 import numpy as np
 
 from spinreset.renewal import WaitingTime, waiting_time_from_uniform
-from spinreset.trajectory_sim import (
-    ProtocolKind,
-    SimConfig,
-    _new_accumulators,
-    _phase_terms,
-    _record_finite,
-    _record_thermo,
-    binomial_quantile,
-)
+from spinreset.spin_dynamics import DriveParams, flip_probability
+from spinreset.trajectory_sim import ProtocolKind, SimConfig, binomial_quantile
 
 
 def numpy_streams(seed: int, index: int):
     """(wait, measurement) generators of trajectory index, as numpy builds them."""
     return tuple(np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(index, kind)))) for kind in (0, 1))
+
+
+def free_excitation_density(params: DriveParams, t, n0):
+    """Mean excitation density at time t for reset-free evolution.
+
+    n0 is the excitation density of the (product) initial condition:
+    a fraction n0 of the spins starts in |up>, the rest in |down>.
+    The up and down branches are mirror images, d_up = 1 - d_down.
+    """
+    n0 = np.asarray(n0, dtype=float)
+    if np.any(n0 < 0.0) or np.any(n0 > 1.0):
+        raise ValueError("n0 must lie in [0, 1]")
+    p = flip_probability(params, t)
+    out = n0 * (1.0 - p) + (1.0 - n0) * p
+    return out if np.ndim(out) else float(out)
 
 
 def sample_waiting_time(dist: WaitingTime, rng: np.random.Generator, size=None):
@@ -102,11 +113,11 @@ def run_trajectory(config: SimConfig, rng: np.random.Generator,
                             count=n_spins if n_spins is not None else None)
     next_reset = sample_waiting_time(dist, rng)
     grid = np.asarray(config.sample_grid)
-    acc = _new_accumulators(len(grid))
+    acc = new_accumulators(len(grid))
     for gi, tg in enumerate(grid):
         while next_reset <= tg:
             tau = next_reset - state.t_last_reset
-            p = float(np.clip(_phase_terms(params, np.asarray(tau))[0], 0.0, 1.0))
+            p = float(np.clip(phase_terms(params, np.asarray(tau))[0], 0.0, 1.0))
             if proto is ProtocolKind.UNCONDITIONAL_RESET:
                 state.n0 = 1.0
             else:
@@ -123,10 +134,102 @@ def run_trajectory(config: SimConfig, rng: np.random.Generator,
             next_reset += sample_waiting_time(dist, rng)
         s = np.asarray([tg - state.t_last_reset])
         if n_spins is None:
-            _record_thermo(params, s, np.asarray([state.n0]), acc, gi)
+            record_thermo(params, s, np.asarray([state.n0]), acc, gi)
         else:
-            _record_finite(params, s, np.asarray([float(state.count)]), n_spins, acc, gi)
+            record_finite(params, s, np.asarray([float(state.count)]), n_spins, acc, gi)
     return acc["sd"].copy(), acc["sx"].copy(), acc["pair"].copy()
+
+
+def new_accumulators(n_grid):
+    """One drive's moment sums on a grid of n_grid points, all zero."""
+    acc = {key: np.zeros(n_grid) for key in ("sd", "sd2", "sx", "sx2", "sdx")}
+    acc["pair"] = np.zeros((n_grid, 4, 4), dtype=complex)
+    return acc
+
+
+def phase_terms(params: DriveParams, s: np.ndarray):
+    """flip probability p(s), sin^2 and sin*cos of the Rabi phase."""
+    obar = params.effective_rabi
+    if obar == 0.0:
+        z = np.zeros_like(s)
+        return z, z, z
+    sin = np.sin(obar * s)
+    cos = np.cos(obar * s)
+    s2 = sin * sin
+    return (params.omega / obar) ** 2 * s2, s2, sin * cos
+
+
+def coherence(params: DriveParams, s2: np.ndarray, sc: np.ndarray) -> np.ndarray:
+    """Off-diagonal entry of the up-branch qubit state."""
+    obar = params.effective_rabi
+    if obar == 0.0:
+        return np.zeros_like(s2, dtype=complex)
+    return (params.delta * params.omega / obar**2) * s2 + 1j * (params.omega / obar) * sc
+
+
+def pair_accumulate(out, weights, left, right):
+    # sum_n w_n * kron(left_n, right_n), laid out as a 4x4 block
+    out += np.einsum("n,nij,nkl->ikjl", weights, left, right, optimize=False).reshape(4, 4)
+
+
+def accumulate_scalars(acc, gi, d, x):
+    acc["sd"][gi] += d.sum()
+    acc["sd2"][gi] += (d * d).sum()
+    acc["sx"][gi] += x.sum()
+    acc["sx2"][gi] += (x * x).sum()
+    acc["sdx"][gi] += (d * x).sum()
+
+
+def record_thermo(params, s, n0, acc, gi):
+    """Record rows at ages s with origin densities n0 into acc at grid point gi."""
+    p, s2, sc = phase_terms(params, s)
+    d = n0 + (1.0 - 2.0 * n0) * p
+    coh = (2.0 * n0 - 1.0) * coherence(params, s2, sc)
+    mu = np.empty(s.shape + (2, 2), dtype=complex)
+    mu[:, 0, 0] = d
+    mu[:, 1, 1] = 1.0 - d
+    mu[:, 0, 1] = coh
+    mu[:, 1, 0] = coh.conj()
+    x = d * d
+    accumulate_scalars(acc, gi, d, x)
+    pair_accumulate(acc["pair"][gi], np.ones_like(d), mu, mu)
+    return d, x
+
+
+def record_finite(params, s, count, n_spins, acc, gi):
+    """Record rows at ages s with up-origin counts count (floats) into acc."""
+    p, s2, sc = phase_terms(params, s)
+    coh = coherence(params, s2, sc)
+    d_up = 1.0 - p
+    d_down = p
+    frac = count / n_spins
+    d = frac * d_up + (1.0 - frac) * d_down
+    if n_spins > 1:
+        # pick two distinct spins: hypergeometric origin weights
+        denom = n_spins * (n_spins - 1.0)
+        c_uu = count * (count - 1.0) / denom
+        c_ud = count * (n_spins - count) / denom
+        c_dd = (n_spins - count) * (n_spins - count - 1.0) / denom
+    else:
+        c_uu, c_ud, c_dd = frac, np.zeros_like(frac), 1.0 - frac
+    x = c_uu * d_up * d_up + 2.0 * c_ud * d_up * d_down + c_dd * d_down * d_down
+    accumulate_scalars(acc, gi, d, x)
+    rho_up = np.empty(s.shape + (2, 2), dtype=complex)
+    rho_up[:, 0, 0] = d_up
+    rho_up[:, 1, 1] = d_down
+    rho_up[:, 0, 1] = coh
+    rho_up[:, 1, 0] = coh.conj()
+    rho_down = np.empty_like(rho_up)
+    rho_down[:, 0, 0] = d_down
+    rho_down[:, 1, 1] = d_up
+    rho_down[:, 0, 1] = -coh
+    rho_down[:, 1, 0] = -coh.conj()
+    pair = acc["pair"][gi]
+    pair_accumulate(pair, c_uu, rho_up, rho_up)
+    pair_accumulate(pair, c_ud, rho_up, rho_down)
+    pair_accumulate(pair, c_ud, rho_down, rho_up)
+    pair_accumulate(pair, c_dd, rho_down, rho_down)
+    return d, x
 
 
 def _check_state_invariant(proto, state):

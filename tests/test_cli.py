@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from spinreset import analysis, cli
+from spinreset import analysis, cli, trajectory_sim
 from spinreset.cli import (
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
@@ -159,6 +159,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad_json.write_text("{\"kind\": \"sweep\"")
     assert run_cli(["fit", "--input", str(bad_json), "--observable", "density"],
                    capsys)[0] == 5
+
+
+def test_ensemble_too_long_for_one_wait_block_exits_3(capsys, monkeypatch):
+    # about 1e9 resets per trajectory: refused before any chunk draws a wait
+    monkeypatch.setattr(trajectory_sim, "_chunk_sums", lambda *args: pytest.fail("a chunk ran"))
+    code, _, err = run_cli(["ensemble", "--protocol", "1", "--omega", "1.1", "--dist", "chopped",
+                            "--tmax", "2e-8", "--trajectories", "400", "--time", "10"], capsys)
+    assert code == 3 and "about 1e+09 resets per trajectory" in err
 
 
 @pytest.mark.parametrize("argv, code, name", [

@@ -6,7 +6,6 @@ from spinreset.spin_dynamics import (
     evolve_qubit,
     flip_probability,
     flip_probability_poly,
-    free_excitation_density,
     free_pair_poly,
     free_qubit_poly,
     free_two_spin_state,
@@ -14,6 +13,8 @@ from spinreset.spin_dynamics import (
     require_qubit_state,
     require_states,
 )
+
+from reference_sim import free_excitation_density
 
 RNG = np.random.default_rng(42)
 

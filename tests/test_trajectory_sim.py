@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import bdtr
 
 from spinreset import trajectory_sim
 from spinreset.analysis import McTemplate, sweep_stationary
 from spinreset.renewal import WaitingTime
-from spinreset.spin_dynamics import DriveParams, flip_probability, free_excitation_density
+from spinreset.spin_dynamics import DriveParams, flip_probability
 from spinreset.trajectory_sim import (
     CHUNK,
     EnsembleStats,
@@ -23,7 +25,16 @@ from spinreset.trajectory_sim import (
     run_ensembles,
 )
 
-from reference_sim import apply_reset_rule, measurement_outcome, numpy_streams, run_trajectory
+from reference_sim import (
+    apply_reset_rule,
+    free_excitation_density,
+    measurement_outcome,
+    new_accumulators,
+    numpy_streams,
+    record_finite,
+    record_thermo,
+    run_trajectory,
+)
 
 POISSON = WaitingTime.poisson(0.5)
 PARAMS = DriveParams(omega=1.3, delta=1.0)
@@ -522,3 +533,116 @@ def test_sim_config_rejects_seed_that_is_not_a_64_bit_unsigned_integer(seed):
 
 def test_sim_config_stores_the_seed_as_int():
     assert type(small_config(ProtocolKind.UNCONDITIONAL_RESET, seed=np.uint64(7)).seed) is int
+
+
+# The batched record against the einsum oracle of reference_sim, drive by
+# drive, as float bits.  The drives include obar = 0 (omega = delta = 0),
+# omega = 0 and delta = 0 in one batch.
+ORACLE_DRIVES = [DriveParams(omega=1.3, delta=1.0), DriveParams(omega=0.0, delta=0.0),
+                 DriveParams(omega=0.0, delta=1.0), DriveParams(omega=0.7, delta=0.0)]
+
+
+def assert_record_matches_oracle(state, times):
+    """Each drive's sums from state.record at every time, into one grid point,
+    equal record_thermo / record_finite's bit for bit."""
+    n_spins = state.config.n_spins
+    acc = trajectory_sim._new_accumulators(len(state.params), 2)
+    refs = [new_accumulators(2) for _ in state.params]
+    for tg in times:
+        d, x = state.record(tg, acc, 1)
+        s = tg - state.t_last
+        for k, (params, ref) in enumerate(zip(state.params, refs)):
+            if n_spins is None:
+                rd, rx = record_thermo(params, s, state.n0[k], ref, 1)
+            else:
+                rd, rx = record_finite(params, s, state.count[k].astype(float), n_spins, ref, 1)
+            assert d[k].tobytes() == rd.tobytes() and x[k].tobytes() == rx.tobytes()
+    for k, ref in enumerate(refs):
+        for key, value in ref.items():
+            assert acc[key][k].tobytes() == value.tobytes(), (key, state.params[k])
+
+
+def oracle_state(n_spins, rows, drives=ORACLE_DRIVES, protocol=ProtocolKind.CONDITIONAL_FLIP):
+    """A chunk state of `rows` trajectories with its schedule drawn to t = 8."""
+    # record reads only n_spins from the config, and SimConfig admits odd N only
+    odd = None if n_spins is None else n_spins | 1
+    configs = [SimConfig(protocol=protocol, params=params, dist=POISSON, observation_time=8.0,
+                         sample_grid=(0.0, 8.0), n_trajectories=rows, seed=5, n_spins=odd)
+               for params in drives]
+    state = _ChunkState(configs, 0, rows)
+    if odd != n_spins:
+        state.config = types.SimpleNamespace(n_spins=n_spins)
+        state.count = np.full((len(drives), rows), n_spins, dtype=np.int64)
+    return state
+
+
+@pytest.mark.parametrize("rows", [1, 5, 1024])
+@pytest.mark.parametrize("n_spins", [None, 11, 201])
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_batched_record_matches_einsum_oracle_on_drawn_schedules(protocol, n_spins, rows):
+    state = oracle_state(n_spins, rows, protocol=protocol)
+    for tg in (0.0, 3.0, 8.0):
+        state.advance_to(tg)
+        assert_record_matches_oracle(state, [tg, tg])
+
+
+@pytest.mark.parametrize("rows", [1, 5, 1024])
+@pytest.mark.parametrize("n_spins", [None, 1, 2, 11, 201])
+def test_batched_record_matches_einsum_oracle_at_the_edges(n_spins, rows):
+    # ages s = 0, origins n0 in {0, 1/2, 1} and counts 0 and N, cycled over the rows
+    rng = np.random.default_rng(rows)
+    state = oracle_state(n_spins, rows)
+    ages = rng.exponential(2.0, rows)
+    ages[::3] = 0.0
+    state.t_last = 8.0 - ages
+    cycle = np.arange(len(ORACLE_DRIVES))[:, None] + np.arange(rows)
+    if n_spins is None:
+        state.n0 = np.array([0.0, 0.5, 1.0, 0.75])[cycle % 4]
+    else:
+        state.count = np.array([0, n_spins, n_spins // 2, 1 % n_spins])[cycle % 4]
+    assert_record_matches_oracle(state, [8.0, 8.0])
+
+
+log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drives=st.lists(st.builds(DriveParams, omega=log_uniform, delta=log_uniform),
+                       min_size=1, max_size=4),
+       n_spins=st.one_of(st.none(), st.integers(1, 300)),
+       data=st.data())
+def test_batched_record_matches_einsum_oracle_property(drives, n_spins, data):
+    rows = data.draw(st.integers(1, 40))
+    state = oracle_state(n_spins, rows, drives=drives)
+    ages = data.draw(st.lists(st.floats(0.0, 8.0), min_size=rows, max_size=rows))
+    state.t_last = 8.0 - np.array(ages)
+    shape = (len(drives), rows)
+    if n_spins is None:
+        origins = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        state.n0 = np.array(data.draw(st.lists(origins, min_size=shape[0] * rows,
+                                               max_size=shape[0] * rows))).reshape(shape)
+    else:
+        counts = st.integers(0, n_spins)
+        state.count = np.array(data.draw(st.lists(counts, min_size=shape[0] * rows,
+                                                  max_size=shape[0] * rows))).reshape(shape)
+    assert_record_matches_oracle(state, [8.0])
+
+
+def test_first_wait_block_is_capped_before_any_chunk_runs(monkeypatch):
+    # chopped waits of t_max = 2e-8 make about 1e9 resets by t = 10: 400 rows
+    # of them would be a 2.9 TiB first block
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(trajectory_sim, "_chunk_sums", no_chunks)
+    config = SimConfig(protocol=ProtocolKind.UNCONDITIONAL_RESET, params=PARAMS,
+                       dist=WaitingTime.chopped(0.5, 2e-8), observation_time=10.0,
+                       sample_grid=(0.0, 10.0), n_trajectories=400, seed=0)
+    with pytest.raises(ValueError, match=r"about 1e\+09 resets per trajectory by t = 10"):
+        run_ensemble(config)
+    # the cap is on rows x first block: a first block of 24 waits at t = 8
+    assert trajectory_sim._initial_wait_capacity(POISSON, 8.0) == 24
+    rows = trajectory_sim.MAX_FIRST_WAIT_BLOCK // 24
+    trajectory_sim._check_first_wait_block(POISSON, 8.0, rows)
+    with pytest.raises(ValueError, match="about 4 resets per trajectory by t = 8"):
+        trajectory_sim._check_first_wait_block(POISSON, 8.0, rows + 1)
