@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,10 @@ class WaitingTime:
         if self.kind is WaitingKind.CHOPPED_EXPONENTIAL:
             if self.t_max is None or not (0.0 < self.t_max < math.inf):
                 raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
+            for name, value in (("t_max", self.t_max), ("gamma * t_max", self.gamma * self.t_max)):
+                if value < sys.float_info.min:  # U(w) ~ t_max / 2 is built from both
+                    raise ValueError(f"{name} = {value:g} is below the smallest normal float: "
+                                     "the chopped law's survival weights would underflow")
         elif self.t_max is not None:
             raise ValueError("t_max only applies to the chopped-exponential law")
 
@@ -140,19 +145,19 @@ def _fourier_weight_short(g: float, t_max: float, w: float):
     """U(w) of the chopped law at small gamma * t_max, as complex128 (the
     type _average_batch's chopped division form stands in for).
 
-    With a = g t_max and c = exp(-a), U(w) = N(w) / (i w (g - i w) (1 - c))
-    where N(w) = i w (1 - c) - c g (exp(i w t_max) - 1); the terms that
-    cancel in N are written through phi2, and U(0) likewise.
+    With a = g t_max, c = exp(-a) and x = i w t_max, U(w) = a (B / (1 - c))
+    / (g - i w), where B = (1 - c) - a phi2(-a) - c x phi2(x) writes the
+    cancelling terms through phi2.  B / (1 - c) is of order 1, so no step
+    underflows at tiny t_max; U(0) = t_max (B / (1 - c)) at w = 0.
     """
     a = g * t_max
     one_minus_c = _chopped_mass(g, t_max)
+    head = one_minus_c - a * _phi2(-a)
     if w == 0.0:
-        return np.complex128(t_max * (one_minus_c - a * _phi2(-a)) / one_minus_c)
+        return np.complex128(t_max * (head / one_minus_c))
     x = np.complex128(1j * w * t_max)
-    phi2_x = _phi2(x)
-    num = (-1j * w * (a * a * _phi2(-a)) + g * (w * t_max) ** 2 * phi2_x
-           + g * one_minus_c * (x + x * x * phi2_x))
-    return num / (1j * w * (g - 1j * w)) / one_minus_c
+    bracket = head - math.exp(-a) * (x * _phi2(x))
+    return a * (bracket / one_minus_c) / (g - 1j * w)
 
 
 def _fourier_weight(dist: WaitingTime, w: float) -> complex:

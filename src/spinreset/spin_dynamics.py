@@ -101,24 +101,6 @@ def require_qubit_state(rho) -> np.ndarray:
     return require_states(as_stack(rho, 2), 2)[0]
 
 
-def flip_probability(params: DriveParams, t):
-    """Probability that a spin prepared in |up> is measured down after time t.
-
-    Equals (omega^2/obar^2) sin^2(obar t) and by symmetry also serves as
-    the down-to-up probability.  Accepts scalar or array t.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be >= 0")
-    obar = params.effective_rabi
-    if obar == 0.0:
-        out = np.zeros_like(t)
-        return out if out.shape else float(out)
-    a = (params.omega / obar) ** 2
-    out = a * np.sin(obar * t) ** 2
-    return out if out.shape else float(out)
-
-
 def propagator(params: DriveParams, t: float) -> np.ndarray:
     """Single-spin unitary exp(-i H t) in axis-angle form."""
     obar = params.effective_rabi
@@ -238,7 +220,7 @@ def free_state_batch(omega, delta, obar, init: str):
 
 
 def flip_probability_poly(params: DriveParams) -> TrigPoly:
-    """flip_probability as a TrigPoly (frequencies 0, +-2 obar)."""
+    """The flip probability (omega/obar)^2 sin^2(obar t) as a TrigPoly (frequencies 0, +-2 obar)."""
     obar = params.effective_rabi
     if obar == 0.0:
         return TrigPoly()

@@ -35,6 +35,10 @@ reduced independently (on the worker threads) and combined in index
 order, so results are bitwise identical for any worker count.  Changing
 CHUNK would change the rounding pattern of the reduction (not the
 statistics), so it is a fixed constant, not a knob.
+A chunk applies its resets in reset-index order (step k: every row's
+k-th reset with t <= the last grid time, for every drive), and the record
+reads each grid point's origins and last reset times by index.  A reset
+is the same elementwise computation in any batch, so no bit moves.
 A chunk records every drive's rows at a grid time in one pass.  The
 density and two-point sums are numpy's sums over each drive's rows.
 Each pair-state entry sums the terms (w a_ij) b_kl of w kron(a, b) over
@@ -532,11 +536,26 @@ def _reset_times(dist: WaitingTime, streams: _RowStreams, t_end: float) -> np.nd
     return resets
 
 
+def _resets_seen(grid: np.ndarray, resets: np.ndarray) -> np.ndarray:
+    """(rows, grid points) counts of each row's resets with t <= each grid time,
+    from the first grid point to see each reset, SLAB_ROWS rows at a time."""
+    rows, points = len(resets), len(grid)
+    seen = np.empty((rows, points), dtype=np.int32)  # a count never exceeds a row's resets in memory
+    for lo in range(0, rows, SLAB_ROWS):
+        slab = resets[lo:lo + SLAB_ROWS]
+        n = len(slab)
+        first = np.searchsorted(grid, slab, side="left") + (points + 1) * np.arange(n)[:, None]
+        per_point = np.bincount(first.ravel(), minlength=n * (points + 1)).reshape(n, -1)
+        np.cumsum(per_point[:, :points], axis=1, out=seen[lo:lo + n])
+    return seen
+
+
 class _ChunkState:
-    """One chunk's schedule, drawn before the grid walk (each trajectory's
-    reset times and, where the protocol measures, two measurement uniforms
-    per reset on the grid), and the origin state n0 or count of every drive
-    that replays it: one row per drive, shape (drives, rows)."""
+    """One chunk's schedule, drawn up front (each trajectory's reset times
+    and, where the protocol measures, two measurement uniforms per reset on
+    the grid), and the origin state n0 or count of every drive that replays
+    it: one row per drive, shape (drives, rows).  advance_to turns them into
+    each grid point's origins and last reset times, which record reads."""
 
     def __init__(self, configs: list, start: int, rows: int):
         config = self.config = configs[0]  # every field but params is shared
@@ -549,94 +568,115 @@ class _ChunkState:
         # columns of p = ratio * sin(obar * tau)^2: a drive with obar = 0 keeps p = 0
         self.obar, self.ratio, self.coh_re, self.coh_im = (
             np.array(v)[:, None] for v in (obar, ratio, coh_re, coh_im))
-        finite = config.n_spins is not None
         self.measured = config.protocol.measures(config.n_spins)
         index = np.arange(start, start + rows)
         waits = _RowStreams(_trajectory_streams(config.seed, index, _WAIT_STREAM))
-        t_end = config.sample_grid[-1]
-        self.resets = _reset_times(config.dist, waits, t_end)
-        self.cursor = np.zeros(rows, dtype=np.int64)
-        self.t_last = np.zeros(rows)
+        self.resets = _reset_times(config.dist, waits, config.sample_grid[-1])
+        self.seen = _resets_seen(np.asarray(config.sample_grid), self.resets)
 
         if self.measured:
             meas = _RowStreams(_trajectory_streams(config.seed, index, _MEASURE_STREAM))
-            applied = np.count_nonzero(self.resets <= t_end, axis=1)
+            applied = self.seen[:, -1]
             self.meas_u = np.empty((rows, 2 * int(applied.max())))
             for i, (row, k) in enumerate(zip(self.meas_u, applied)):
                 meas.fill(i, row[:2 * k])
 
         shape = (len(configs), rows)
-        if finite:
-            self.count = np.full(shape, config.n_spins, dtype=np.int64)
+        self.origin = (np.ones(shape) if config.n_spins is None
+                       else np.full(shape, config.n_spins, dtype=np.int64))
+
+    def advance_to(self):
+        """Apply every row's resets with t <= the last grid time, in reset order.
+
+        Step k applies each row's k-th reset: to all rows while every row
+        has one, then to the rows that do.  Before it, the origins go to
+        the grid points that see exactly k resets.  grid_origin (grid
+        points, drives, rows) and t_last (grid points, rows) then hold
+        what record reads, and the schedule is released.
+        """
+        seen = self.seen
+        shape = (seen.shape[1],) + self.origin.shape
+        if self.config.protocol is ProtocolKind.UNCONDITIONAL_RESET:  # its origin never changes
+            self.grid_origin = np.broadcast_to(self.origin, shape)
         else:
-            self.n0 = np.ones(shape)
+            self.grid_origin = np.empty(shape, dtype=self.origin.dtype)
+            applied = seen[:, -1]
+            every, last = int(applied.min()), int(applied.max())
+            # flat (row, grid point) pairs, grouped by the resets they see
+            pairs = np.argsort(seen, axis=None)
+            bounds = np.cumsum(np.bincount(seen.ravel(), minlength=last + 1))
+            live, start = np.arange(applied.size), 0
+            for k, end in enumerate(bounds):
+                if start < end:
+                    row, gi = np.divmod(pairs[start:end], shape[0])
+                    self.grid_origin[gi, :, row] = self.origin[:, row].T
+                start = end
+                if k < every:
+                    self._reset(k, slice(None))
+                elif k < last:
+                    live = live[applied[live] > k]
+                    self._reset(k, live)
+            del pairs
+        self.meas_u = None
+        latest = np.take_along_axis(self.resets, np.maximum(seen - 1, 0), axis=1)
+        self.t_last = np.where(seen > 0, latest, 0.0).T
+        self.resets = self.seen = None
 
-    def advance_to(self, tg: float):
-        """Apply every reset event with time <= tg, chunk-wide, for every drive."""
-        proto = self.config.protocol
-        idx = np.arange(self.cursor.size)
-        while True:
-            # only rows that just reset can have another reset due
-            t_reset = self.resets[idx, self.cursor[idx]]
-            due = t_reset <= tg
-            if not due.any():
-                return
-            idx, t_reset = idx[due], t_reset[due]
-            if proto is not ProtocolKind.UNCONDITIONAL_RESET:  # its origin never changes
-                sin = np.sin(self.obar * (t_reset - self.t_last[idx]))
-                p = np.minimum(self.ratio * (sin * sin), 1.0)  # (drives, due rows), >= 0
-                if self.measured:
-                    self._finite_measurement(idx, p)
-                else:
-                    n0 = self.n0[:, idx]
-                    d = n0 + (1.0 - 2.0 * n0) * p
-                    flipped = 0.0 if proto is ProtocolKind.CONDITIONAL_TWO_STATE else 1.0 - d
-                    self.n0[:, idx] = np.where(d > 0.5, 1.0, flipped)
-            self.t_last[idx] = t_reset
-            self.cursor[idx] += 1
+    def _reset(self, k: int, rows):
+        """Apply reset k of the given rows (a slice or an index array) to every drive."""
+        t_reset = self.resets[rows, k]
+        tau = t_reset - self.resets[rows, k - 1] if k else t_reset
+        sin = np.sin(self.obar * tau)
+        p = np.minimum(self.ratio * (sin * sin), 1.0)  # (drives, rows), >= 0
+        if self.measured:
+            u = self.meas_u[rows, 2 * k:2 * k + 2]
+            self._finite_measurement(rows, p, u[:, 0], u[:, 1])
+        else:
+            n0 = self.origin[:, rows]
+            d = n0 + (1.0 - 2.0 * n0) * p
+            two_state = self.config.protocol is ProtocolKind.CONDITIONAL_TWO_STATE
+            self.origin[:, rows] = np.where(d > 0.5, 1.0, 0.0 if two_state else 1.0 - d)
 
-    def _finite_measurement(self, idx, p):
-        """New up-counts count[..., idx]; a row's uniforms serve every drive."""
+    def _finite_measurement(self, rows, p, u_up, u_down):
+        """New up-counts origin[..., rows]; a row's uniforms (rows,) serve every drive."""
         n = self.config.n_spins
         proto = self.config.protocol
         half = (n - 1) // 2
-        count = self.count[..., idx]
-        base = 2 * self.cursor[idx] + 0 * count  # per drive and row: all read the row's
-        u_up = self.meas_u[idx, base]
-        u_down = self.meas_u[idx, base + 1]
+        count = self.origin[..., rows]
         if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
             # origins are all-up or all-down, so only one of the two
             # binomials is nonempty and the majority test needs just its cdf
             up = count == n
             u = np.where(up, u_up, u_down)
             q = np.where(up, 1.0 - p, p)
-            self.count[..., idx] = np.where(_quantile_at_most(u, n, q, half), 0, n)
+            self.origin[..., rows] = np.where(_quantile_at_most(u, n, q, half), 0, n)
         else:
             # the measured count is stay_up + flip_up; it is needed only
             # where it is <= half, which one cdf value of stay_up decides
             q = 1.0 - p
             flip_up = binomial_quantile(u_down, n - count, p)
             flip = _quantile_at_most(u_up, count, q, half - flip_up)
-            stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
-            count[...] = n
-            count[flip] = n - stay_up - flip_up[flip]
-            self.count[..., idx] = count
+            # a flip's row is its last index
+            stay_up = binomial_quantile(u_up[np.nonzero(flip)[-1]], count[flip], q[flip])
+            new = np.full(count.shape, n, dtype=count.dtype)
+            new[flip] = n - stay_up - flip_up[flip]
+            self.origin[..., rows] = new
 
     def record(self, tg: float, acc: dict, gi: int):
         """Every drive's (drives, rows) d and x at grid point gi, summed into acc."""
-        s = tg - self.t_last
+        s = tg - self.t_last[gi]
         p, s2, sc = _phase_terms(self.obar, self.ratio, s)
         cr, ci = self.coh_re * s2, self.coh_im * sc  # the up branch's coherence
         n = self.config.n_spins
         if n is None:
-            n0 = self.n0
+            n0 = self.grid_origin[gi]
             d = n0 + (1.0 - 2.0 * n0) * p
             x = d * d
             polar = 2.0 * n0 - 1.0  # the origin's polarization scales the coherence
             products = _symbol_products(None, d, 1.0 - d, polar * cr, polar * ci)
             blocks = [_pair_block(products, _UP_UP)]
         else:
-            count = self.count.astype(float)
+            count = self.grid_origin[gi].astype(float)
             d_up, d_down = 1.0 - p, p
             frac = count / n
             d = frac * d_up + (1.0 - frac) * d_down
@@ -667,8 +707,8 @@ def _chunk_sums(configs: list, start: int, rows: int) -> dict:
     widx = set(configs[0].window_indices().tolist())
     row_d = np.zeros((len(configs), rows)) if widx else None
     row_x = np.zeros((len(configs), rows)) if widx else None
+    state.advance_to()
     for gi, tg in enumerate(grid):
-        state.advance_to(tg)
         d, x = state.record(tg, acc, gi)
         if gi in widx:
             row_d += d

@@ -8,7 +8,10 @@ engine's keys) it reproduces the ensemble averages to rounding.
 
 record_thermo and record_finite are the grid record of one drive, with
 the pair state summed by np.einsum: the oracle of the engine's batched
-record, which repeats einsum's roundings bit for bit.
+record, which repeats einsum's roundings bit for bit.  GridWalk is the
+oracle of the engine's reset scan: it walks a chunk's schedule grid
+point by grid point, applying at each the resets due by then, and gives
+the origins and last reset times the scan must leave there.
 """
 
 from __future__ import annotations
@@ -19,14 +22,33 @@ from typing import Optional
 import numpy as np
 
 from spinreset.renewal import WaitingTime, waiting_time_from_uniform
-from spinreset.spin_dynamics import DriveParams, flip_probability
-from spinreset.trajectory_sim import ProtocolKind, SimConfig, binomial_quantile
+from spinreset.spin_dynamics import DriveParams
+from spinreset.trajectory_sim import (ProtocolKind, SimConfig, _quantile_at_most,
+                                      binomial_quantile)
 
 
 def numpy_streams(seed: int, index: int):
     """(wait, measurement) generators of trajectory index, as numpy builds them."""
     return tuple(np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(index, kind)))) for kind in (0, 1))
+
+
+def flip_probability(params: DriveParams, t):
+    """Probability that a spin prepared in |up> is measured down after time t.
+
+    Equals (omega^2/obar^2) sin^2(obar t) and by symmetry also serves as
+    the down-to-up probability.  Accepts scalar or array t.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("time must be >= 0")
+    obar = params.effective_rabi
+    if obar == 0.0:
+        out = np.zeros_like(t)
+        return out if out.shape else float(out)
+    a = (params.omega / obar) ** 2
+    out = a * np.sin(obar * t) ** 2
+    return out if out.shape else float(out)
 
 
 def free_excitation_density(params: DriveParams, t, n0):
@@ -239,3 +261,79 @@ def _check_state_invariant(proto, state):
         assert state.n0 in (0.0, 1.0)
     else:
         assert 0.5 <= state.n0 <= 1.0 or abs(state.n0 - 0.5) < 1e-12
+
+
+class GridWalk:
+    """A chunk's resets applied grid point by grid point.
+
+    Built from a spinreset.trajectory_sim._ChunkState before its scan, it
+    copies the schedule and the starting origins.  advance_to(tg) applies
+    every reset with t <= tg, one pass per reset over the rows that still
+    have one due, each row's next reset and measurement uniforms found by
+    its cursor.
+    """
+
+    def __init__(self, chunk):
+        self.config, self.measured = chunk.config, chunk.measured
+        self.obar, self.ratio = chunk.obar, chunk.ratio
+        self.resets = chunk.resets.copy()
+        self.meas_u = chunk.meas_u.copy() if self.measured else None
+        self.origin = chunk.origin.copy()
+        self.cursor = np.zeros(len(self.resets), dtype=np.int64)
+        self.t_last = np.zeros(len(self.resets))
+
+    def states(self, grid):
+        """(grid points, drives, rows) origins and (grid points, rows) last reset times."""
+        origins, t_last = [], []
+        for tg in grid:
+            self.advance_to(tg)
+            origins.append(self.origin.copy())
+            t_last.append(self.t_last.copy())
+        return np.stack(origins), np.stack(t_last)
+
+    def advance_to(self, tg: float):
+        """Apply every reset event with time <= tg, chunk-wide, for every drive."""
+        proto = self.config.protocol
+        idx = np.arange(self.cursor.size)
+        while True:
+            # only rows that just reset can have another reset due
+            t_reset = self.resets[idx, self.cursor[idx]]
+            due = t_reset <= tg
+            if not due.any():
+                return
+            idx, t_reset = idx[due], t_reset[due]
+            if proto is not ProtocolKind.UNCONDITIONAL_RESET:  # its origin never changes
+                sin = np.sin(self.obar * (t_reset - self.t_last[idx]))
+                p = np.minimum(self.ratio * (sin * sin), 1.0)  # (drives, due rows), >= 0
+                if self.measured:
+                    self.finite_measurement(idx, p)
+                else:
+                    n0 = self.origin[:, idx]
+                    d = n0 + (1.0 - 2.0 * n0) * p
+                    flipped = 0.0 if proto is ProtocolKind.CONDITIONAL_TWO_STATE else 1.0 - d
+                    self.origin[:, idx] = np.where(d > 0.5, 1.0, flipped)
+            self.t_last[idx] = t_reset
+            self.cursor[idx] += 1
+
+    def finite_measurement(self, idx, p):
+        """New up-counts origin[..., idx]; a row's uniforms serve every drive."""
+        n = self.config.n_spins
+        proto = self.config.protocol
+        half = (n - 1) // 2
+        count = self.origin[..., idx]
+        base = 2 * self.cursor[idx] + 0 * count  # per drive and row: all read the row's
+        u_up = self.meas_u[idx, base]
+        u_down = self.meas_u[idx, base + 1]
+        if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
+            up = count == n
+            u = np.where(up, u_up, u_down)
+            q = np.where(up, 1.0 - p, p)
+            self.origin[..., idx] = np.where(_quantile_at_most(u, n, q, half), 0, n)
+        else:
+            q = 1.0 - p
+            flip_up = binomial_quantile(u_down, n - count, p)
+            flip = _quantile_at_most(u_up, count, q, half - flip_up)
+            stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
+            count[...] = n
+            count[flip] = n - stay_up - flip_up[flip]
+            self.origin[..., idx] = count

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,29 @@ def test_non_finite_inputs_fail_with_a_reason(argv, code, name, capsys, monkeypa
     assert (got, out, calls) == (code, "", [])
     assert name in err and "finite" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_stationary_at_a_tiny_chopped_cutoff_prints_the_unevolved_state(capsys):
+    # every wait ends by t_max = 1e-300, long before the spin turns: the
+    # state stays |up>, density 1 and no correlation, to rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["stationary", "--protocol", "1", "--omega", "1.1",
+                                  "--dist", "chopped", "--tmax", "1e-300"], capsys)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    row = {key: float(value) for key, value in zip(header[:7], rows[0])}
+    assert row["density"] == pytest.approx(1.0, abs=1e-15)
+    assert abs(row["correlation"]) < 1e-15 and abs(row["lqu"]) < 1e-15
+
+
+@pytest.mark.parametrize("tmax, name", [("5e-324", "t_max"), ("3e-308", "gamma * t_max")])
+def test_subnormal_chopped_cutoff_fails_with_a_reason(tmax, name, capsys):
+    # gamma = 0.5: 5e-324 rounds gamma * t_max to 0, and 3e-308 makes it subnormal
+    code, out, err = run_cli(["stationary", "--protocol", "1", "--omega", "1.1",
+                              "--dist", "chopped", "--tmax", tmax], capsys)
+    assert (code, out) == (3, "")
+    assert f"{name} = " in err and "smallest normal float" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("point", [

@@ -25,14 +25,13 @@ from spinreset.renewal import (
 )
 from spinreset.spin_dynamics import (
     evolve_qubit,
-    flip_probability,
     flip_probability_poly,
     free_qubit_poly,
     free_two_spin_state,
     require_qubit_state,
 )
 
-from reference_sim import sample_waiting_time
+from reference_sim import flip_probability, sample_waiting_time
 
 POISSON = WaitingTime.poisson(0.5)
 CHOPPED = WaitingTime.chopped(0.5, 8.0)
@@ -94,6 +93,35 @@ def test_chopped_law_is_exact_to_rounding_at_small_gamma_t_max(gtm, gamma):
             if frac:
                 worst = max(worst, abs(waiting_time_from_uniform(dist, frac) / ref_t - 1))
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.5, 30.0])
+def test_chopped_survival_weights_hold_their_digits_down_to_tiny_gamma_t_max(gamma):
+    # U(w) is about t_max / 2 at small gamma * t_max; no step of its
+    # fraction may underflow, down to gamma * t_max = 1e-300
+    worst = 0.0
+    for a in (1e-300, 1e-200, 1e-160, 1e-20, 1e-8, 1e-2, 0.49):
+        # the reference cancels about log10(1 / a) digits
+        with mpmath.workdps(40 + 2 * int(-math.log10(a))):
+            g, t_max = mpmath.mpf(gamma), mpmath.mpf(a) / gamma
+            mass = -mpmath.expm1(-g * t_max)
+            for w in (0.0, 0.3, -2.2, 4.4, 1e4):
+                if w:
+                    z = 1j * w - g
+                    ref = (mpmath.expm1(z * t_max) / z
+                           - (1 - mass) * mpmath.expm1(1j * w * t_max) / (1j * w)) / mass
+                else:
+                    ref = (mass - g * t_max * (1 - mass)) / (g * mass)
+                got = renewal._fourier_weight(WaitingTime.chopped(gamma, a / gamma), w)
+                worst = max(worst, abs(mpmath.mpc(complex(got)) / ref - 1))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("gamma, t_max, name", [(0.5, 5e-324, "t_max"), (0.5, 1e-310, "t_max"),
+                                                (1e-3, 1e-306, "gamma \\* t_max")])
+def test_chopped_law_refuses_subnormal_t_max_or_gamma_t_max(gamma, t_max, name):
+    with pytest.raises(ValueError, match=f"{name} = .* below the smallest normal float"):
+        WaitingTime.chopped(gamma, t_max)
 
 
 def test_sampling_statistics():

@@ -4,7 +4,6 @@ import pytest
 from spinreset.spin_dynamics import (
     DriveParams,
     evolve_qubit,
-    flip_probability,
     flip_probability_poly,
     free_pair_poly,
     free_qubit_poly,
@@ -14,7 +13,7 @@ from spinreset.spin_dynamics import (
     require_states,
 )
 
-from reference_sim import free_excitation_density
+from reference_sim import flip_probability, free_excitation_density
 
 RNG = np.random.default_rng(42)
 

@@ -11,7 +11,7 @@ from scipy.special import bdtr
 from spinreset import trajectory_sim
 from spinreset.analysis import McTemplate, sweep_stationary
 from spinreset.renewal import WaitingTime
-from spinreset.spin_dynamics import DriveParams, flip_probability
+from spinreset.spin_dynamics import DriveParams
 from spinreset.trajectory_sim import (
     CHUNK,
     EnsembleStats,
@@ -26,7 +26,9 @@ from spinreset.trajectory_sim import (
 )
 
 from reference_sim import (
+    GridWalk,
     apply_reset_rule,
+    flip_probability,
     free_excitation_density,
     measurement_outcome,
     new_accumulators,
@@ -154,14 +156,13 @@ def _two_quantile_rule(protocol, n, count, u_up, u_down, p):
     return np.where(minority, n - measured, n)
 
 
-def _engine_rule(protocol, n, count, u_up, u_down, p):
-    # one reset per row through the engine's measurement step
+def _engine_rule(protocol, n, count, u_up, u_down, p, rows):
+    # one reset per row through the engine's measurement step, the rows
+    # picked by a slice (while every row has a reset) or an index array
     state = types.SimpleNamespace(
-        config=types.SimpleNamespace(n_spins=n, protocol=protocol),
-        cursor=np.zeros(count.size, dtype=np.int64),
-        meas_u=np.column_stack([u_up, u_down]), count=count.copy())
-    _ChunkState._finite_measurement(state, np.arange(count.size), p)
-    return state.count
+        config=types.SimpleNamespace(n_spins=n, protocol=protocol), origin=count.copy())
+    _ChunkState._finite_measurement(state, rows, p, u_up, u_down)
+    return state.origin
 
 
 @pytest.mark.parametrize("n", [11, 201, 1001])
@@ -186,9 +187,10 @@ def test_finite_measurement_matches_two_quantile_rule(n):
             u_up, u_down, count, p = (a[:rows] for a in (u_up, u_down, count, p))
             if protocol is ProtocolKind.CONDITIONAL_TWO_STATE:
                 count = np.where(count > half, n, 0)  # all-up or all-down origins
-            np.testing.assert_array_equal(
-                _engine_rule(protocol, n, count, u_up, u_down, p),
-                _two_quantile_rule(protocol, n, count, u_up, u_down, p))
+            expect = _two_quantile_rule(protocol, n, count, u_up, u_down, p)
+            for picked in (slice(None), np.arange(count.size)):
+                np.testing.assert_array_equal(
+                    _engine_rule(protocol, n, count, u_up, u_down, p, picked), expect)
 
 
 def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
@@ -199,26 +201,35 @@ def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
     monkeypatch.setattr(trajectory_sim, "binomial_quantile",
                         lambda u, n, p: sizes.append(np.size(u)) or quantile(u, n, p))
     measure = _ChunkState._finite_measurement
-    resets = flips = 0
+    scan = _ChunkState.advance_to
+    scheduled = resets = flips = 0
 
-    def checked(self, idx, p):
+    def counted(self):
+        nonlocal scheduled
+        scheduled += np.count_nonzero(self.resets <= self.config.sample_grid[-1])
+        scan(self)
+
+    def checked(self, rows, p, u_up, u_down):
         nonlocal resets, flips
         # the origin counts have one row per drive; this ensemble has one
-        n, base = self.config.n_spins, 2 * self.cursor[idx]
-        args = (n, self.count[:, idx], self.meas_u[idx, base], self.meas_u[idx, base + 1], p)
+        n, count = self.config.n_spins, self.origin[:, rows].copy()
+        args = (n, count, u_up, u_down, p)
         flipped = np.count_nonzero(2 * _measured_count(*args) <= n)
         expect = _two_quantile_rule(ProtocolKind.CONDITIONAL_FLIP, *args)
         first = len(sizes)
-        measure(self, idx, p)
-        assert sizes[first] == idx.size  # flip_up, for every reset
+        measure(self, rows, p, u_up, u_down)
+        assert sizes[first] == count.size  # flip_up, for every reset
         assert sum(sizes[first + 1:]) == flipped  # stay_up, for the flips alone
-        np.testing.assert_array_equal(self.count[:, idx], expect)
-        resets += idx.size
+        np.testing.assert_array_equal(self.origin[:, rows], expect)
+        resets += count.size
         flips += flipped
 
+    monkeypatch.setattr(_ChunkState, "advance_to", counted)
     monkeypatch.setattr(_ChunkState, "_finite_measurement", checked)
     run_ensemble(small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=201, omega=1.1,
                               horizon=200.0, n_traj=64))
+    # flip_up saw one element per reset with t <= t_end: each is measured once
+    assert resets == scheduled
     assert 0 < flips < resets / 2
 
 
@@ -542,37 +553,41 @@ ORACLE_DRIVES = [DriveParams(omega=1.3, delta=1.0), DriveParams(omega=0.0, delta
                  DriveParams(omega=0.0, delta=1.0), DriveParams(omega=0.7, delta=0.0)]
 
 
-def assert_record_matches_oracle(state, times):
-    """Each drive's sums from state.record at every time, into one grid point,
+def assert_record_matches_oracle(state, gi, times):
+    """Each drive's sums from state.record at every time, into grid point gi,
     equal record_thermo / record_finite's bit for bit."""
     n_spins = state.config.n_spins
-    acc = trajectory_sim._new_accumulators(len(state.params), 2)
-    refs = [new_accumulators(2) for _ in state.params]
+    points = len(state.t_last)
+    acc = trajectory_sim._new_accumulators(len(state.params), points)
+    refs = [new_accumulators(points) for _ in state.params]
+    origin = state.grid_origin[gi]
     for tg in times:
-        d, x = state.record(tg, acc, 1)
-        s = tg - state.t_last
+        d, x = state.record(tg, acc, gi)
+        s = tg - state.t_last[gi]
         for k, (params, ref) in enumerate(zip(state.params, refs)):
             if n_spins is None:
-                rd, rx = record_thermo(params, s, state.n0[k], ref, 1)
+                rd, rx = record_thermo(params, s, origin[k], ref, gi)
             else:
-                rd, rx = record_finite(params, s, state.count[k].astype(float), n_spins, ref, 1)
+                rd, rx = record_finite(params, s, origin[k].astype(float), n_spins, ref, gi)
             assert d[k].tobytes() == rd.tobytes() and x[k].tobytes() == rx.tobytes()
     for k, ref in enumerate(refs):
         for key, value in ref.items():
             assert acc[key][k].tobytes() == value.tobytes(), (key, state.params[k])
 
 
-def oracle_state(n_spins, rows, drives=ORACLE_DRIVES, protocol=ProtocolKind.CONDITIONAL_FLIP):
-    """A chunk state of `rows` trajectories with its schedule drawn to t = 8."""
+def oracle_state(n_spins, rows, drives=ORACLE_DRIVES, protocol=ProtocolKind.CONDITIONAL_FLIP,
+                 grid=(0.0, 8.0)):
+    """A chunk state of `rows` trajectories, its schedule on the grid scanned."""
     # record reads only n_spins from the config, and SimConfig admits odd N only
     odd = None if n_spins is None else n_spins | 1
     configs = [SimConfig(protocol=protocol, params=params, dist=POISSON, observation_time=8.0,
-                         sample_grid=(0.0, 8.0), n_trajectories=rows, seed=5, n_spins=odd)
+                         sample_grid=grid, n_trajectories=rows, seed=5, n_spins=odd)
                for params in drives]
     state = _ChunkState(configs, 0, rows)
+    state.advance_to()
     if odd != n_spins:
         state.config = types.SimpleNamespace(n_spins=n_spins)
-        state.count = np.full((len(drives), rows), n_spins, dtype=np.int64)
+        state.grid_origin[...] = n_spins
     return state
 
 
@@ -580,10 +595,10 @@ def oracle_state(n_spins, rows, drives=ORACLE_DRIVES, protocol=ProtocolKind.COND
 @pytest.mark.parametrize("n_spins", [None, 11, 201])
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 def test_batched_record_matches_einsum_oracle_on_drawn_schedules(protocol, n_spins, rows):
-    state = oracle_state(n_spins, rows, protocol=protocol)
-    for tg in (0.0, 3.0, 8.0):
-        state.advance_to(tg)
-        assert_record_matches_oracle(state, [tg, tg])
+    grid = (0.0, 3.0, 8.0)
+    state = oracle_state(n_spins, rows, protocol=protocol, grid=grid)
+    for gi, tg in enumerate(grid):
+        assert_record_matches_oracle(state, gi, [tg, tg])
 
 
 @pytest.mark.parametrize("rows", [1, 5, 1024])
@@ -594,13 +609,13 @@ def test_batched_record_matches_einsum_oracle_at_the_edges(n_spins, rows):
     state = oracle_state(n_spins, rows)
     ages = rng.exponential(2.0, rows)
     ages[::3] = 0.0
-    state.t_last = 8.0 - ages
+    state.t_last[1] = 8.0 - ages
     cycle = np.arange(len(ORACLE_DRIVES))[:, None] + np.arange(rows)
     if n_spins is None:
-        state.n0 = np.array([0.0, 0.5, 1.0, 0.75])[cycle % 4]
+        state.grid_origin[1] = np.array([0.0, 0.5, 1.0, 0.75])[cycle % 4]
     else:
-        state.count = np.array([0, n_spins, n_spins // 2, 1 % n_spins])[cycle % 4]
-    assert_record_matches_oracle(state, [8.0, 8.0])
+        state.grid_origin[1] = np.array([0, n_spins, n_spins // 2, 1 % n_spins])[cycle % 4]
+    assert_record_matches_oracle(state, 1, [8.0, 8.0])
 
 
 log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
@@ -615,17 +630,79 @@ def test_batched_record_matches_einsum_oracle_property(drives, n_spins, data):
     rows = data.draw(st.integers(1, 40))
     state = oracle_state(n_spins, rows, drives=drives)
     ages = data.draw(st.lists(st.floats(0.0, 8.0), min_size=rows, max_size=rows))
-    state.t_last = 8.0 - np.array(ages)
+    state.t_last[1] = 8.0 - np.array(ages)
     shape = (len(drives), rows)
     if n_spins is None:
         origins = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
-        state.n0 = np.array(data.draw(st.lists(origins, min_size=shape[0] * rows,
-                                               max_size=shape[0] * rows))).reshape(shape)
+        state.grid_origin[1] = np.array(data.draw(st.lists(
+            origins, min_size=shape[0] * rows, max_size=shape[0] * rows))).reshape(shape)
     else:
         counts = st.integers(0, n_spins)
-        state.count = np.array(data.draw(st.lists(counts, min_size=shape[0] * rows,
-                                                  max_size=shape[0] * rows))).reshape(shape)
-    assert_record_matches_oracle(state, [8.0])
+        state.grid_origin[1] = np.array(data.draw(st.lists(
+            counts, min_size=shape[0] * rows, max_size=shape[0] * rows))).reshape(shape)
+    assert_record_matches_oracle(state, 1, [8.0])
+
+
+# The reset scan against the grid walk of reference_sim: every grid point's
+# origins and last reset times, as bits.
+CHOPPED = WaitingTime.chopped(1.0, 0.7)
+
+
+def assert_same_bits(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+def assert_scan_matches_walk(protocol, n_spins, rows, dist, grid, drives=ORACLE_DRIVES,
+                             seed=5):
+    configs = [SimConfig(protocol=protocol, params=params, dist=dist, observation_time=grid[-1],
+                         sample_grid=grid, n_trajectories=rows, seed=seed, n_spins=n_spins)
+               for params in drives]
+    state = _ChunkState(configs, 0, rows)
+    walk = GridWalk(state)  # copies the schedule the scan consumes
+    state.advance_to()
+    origins, t_last = walk.states(state.config.sample_grid)
+    assert_same_bits(state.grid_origin, origins)
+    assert_same_bits(state.t_last, t_last)
+    assert state.resets is None and state.meas_u is None
+    return state
+
+
+def third_reset(dist, rows):
+    """Row 0's third reset time in a chunk of `rows` trajectories (seed 5)."""
+    configs = [SimConfig(protocol=ProtocolKind.UNCONDITIONAL_RESET, params=PARAMS, dist=dist,
+                         observation_time=8.0, sample_grid=(8.0,), n_trajectories=rows, seed=5)]
+    return float(_ChunkState(configs, 0, rows).resets[0, 2])
+
+
+@pytest.mark.parametrize("rows", [1, 5, 1024])
+@pytest.mark.parametrize("dist", [WaitingTime.poisson(2.0), CHOPPED], ids=["poisson", "chopped"])
+@pytest.mark.parametrize("n_spins", [None, 1, 11, 201])
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_reset_scan_matches_grid_walk(protocol, n_spins, dist, rows):
+    # a grid from 0, with a repeated time and a time equal to a drawn reset
+    reset = third_reset(dist, rows)
+    assert reset < 3.0
+    grid = tuple(sorted((0.0, 0.5, reset, 3.0, 3.0, 8.0)))
+    state = assert_scan_matches_walk(protocol, n_spins, rows, dist, grid)
+    # a reset at a grid time is applied there
+    assert state.t_last[grid.index(reset), 0] == reset
+
+
+@settings(max_examples=40, deadline=None)
+@given(drives=st.lists(st.builds(DriveParams, omega=log_uniform, delta=log_uniform),
+                       min_size=1, max_size=3),
+       protocol=st.sampled_from(list(ProtocolKind)),
+       n_spins=st.one_of(st.none(), st.integers(0, 150).map(lambda h: 2 * h + 1)),
+       chopped=st.booleans(),
+       data=st.data())
+def test_reset_scan_matches_grid_walk_property(drives, protocol, n_spins, chopped, data):
+    rows = data.draw(st.integers(1, 40))
+    times = data.draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6))
+    grid = tuple(sorted(times + data.draw(st.lists(st.sampled_from(times), max_size=2))))
+    dist = WaitingTime.chopped(1.5, 0.9) if chopped else WaitingTime.poisson(1.5)
+    assert_scan_matches_walk(protocol, n_spins, rows, dist, grid + (6.0,), drives=drives,
+                             seed=data.draw(st.integers(0, 2**64 - 1)))
 
 
 def test_first_wait_block_is_capped_before_any_chunk_runs(monkeypatch):
