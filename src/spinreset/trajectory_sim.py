@@ -15,12 +15,11 @@ finite-N conditional protocol measures; it alone builds the stream
 (seed, i, 1) and takes two measurement uniforms per reset from it.  A
 reset uses both uniforms whatever it measures, but the engine computes
 only what the reset rule needs: whether the measured density is <= 1/2
-comes from one binomial cdf value, and protocol 3's stay-up count is
-drawn only where a reset flips.  Protocol 2 reads that cdf value from a
-table bracket wherever the bracket decides the comparison, and the
-quantile search starts from a normal estimate; neither changes a result,
-since every undecided comparison is made with bdtr and the integer
-quantile does not depend on where its search starts.
+comes from one binomial cdf value (read from a table bracket at an all-up
+origin wherever that decides it), and protocol 3's stay-up count is drawn
+only where a reset flips all-up or the origin it meets; a quantile search
+starts from a normal estimate.  No result changes: undecided comparisons
+use bdtr, and the integer quantile does not depend on the search's start.
 A stream (seed, i, kind) is a Philox stream whose key is
 SeedSequence(entropy=seed, spawn_key=(i, kind)).generate_state(2,
 uint64) and whose counter starts at 0, so its bytes are those of
@@ -35,11 +34,14 @@ reduced independently (on the worker threads) and combined in index
 order, so results are bitwise identical for any worker count.  Changing
 CHUNK would change the rounding pattern of the reduction (not the
 statistics), so it is a fixed constant, not a knob.
-A chunk applies its resets in reset-index order (step k: every row's
-k-th reset with t <= the last grid time, for every drive), and the record
-reads each grid point's origins and last reset times by index.  A reset
+A chunk applies its resets with t <= the last grid time for every drive,
+and the record reads each grid point's origins and last reset times by
+index.  In the thermodynamic limit step k applies every row's k-th reset.
+At finite N an all-up origin is a regeneration point, so every reset's
+all-up outcome is decided at once; protocol 2 then needs no loop, and
+protocol 3 steps only the rows below all-up, one reset per wave.  A reset
 is the same elementwise computation in any batch, so no bit moves.
-A chunk records every drive's rows at a grid time in one pass.  The
+A chunk records every drive's rows at a grid time in one pass; the
 density and two-point sums are numpy's sums over each drive's rows.
 Each pair-state entry sums the terms (w a_ij) b_kl of w kron(a, b) over
 the rows left to right, every complex product written out on floats, as
@@ -348,9 +350,9 @@ def _quantile_at_most(u, n, q, h):
     does not decrease in k, so it is <= h exactly when u <= bdtr(h, n, q)
     (h clipped to bdtr's domain [0, n]; no quantile is below 0).  For
     q >= 1 binomial_quantile returns n outright, even at u = 0, so there
-    n itself is compared with h.  For scalar n and h (protocol 2's
-    majority test) a table of bdtr(h, n, j / _CDF_CELLS) brackets the cdf
-    value, and bdtr runs only where u falls inside the bracket; every
+    n itself is compared with h.  For scalar n and h (an all-up origin's
+    majority test) a table of bdtr(h, n, j / _CDF_CELLS) brackets the
+    cdf value, and bdtr runs only where u falls inside the bracket; every
     answer is still that of the comparison with bdtr.
     """
     if np.ndim(n) == 0 and np.ndim(h) == 0 and 0 <= h < n:
@@ -550,12 +552,32 @@ def _resets_seen(grid: np.ndarray, resets: np.ndarray) -> np.ndarray:
     return seen
 
 
+def _flip_probability(obar, ratio, tau):
+    """p = ratio * sin(obar tau)^2 at a reset tau after the last, at most 1."""
+    sin = np.sin(obar * tau)
+    return np.minimum(ratio * (sin * sin), 1.0)
+
+
+def _flip_rule(n: int, count, p, u_up, u_down):
+    """Protocol 3's up-counts after a reset from up-counts count, elementwise: the
+    measured count stay_up + flip_up matters only where it is <= half, which one
+    cdf value of stay_up decides."""
+    half = (n - 1) // 2
+    q = 1.0 - p
+    flip_up = binomial_quantile(u_down, n - count, p)
+    flip = _quantile_at_most(u_up, count, q, half - flip_up)
+    stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
+    new = np.full(count.shape, n, dtype=count.dtype)
+    new[flip] = n - stay_up - flip_up[flip]
+    return new
+
+
 class _ChunkState:
     """One chunk's schedule, drawn up front (each trajectory's reset times
-    and, where the protocol measures, two measurement uniforms per reset on
-    the grid), and the origin state n0 or count of every drive that replays
-    it: one row per drive, shape (drives, rows).  advance_to turns them into
-    each grid point's origins and last reset times, which record reads."""
+    and, where the protocol measures, its measurement stream), and the
+    origin state n0 or count of every drive that replays it: one row per
+    drive, shape (drives, rows).  advance_to turns them into each grid
+    point's origins and last reset times, which record reads."""
 
     def __init__(self, configs: list, start: int, rows: int):
         config = self.config = configs[0]  # every field but params is shared
@@ -573,31 +595,26 @@ class _ChunkState:
         waits = _RowStreams(_trajectory_streams(config.seed, index, _WAIT_STREAM))
         self.resets = _reset_times(config.dist, waits, config.sample_grid[-1])
         self.seen = _resets_seen(np.asarray(config.sample_grid), self.resets)
-
         if self.measured:
-            meas = _RowStreams(_trajectory_streams(config.seed, index, _MEASURE_STREAM))
-            applied = self.seen[:, -1]
-            self.meas_u = np.empty((rows, 2 * int(applied.max())))
-            for i, (row, k) in enumerate(zip(self.meas_u, applied)):
-                meas.fill(i, row[:2 * k])
-
+            self.meas = _RowStreams(_trajectory_streams(config.seed, index, _MEASURE_STREAM))
         shape = (len(configs), rows)
         self.origin = (np.ones(shape) if config.n_spins is None
                        else np.full(shape, config.n_spins, dtype=np.int64))
 
     def advance_to(self):
-        """Apply every row's resets with t <= the last grid time, in reset order.
-
-        Step k applies each row's k-th reset: to all rows while every row
-        has one, then to the rows that do.  Before it, the origins go to
-        the grid points that see exactly k resets.  grid_origin (grid
-        points, drives, rows) and t_last (grid points, rows) then hold
-        what record reads, and the schedule is released.
+        """Apply every row's resets with t <= the last grid time: at finite N
+        by _finite_origins, else in reset order, step k applying each row's
+        k-th reset (to all rows while every row has one, then to the rows
+        that do) after the origins go to the grid points that see exactly k
+        resets.  grid_origin (grid points, drives, rows) and t_last (grid
+        points, rows) then hold what record reads; the schedule is released.
         """
         seen = self.seen
         shape = (seen.shape[1],) + self.origin.shape
         if self.config.protocol is ProtocolKind.UNCONDITIONAL_RESET:  # its origin never changes
             self.grid_origin = np.broadcast_to(self.origin, shape)
+        elif self.measured:
+            self.grid_origin = self._finite_origins()
         else:
             self.grid_origin = np.empty(shape, dtype=self.origin.dtype)
             applied = seen[:, -1]
@@ -617,50 +634,103 @@ class _ChunkState:
                     live = live[applied[live] > k]
                     self._reset(k, live)
             del pairs
-        self.meas_u = None
         latest = np.take_along_axis(self.resets, np.maximum(seen - 1, 0), axis=1)
         self.t_last = np.where(seen > 0, latest, 0.0).T
-        self.resets = self.seen = None
+        self.resets = self.seen = self.meas = None
 
     def _reset(self, k: int, rows):
-        """Apply reset k of the given rows (a slice or an index array) to every drive."""
+        """Apply reset k of the given rows (a slice or an index array) to every drive's n0."""
         t_reset = self.resets[rows, k]
-        tau = t_reset - self.resets[rows, k - 1] if k else t_reset
-        sin = np.sin(self.obar * tau)
-        p = np.minimum(self.ratio * (sin * sin), 1.0)  # (drives, rows), >= 0
-        if self.measured:
-            u = self.meas_u[rows, 2 * k:2 * k + 2]
-            self._finite_measurement(rows, p, u[:, 0], u[:, 1])
-        else:
-            n0 = self.origin[:, rows]
-            d = n0 + (1.0 - 2.0 * n0) * p
-            two_state = self.config.protocol is ProtocolKind.CONDITIONAL_TWO_STATE
-            self.origin[:, rows] = np.where(d > 0.5, 1.0, 0.0 if two_state else 1.0 - d)
+        p = _flip_probability(self.obar, self.ratio,
+                              t_reset - self.resets[rows, k - 1] if k else t_reset)
+        n0 = self.origin[:, rows]
+        d = n0 + (1.0 - 2.0 * n0) * p
+        two_state = self.config.protocol is ProtocolKind.CONDITIONAL_TWO_STATE
+        self.origin[:, rows] = np.where(d > 0.5, 1.0, 0.0 if two_state else 1.0 - d)
 
-    def _finite_measurement(self, rows, p, u_up, u_down):
-        """New up-counts origin[..., rows]; a row's uniforms (rows,) serve every drive."""
-        n = self.config.n_spins
-        proto = self.config.protocol
-        half = (n - 1) // 2
-        count = self.origin[..., rows]
-        if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
-            # origins are all-up or all-down, so only one of the two
-            # binomials is nonempty and the majority test needs just its cdf
+    def _uniforms(self, lo: int, hi: int, offsets: np.ndarray) -> np.ndarray:
+        """Rows lo to hi's measurement uniforms, two per reset with t <= the last
+        grid time, row after row: row i's start at 2 * (offsets[i] - offsets[lo])."""
+        u = np.empty(2 * (offsets[hi] - offsets[lo]))
+        for i in range(lo, hi):
+            self.meas.fill(i, u[2 * (offsets[i] - offsets[lo]):2 * (offsets[i + 1] - offsets[lo])])
+        return u
+
+    def _finite_origins(self) -> np.ndarray:
+        """(grid points, drives, rows) up-counts at finite N.
+
+        path[d, offsets[r] + k] is drive d's origin after row r's reset k
+        (the resets with t <= the last grid time, row after row); its last
+        entry, all-up, serves the grid points that see no reset.  An all-up
+        origin is a regeneration point: what a reset makes of it depends on
+        that reset's wait and uniforms alone, so every reset's all-up
+        outcome, and protocol 2's all-down one, is decided SLAB_ROWS rows at
+        a time.  Protocol 2's origin is then the outcome of the row's last
+        reset whose two outcomes agree, flipped by the parity of the resets
+        since that swap up and down; protocol 3 runs _waves.
+        """
+        n, flip_protocol = self.config.n_spins, self.config.protocol is ProtocolKind.CONDITIONAL_FLIP
+        half, seen, (drives, rows) = (n - 1) // 2, self.seen, self.origin.shape
+        applied = seen[:, -1]
+        offsets = np.concatenate([[0], np.cumsum(applied, dtype=np.int64)])
+        total = int(offsets[-1])
+        path = np.full((drives, total + 1), n, dtype=np.min_scalar_type(-n))
+        if flip_protocol:  # the waves read a reset's tau and uniforms anywhere in the chunk
+            tau_at, u_at = np.empty(total), self._uniforms(0, rows, offsets)
+            # next_flip[d, j]: the first reset from j on that flips drive d's all-up origin
+            next_flip = np.full(path.shape, total, dtype=np.min_scalar_type(total))
+        for lo in range(0, rows, SLAB_ROWS):
+            hi = min(lo + SLAB_ROWS, rows)
+            a, b = offsets[lo], offsets[hi]
+            j = np.arange(b - a)
+            start = j == np.repeat(offsets[lo:hi] - a, applied[lo:hi])  # a row's first reset
+            # gathered first: a row's entries past its last reset may be +inf
+            t = self.resets[lo:hi][np.arange(self.resets.shape[1]) < applied[lo:hi, None]]
+            tau = t - np.where(start, 0.0, np.roll(t, 1))  # the first reset is t after 0
+            p = _flip_probability(self.obar, self.ratio, tau)  # (drives, the slab's resets)
+            u = u_at[2 * a:2 * b] if flip_protocol else self._uniforms(lo, hi, offsets)
+            u_up, u_down, q = u[0::2], u[1::2], 1.0 - p
+            flips = _quantile_at_most(u_up, n, q, half)  # all-up measures at most half
+            if flip_protocol:
+                tau_at[a:b] = tau
+                path[:, a:b][flips] = n - binomial_quantile(np.broadcast_to(u_up, q.shape)[flips],
+                                                            n, q[flips])
+                at = np.where(flips, a + j, total)
+                next_flip[:, a:b] = np.minimum.accumulate(at[:, ::-1], axis=-1)[:, ::-1]
+            else:
+                stays, rises = ~flips, ~_quantile_at_most(u_down, n, p, half)  # from all-down
+                rises[:, start] = stays[:, start]  # a row starts all-up
+                swaps = np.logical_xor.accumulate(rises & ~stays, axis=-1)
+                anchor = np.maximum.accumulate(np.where(stays == rises, j, -1), axis=-1)
+                up = np.take_along_axis(stays ^ swaps, anchor, axis=-1) ^ swaps
+                path[:, a:b] = np.where(up, n, 0)
+        if flip_protocol:
+            self._waves(path, tau_at, u_at, next_flip, offsets)
+        at = np.where(seen > 0, offsets[:-1, None] + seen - 1, total)  # (rows, grid points)
+        return np.ascontiguousarray(path[:, at.T].transpose(1, 0, 2), dtype=np.int64)
+
+    def _waves(self, path, tau, u, next_flip, offsets):
+        """Protocol 3's path below all-up.  In a wave each all-up (drive, row) pair
+        jumps to its next flip and takes that reset's all-up outcome, and then each
+        pair below all-up applies the rule to its next reset."""
+        n, (drives, rows) = self.config.n_spins, self.origin.shape
+        d, r = np.divmod(np.arange(drives * rows), rows)
+        j, end, count = offsets[r], offsets[r + 1], np.full(r.size, n)  # j: the pair's next reset
+        while True:
             up = count == n
-            u = np.where(up, u_up, u_down)
-            q = np.where(up, 1.0 - p, p)
-            self.origin[..., rows] = np.where(_quantile_at_most(u, n, q, half), 0, n)
-        else:
-            # the measured count is stay_up + flip_up; it is needed only
-            # where it is <= half, which one cdf value of stay_up decides
-            q = 1.0 - p
-            flip_up = binomial_quantile(u_down, n - count, p)
-            flip = _quantile_at_most(u_up, count, q, half - flip_up)
-            # a flip's row is its last index
-            stay_up = binomial_quantile(u_up[np.nonzero(flip)[-1]], count[flip], q[flip])
-            new = np.full(count.shape, n, dtype=count.dtype)
-            new[flip] = n - stay_up - flip_up[flip]
-            self.origin[..., rows] = new
+            j[up] = next_flip[d[up], j[up]]
+            live = j < end
+            if not live.any():
+                return
+            d, j, end, count, up = (x[live] for x in (d, j, end, count, up))
+            count[up] = path[d[up], j[up]]
+            j[up] += 1
+            i = (count < n) & (j < end)
+            di, ji = d[i], j[i]
+            p = _flip_probability(self.obar[di, 0], self.ratio[di, 0], tau[ji])
+            count[i] = _flip_rule(n, count[i], p, u[2 * ji], u[2 * ji + 1])
+            path[di, ji] = count[i]
+            j[i] += 1
 
     def record(self, tg: float, acc: dict, gi: int):
         """Every drive's (drives, rows) d and x at grid point gi, summed into acc."""

@@ -266,21 +266,26 @@ def _check_state_invariant(proto, state):
 class GridWalk:
     """A chunk's resets applied grid point by grid point.
 
-    Built from a spinreset.trajectory_sim._ChunkState before its scan, it
-    copies the schedule and the starting origins.  advance_to(tg) applies
-    every reset with t <= tg, one pass per reset over the rows that still
-    have one due, each row's next reset and measurement uniforms found by
-    its cursor.
+    Built from a spinreset.trajectory_sim._ChunkState whose rows are
+    trajectories 0, 1, ..., before its scan, it copies the reset times and
+    the starting origins, and draws each row's measurement uniforms from
+    numpy_streams.  advance_to(tg) applies every reset with t <= tg, one
+    pass per reset over the rows that still have one due, each row's next
+    reset and measurement uniforms found by its cursor.
     """
 
     def __init__(self, chunk):
         self.config, self.measured = chunk.config, chunk.measured
         self.obar, self.ratio = chunk.obar, chunk.ratio
         self.resets = chunk.resets.copy()
-        self.meas_u = chunk.meas_u.copy() if self.measured else None
         self.origin = chunk.origin.copy()
         self.cursor = np.zeros(len(self.resets), dtype=np.int64)
         self.t_last = np.zeros(len(self.resets))
+        if self.measured:  # two uniforms per reset up to the last grid time
+            due = np.count_nonzero(self.resets <= self.config.sample_grid[-1], axis=1)
+            self.meas_u = np.zeros((len(due), 2 * int(due.max())))
+            for i, (row, k) in enumerate(zip(self.meas_u, due)):
+                row[:2 * k] = numpy_streams(self.config.seed, i)[1].random(2 * k)
 
     def states(self, grid):
         """(grid points, drives, rows) origins and (grid points, rows) last reset times."""

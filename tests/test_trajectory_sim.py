@@ -156,15 +156,6 @@ def _two_quantile_rule(protocol, n, count, u_up, u_down, p):
     return np.where(minority, n - measured, n)
 
 
-def _engine_rule(protocol, n, count, u_up, u_down, p, rows):
-    # one reset per row through the engine's measurement step, the rows
-    # picked by a slice (while every row has a reset) or an index array
-    state = types.SimpleNamespace(
-        config=types.SimpleNamespace(n_spins=n, protocol=protocol), origin=count.copy())
-    _ChunkState._finite_measurement(state, rows, p, u_up, u_down)
-    return state.origin
-
-
 @pytest.mark.parametrize("n", [11, 201, 1001])
 def test_finite_measurement_matches_two_quantile_rule(n):
     rng = np.random.default_rng(n)
@@ -180,57 +171,91 @@ def test_finite_measurement_matches_two_quantile_rule(n):
     assert np.any(binomial_quantile(edges[1], n - edges[2], edges[3]) > half)
     size = 100_000
     draws = (rng.random(size), rng.random(size), rng.integers(0, n + 1, size), rng.random(size))
-    # protocol 2 shares the majority test, on fewer rows
-    for protocol, rows in ((ProtocolKind.CONDITIONAL_FLIP, size),
-                           (ProtocolKind.CONDITIONAL_TWO_STATE, 20_000)):
-        for u_up, u_down, count, p in (edges, draws):
-            u_up, u_down, count, p = (a[:rows] for a in (u_up, u_down, count, p))
-            if protocol is ProtocolKind.CONDITIONAL_TWO_STATE:
-                count = np.where(count > half, n, 0)  # all-up or all-down origins
-            expect = _two_quantile_rule(protocol, n, count, u_up, u_down, p)
-            for picked in (slice(None), np.arange(count.size)):
-                np.testing.assert_array_equal(
-                    _engine_rule(protocol, n, count, u_up, u_down, p, picked), expect)
+    for u_up, u_down, count, p in (edges, draws):
+        # protocol 3 at any origin, by the rule the waves apply below all-up
+        expect = _two_quantile_rule(ProtocolKind.CONDITIONAL_FLIP, n, count, u_up, u_down, p)
+        np.testing.assert_array_equal(trajectory_sim._flip_rule(n, count, p, u_up, u_down),
+                                      expect)
+        # an all-up origin's outcome as the slab pass decides it: the majority
+        # test at scalar N (the cdf table), and stay_up for the flips alone
+        all_up, all_down = np.full_like(count, n), np.zeros_like(count)
+        flips = trajectory_sim._quantile_at_most(u_up, n, 1.0 - p, half)
+        np.testing.assert_array_equal(flips, trajectory_sim._quantile_at_most(
+            u_up, all_up, 1.0 - p, np.full_like(count, half)))  # the rule's test at count = N
+        outcome = all_up.copy()
+        outcome[flips] = n - binomial_quantile(u_up[flips], n, 1.0 - p[flips])
+        np.testing.assert_array_equal(outcome, _two_quantile_rule(
+            ProtocolKind.CONDITIONAL_FLIP, n, all_up, u_up, u_down, p))
+        # protocol 2: an all-up origin ends all-down where its test holds, and
+        # an all-down one stays there where the test of its uniform u_down holds
+        for origin, u, q in ((all_up, u_up, 1.0 - p), (all_down, u_down, p)):
+            np.testing.assert_array_equal(
+                np.where(trajectory_sim._quantile_at_most(u, n, q, half), 0, n),
+                _two_quantile_rule(ProtocolKind.CONDITIONAL_TWO_STATE, n, origin, u_up, u_down, p))
+
+
+def _elements(u, *args):
+    """u broadcast against the other arguments, one value per element."""
+    return np.broadcast_to(u, np.broadcast(u, *args).shape).ravel()
 
 
 def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
-    # every reset draws flip_up; stay_up only where the measured density
-    # is <= 1/2, so the quantile's work follows the flips
-    sizes = []
-    quantile = trajectory_sim.binomial_quantile
+    # an all-up origin has no down spin, so only the resets below all-up draw
+    # flip_up; stay_up is drawn only where the measured density is <= 1/2.
+    # The slab pass tests every reset once for what it makes of an all-up
+    # origin, and draws stay_up for each reset that flips one; the waves add
+    # the resets below all-up.  A draw is told apart by its uniform, the u_up
+    # or u_down of one reset.
+    protocol = ProtocolKind.CONDITIONAL_FLIP
+    config = small_config(protocol, n_spins=201, omega=1.1, horizon=200.0, n_traj=64)
+    n = config.n_spins
+    state = _ChunkState([config], 0, config.n_trajectories)
+    scheduled = np.count_nonzero(state.resets <= config.sample_grid[-1])
+    walk = GridWalk(state)
+    log = []  # every reset of the walk: origin count, u_up, u_down, p (one drive)
+    step = walk.finite_measurement
+
+    def checked(idx, p):
+        base = 2 * walk.cursor[idx]
+        args = (walk.origin[0, idx].copy(), walk.meas_u[idx, base], walk.meas_u[idx, base + 1],
+                p[0])
+        step(idx, p)
+        np.testing.assert_array_equal(walk.origin[0, idx], _two_quantile_rule(protocol, n, *args))
+        log.append(args)
+
+    walk.finite_measurement = checked
+    origins, _ = walk.states(config.sample_grid)
+    count, u_up, u_down, p = (np.concatenate(a) for a in zip(*log))
+    assert np.unique(np.concatenate([u_up, u_down])).size == 2 * count.size
+    below = count < n
+    flipped = 2 * _measured_count(n, count, u_up, u_down, p) <= n
+    all_up_flips = 2 * _measured_count(n, np.full_like(count, n), u_up, u_down, p) <= n
+
+    draws, tests = [], []
+    quantile, at_most = trajectory_sim.binomial_quantile, trajectory_sim._quantile_at_most
     monkeypatch.setattr(trajectory_sim, "binomial_quantile",
-                        lambda u, n, p: sizes.append(np.size(u)) or quantile(u, n, p))
-    measure = _ChunkState._finite_measurement
-    scan = _ChunkState.advance_to
-    scheduled = resets = flips = 0
+                        lambda u, m, q: draws.append(_elements(u, m, q)) or quantile(u, m, q))
+    monkeypatch.setattr(trajectory_sim, "_quantile_at_most",
+                        lambda u, m, q, h: tests.append((np.ndim(m), _elements(u, m, q)))
+                        or at_most(u, m, q, h))
+    state.advance_to()
+    assert_same_bits(state.grid_origin, origins)
 
-    def counted(self):
-        nonlocal scheduled
-        scheduled += np.count_nonzero(self.resets <= self.config.sample_grid[-1])
-        scan(self)
+    def same(got, expect):
+        np.testing.assert_array_equal(np.sort(got), np.sort(expect))
 
-    def checked(self, rows, p, u_up, u_down):
-        nonlocal resets, flips
-        # the origin counts have one row per drive; this ensemble has one
-        n, count = self.config.n_spins, self.origin[:, rows].copy()
-        args = (n, count, u_up, u_down, p)
-        flipped = np.count_nonzero(2 * _measured_count(*args) <= n)
-        expect = _two_quantile_rule(ProtocolKind.CONDITIONAL_FLIP, *args)
-        first = len(sizes)
-        measure(self, rows, p, u_up, u_down)
-        assert sizes[first] == count.size  # flip_up, for every reset
-        assert sum(sizes[first + 1:]) == flipped  # stay_up, for the flips alone
-        np.testing.assert_array_equal(self.origin[:, rows], expect)
-        resets += count.size
-        flips += flipped
-
-    monkeypatch.setattr(_ChunkState, "advance_to", counted)
-    monkeypatch.setattr(_ChunkState, "_finite_measurement", checked)
-    run_ensemble(small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=201, omega=1.1,
-                              horizon=200.0, n_traj=64))
-    # flip_up saw one element per reset with t <= t_end: each is measured once
-    assert resets == scheduled
-    assert 0 < flips < resets / 2
+    draws = np.concatenate(draws)
+    flip_up = np.isin(draws, u_down)
+    assert np.all(flip_up | np.isin(draws, u_up))
+    same(draws[flip_up], u_down[below])  # flip_up: the resets below all-up
+    # stay_up: the resets that flip an all-up origin, and those below all-up that flip
+    same(draws[~flip_up], np.concatenate([u_up[all_up_flips], u_up[below & flipped]]))
+    # the all-up test of every reset with t <= t_end, once; the rule's test below all-up
+    same(np.concatenate([u for dims, u in tests if dims == 0]), u_up)
+    same(np.concatenate([u for dims, u in tests if dims > 0]), u_up[below])
+    assert count.size == scheduled
+    assert 0 < np.count_nonzero(flipped) < count.size / 2
+    assert 0 < np.count_nonzero(below) < count.size / 2
 
 
 def test_measurement_outcome_thermo_is_deterministic():
@@ -655,6 +680,7 @@ def assert_same_bits(got, expect):
 
 def assert_scan_matches_walk(protocol, n_spins, rows, dist, grid, drives=ORACLE_DRIVES,
                              seed=5):
+    """The chunk state after its scan and the grid walk, once they agree as bits."""
     configs = [SimConfig(protocol=protocol, params=params, dist=dist, observation_time=grid[-1],
                          sample_grid=grid, n_trajectories=rows, seed=seed, n_spins=n_spins)
                for params in drives]
@@ -664,45 +690,76 @@ def assert_scan_matches_walk(protocol, n_spins, rows, dist, grid, drives=ORACLE_
     origins, t_last = walk.states(state.config.sample_grid)
     assert_same_bits(state.grid_origin, origins)
     assert_same_bits(state.t_last, t_last)
-    assert state.resets is None and state.meas_u is None
-    return state
+    assert state.resets is None and state.meas is None
+    return state, walk
 
 
-def third_reset(dist, rows):
-    """Row 0's third reset time in a chunk of `rows` trajectories (seed 5)."""
+def row0_reset(dist, rows, k):
+    """Row 0's reset k in a chunk of `rows` trajectories (seed 5)."""
     configs = [SimConfig(protocol=ProtocolKind.UNCONDITIONAL_RESET, params=PARAMS, dist=dist,
                          observation_time=8.0, sample_grid=(8.0,), n_trajectories=rows, seed=5)]
-    return float(_ChunkState(configs, 0, rows).resets[0, 2])
+    return float(_ChunkState(configs, 0, rows).resets[0, k])
+
+
+# One batch with obar = 0, Delta = 0 (p reaches 1) and Omega / Delta = 3, over
+# a few hundred resets per row, so that protocol 3 runs many waves.
+LONG_DRIVES = [DriveParams(omega=0.0, delta=0.0), DriveParams(omega=1.0, delta=0.0),
+               DriveParams(omega=3.0, delta=1.0)]
+LONG_GRID = (0.0, 37.0, 37.0, 80.0, 100.0)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 1024])
 @pytest.mark.parametrize("dist", [WaitingTime.poisson(2.0), CHOPPED], ids=["poisson", "chopped"])
-@pytest.mark.parametrize("n_spins", [None, 1, 11, 201])
+@pytest.mark.parametrize("n_spins", [None, 1, 3, 11, 201, 1001])
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 def test_reset_scan_matches_grid_walk(protocol, n_spins, dist, rows):
     # a grid from 0, with a repeated time and a time equal to a drawn reset
-    reset = third_reset(dist, rows)
+    reset = row0_reset(dist, rows, 2)
     assert reset < 3.0
     grid = tuple(sorted((0.0, 0.5, reset, 3.0, 3.0, 8.0)))
-    state = assert_scan_matches_walk(protocol, n_spins, rows, dist, grid)
+    state, _ = assert_scan_matches_walk(protocol, n_spins, rows, dist, grid)
     # a reset at a grid time is applied there
     assert state.t_last[grid.index(reset), 0] == reset
+    _, walk = assert_scan_matches_walk(protocol, n_spins, rows, dist, LONG_GRID, LONG_DRIVES)
+    assert walk.cursor.min() >= 100
+    # row 0 has no reset by the last grid time
+    _, walk = assert_scan_matches_walk(protocol, n_spins, rows, dist,
+                                       (0.0, row0_reset(dist, rows, 0) / 2), LONG_DRIVES)
+    assert walk.cursor[0] == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(drives=st.lists(st.builds(DriveParams, omega=log_uniform, delta=log_uniform),
                        min_size=1, max_size=3),
        protocol=st.sampled_from(list(ProtocolKind)),
-       n_spins=st.one_of(st.none(), st.integers(0, 150).map(lambda h: 2 * h + 1)),
+       n_spins=st.one_of(st.none(), st.integers(0, 150).map(lambda h: 2 * h + 1),
+                         st.just(1001)),
        chopped=st.booleans(),
+       horizon=st.sampled_from([6.0, 150.0]),
        data=st.data())
-def test_reset_scan_matches_grid_walk_property(drives, protocol, n_spins, chopped, data):
+def test_reset_scan_matches_grid_walk_property(drives, protocol, n_spins, chopped, horizon,
+                                               data):
     rows = data.draw(st.integers(1, 40))
-    times = data.draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6))
+    times = data.draw(st.lists(st.floats(0.0, horizon), min_size=1, max_size=6))
     grid = tuple(sorted(times + data.draw(st.lists(st.sampled_from(times), max_size=2))))
     dist = WaitingTime.chopped(1.5, 0.9) if chopped else WaitingTime.poisson(1.5)
-    assert_scan_matches_walk(protocol, n_spins, rows, dist, grid + (6.0,), drives=drives,
+    assert_scan_matches_walk(protocol, n_spins, rows, dist, grid + (horizon,), drives=drives,
                              seed=data.draw(st.integers(0, 2**64 - 1)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("first_block", [None, 1], ids=["drawn", "one-wait"])
+@pytest.mark.parametrize("dist", [POISSON, CHOPPED], ids=["poisson", "chopped"])
+@pytest.mark.parametrize("n_spins", [None, 1, 201])
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_ensemble_raises_no_float_warning(protocol, n_spins, dist, first_block, monkeypatch):
+    # a one-wait first block extends every row's waits WAIT_BLOCK at a time,
+    # and the rows done by then are padded with +inf
+    if first_block is not None:
+        monkeypatch.setattr(trajectory_sim, "_initial_wait_capacity",
+                            lambda dist, horizon: first_block)
+    config = replace(small_config(protocol, n_spins=n_spins, n_traj=64), dist=dist)
+    assert np.all(np.isfinite(run_ensemble(config).density))
 
 
 def test_first_wait_block_is_capped_before_any_chunk_runs(monkeypatch):
