@@ -17,7 +17,7 @@ reset uses both uniforms whatever it measures, but the engine computes
 only what the reset rule needs: whether the measured density is <= 1/2
 comes from one binomial cdf value (read from a table bracket at an all-up
 origin wherever that decides it), and protocol 3's stay-up count is drawn
-only where a reset flips all-up or the origin it meets; a quantile search
+only where a reset flips its origin or would flip an all-up one; a search
 starts from a normal estimate.  No result changes: undecided comparisons
 use bdtr, and the integer quantile does not depend on the search's start.
 A stream (seed, i, kind) is a Philox stream whose key is
@@ -72,7 +72,8 @@ CHUNK = 1024
 WAIT_BLOCK = 64
 MAX_FIRST_WAIT_BLOCK = 2**27  # waiting times (1 GiB) a chunk may draw in its first block
 SLAB_ROWS = 64
-# protocol 2's cdf table: cells in q (a power of two) and bdtr's relative slack
+SCAN_PAIRS = 2**14  # about this many (drive, reset) pairs make one slab of a finite-N scan
+# the all-up majority test's cdf table: cells in q (a power of two), bdtr's relative slack
 _CDF_CELLS = 4096
 _CDF_MARGIN = 1e-7
 
@@ -333,11 +334,12 @@ def _cdf_bracket(h: int, n: int):
 
     bdtr(h, n, q) falls as q rises (0 <= h < n), so on [j/M, (j+1)/M] it
     lies between the table values at the two ends; the relative margin
-    _CDF_MARGIN covers bdtr's rounding, which stays below 6e-11 up to
-    n = 10**6.
+    _CDF_MARGIN covers bdtr's rounding (below 6e-11 up to n = 10**6).  Cell
+    M, q = 1, holds -1: the quantile is then n > h, whatever u.
     """
     table = bdtr(h, n, np.arange(_CDF_CELLS + 1) / _CDF_CELLS)
-    bracket = table[1:] * (1.0 - _CDF_MARGIN), table[:-1] * (1.0 + _CDF_MARGIN)
+    bracket = (np.append(table[1:] * (1.0 - _CDF_MARGIN), -1.0),
+               np.append(table[:-1] * (1.0 + _CDF_MARGIN), -1.0))
     for side in bracket:  # cached: every caller reads the same arrays
         side.flags.writeable = False
     return bracket
@@ -358,11 +360,9 @@ def _quantile_at_most(u, n, q, h):
     if np.ndim(n) == 0 and np.ndim(h) == 0 and 0 <= h < n:
         lo, hi = _cdf_bracket(int(h), int(n))
         u, q = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(q, dtype=float))
-        inside = (q >= 0.0) & (q < 1.0)  # q * _CDF_CELLS is exact: a power of two
-        j = (np.where(inside, q, 0.0) * _CDF_CELLS).astype(np.int64)
-        at_most = inside & (u <= lo[j])
-        # q >= 1 stays False: the quantile is then n > h
-        undecided = ~at_most & (q < 1.0) & ~(inside & (u > hi[j]))
+        j = (np.clip(q, 0.0, 1.0) * _CDF_CELLS).astype(np.intp)  # exact: a power of two
+        at_most = u <= lo[j]
+        undecided = np.nonzero((u <= hi[j]) ^ at_most)  # lo <= hi: at_most implies u <= hi
         at_most[undecided] = u[undecided] <= bdtr(float(h), n, q[undecided])
         return at_most
     h = np.asarray(h)
@@ -559,11 +559,9 @@ def _flip_probability(obar, ratio, tau):
 
 
 def _flip_rule(n: int, count, p, u_up, u_down):
-    """Protocol 3's up-counts after a reset from up-counts count, elementwise: the
-    measured count stay_up + flip_up matters only where it is <= half, which one
-    cdf value of stay_up decides."""
-    half = (n - 1) // 2
-    q = 1.0 - p
+    """Protocol 3's up-counts after a reset from up-counts count, elementwise: the measured
+    count stay_up + flip_up matters only where <= half, which one cdf value decides."""
+    half, q = (n - 1) // 2, 1.0 - p
     flip_up = binomial_quantile(u_down, n - count, p)
     flip = _quantile_at_most(u_up, count, q, half - flip_up)
     stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
@@ -664,10 +662,11 @@ class _ChunkState:
         entry, all-up, serves the grid points that see no reset.  An all-up
         origin is a regeneration point: what a reset makes of it depends on
         that reset's wait and uniforms alone, so every reset's all-up
-        outcome, and protocol 2's all-down one, is decided SLAB_ROWS rows at
-        a time.  Protocol 2's origin is then the outcome of the row's last
-        reset whose two outcomes agree, flipped by the parity of the resets
-        since that swap up and down; protocol 3 runs _waves.
+        outcome, and protocol 2's all-down one, is decided a slab of whole
+        rows (about SCAN_PAIRS (drive, reset) pairs) at a time.  Protocol
+        2's origin is then the outcome of the row's last reset whose two
+        outcomes agree, flipped by the parity of the resets since that swap
+        up and down; protocol 3 runs _waves.
         """
         n, flip_protocol = self.config.n_spins, self.config.protocol is ProtocolKind.CONDITIONAL_FLIP
         half, seen, (drives, rows) = (n - 1) // 2, self.seen, self.origin.shape
@@ -675,12 +674,13 @@ class _ChunkState:
         offsets = np.concatenate([[0], np.cumsum(applied, dtype=np.int64)])
         total = int(offsets[-1])
         path = np.full((drives, total + 1), n, dtype=np.min_scalar_type(-n))
-        if flip_protocol:  # the waves read a reset's tau and uniforms anywhere in the chunk
-            tau_at, u_at = np.empty(total), self._uniforms(0, rows, offsets)
-            # next_flip[d, j]: the first reset from j on that flips drive d's all-up origin
-            next_flip = np.full(path.shape, total, dtype=np.min_scalar_type(total))
-        for lo in range(0, rows, SLAB_ROWS):
-            hi = min(lo + SLAB_ROWS, rows)
+        if flip_protocol:  # the waves read a reset's uniforms anywhere in the chunk
+            u_at = self._uniforms(0, rows, offsets)
+            # j + next_flip[d, j]: the first reset from j that flips d's all-up, or j's row end
+            next_flip = np.zeros(path.shape, dtype=np.min_scalar_type(applied.max()))
+        slab = max(1, SCAN_PAIRS * rows // (drives * max(total, 1)))
+        for lo in range(0, rows, slab):
+            hi = min(lo + slab, rows)
             a, b = offsets[lo], offsets[hi]
             j = np.arange(b - a)
             start = j == np.repeat(offsets[lo:hi] - a, applied[lo:hi])  # a row's first reset
@@ -692,24 +692,23 @@ class _ChunkState:
             u_up, u_down, q = u[0::2], u[1::2], 1.0 - p
             flips = _quantile_at_most(u_up, n, q, half)  # all-up measures at most half
             if flip_protocol:
-                tau_at[a:b] = tau
                 path[:, a:b][flips] = n - binomial_quantile(np.broadcast_to(u_up, q.shape)[flips],
                                                             n, q[flips])
-                at = np.where(flips, a + j, total)
-                next_flip[:, a:b] = np.minimum.accumulate(at[:, ::-1], axis=-1)[:, ::-1]
+                ahead = np.minimum.accumulate(np.where(flips, j, b - a)[:, ::-1], axis=-1)[:, ::-1]
+                next_flip[:, a:b] = np.minimum(ahead, np.repeat(offsets[lo + 1:hi + 1] - a,
+                                                                applied[lo:hi])) - j
             else:
                 stays, rises = ~flips, ~_quantile_at_most(u_down, n, p, half)  # from all-down
                 rises[:, start] = stays[:, start]  # a row starts all-up
                 swaps = np.logical_xor.accumulate(rises & ~stays, axis=-1)
                 anchor = np.maximum.accumulate(np.where(stays == rises, j, -1), axis=-1)
-                up = np.take_along_axis(stays ^ swaps, anchor, axis=-1) ^ swaps
-                path[:, a:b] = np.where(up, n, 0)
+                path[:, a:b] = n * (np.take_along_axis(stays ^ swaps, anchor, axis=-1) ^ swaps)
         if flip_protocol:
-            self._waves(path, tau_at, u_at, next_flip, offsets)
+            self._waves(path, u_at, next_flip, offsets)
         at = np.where(seen > 0, offsets[:-1, None] + seen - 1, total)  # (rows, grid points)
         return np.ascontiguousarray(path[:, at.T].transpose(1, 0, 2), dtype=np.int64)
 
-    def _waves(self, path, tau, u, next_flip, offsets):
+    def _waves(self, path, u, next_flip, offsets):
         """Protocol 3's path below all-up.  In a wave each all-up (drive, row) pair
         jumps to its next flip and takes that reset's all-up outcome, and then each
         pair below all-up applies the rule to its next reset."""
@@ -718,18 +717,19 @@ class _ChunkState:
         j, end, count = offsets[r], offsets[r + 1], np.full(r.size, n)  # j: the pair's next reset
         while True:
             up = count == n
-            j[up] = next_flip[d[up], j[up]]
+            j[up] += next_flip[d[up], j[up]]
             live = j < end
             if not live.any():
                 return
-            d, j, end, count, up = (x[live] for x in (d, j, end, count, up))
+            d, r, j, end, count, up = (x[live] for x in (d, r, j, end, count, up))
             count[up] = path[d[up], j[up]]
             j[up] += 1
             i = (count < n) & (j < end)
-            di, ji = d[i], j[i]
-            p = _flip_probability(self.obar[di, 0], self.ratio[di, 0], tau[ji])
-            count[i] = _flip_rule(n, count[i], p, u[2 * ji], u[2 * ji + 1])
-            path[di, ji] = count[i]
+            di, ri, ji = d[i], r[i], j[i]
+            k = ji - offsets[ri]  # >= 1: a row's first reset meets all-up
+            p = _flip_probability(self.obar[di, 0], self.ratio[di, 0],
+                                  self.resets[ri, k] - self.resets[ri, k - 1])
+            count[i] = path[di, ji] = _flip_rule(n, count[i], p, u[2 * ji], u[2 * ji + 1])
             j[i] += 1
 
     def record(self, tg: float, acc: dict, gi: int):
