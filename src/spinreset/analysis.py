@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .observables import connected_correlations, lqu, lqu_stack
+from .observables import connected_correlations, lqu_stack
 from .renewal import ProtocolKind, WaitingTime, stationary_states
 from .spin_dynamics import DriveParams
-from .trajectory_sim import EnsembleStats, SimConfig, run_ensembles
+from .trajectory_sim import STAT_FIELDS, EnsembleStats, SimConfig, run_ensembles
 
 REGIME_CLOSED = "closed-form"
 REGIME_MIXTURE = "mixture"
@@ -29,12 +29,10 @@ REGIME_MC = "monte-carlo"
 REGIME_FAILED = "failed"
 
 # The table layouts of the CLI's CSV and JSON outputs, in column order.
-# Sweep columns are SweepResult fields; series columns after "time" are
-# EnsembleStats fields, and "window_" + name is their window average.
+# Sweep columns are SweepResult fields; series columns are "time" and STAT_FIELDS.
 SWEEP_COLUMNS = ("omega_over_delta", "density", "density_stderr", "correlation",
                  "correlation_stderr", "lqu", "lqu_stderr", "regime")
-SERIES_COLUMNS = ("time", "density", "density_stderr", "two_point",
-                  "two_point_stderr", "correlation", "correlation_stderr")
+SERIES_COLUMNS = ("time",) + STAT_FIELDS
 
 # the two-spin states built here are exchange symmetric, so acting on
 # the first spin in the discord measure is a convention, not a choice
@@ -200,8 +198,8 @@ def ensemble_lqu(stats: EnsembleStats):
     if stats.window_pair is None:
         raise ValueError("ensemble was run without an average_window")
     require_exchange_symmetric(stats.window_pair)
-    value = lqu(stats.window_pair).value
-    chunk_vals = np.array([lqu(c).value for c in stats.chunk_window_pair_means])
+    values = lqu_stack(np.concatenate([stats.window_pair[None], stats.chunk_window_pair_means]))[0]
+    value, chunk_vals = float(values[0]), values[1:]
     m = len(chunk_vals)
     if m < 2:
         return value, float("nan")
@@ -363,26 +361,34 @@ def fit_power_law(sweep: SweepResult, observable: str, critical_point: float = 1
     """Ordinary least squares for log|y - baseline| vs log(x - x_c).
 
     The window (inclusive) must lie strictly above the critical point
-    and contain at least five rows.  Offsets must not straddle zero: an
-    all-negative window is fitted in magnitude and reported with a
-    negative amplitude; a mixed-sign or zero offset is an error naming
-    the offending row.
+    and contain at least five rows that did not fail; failed rows are
+    skipped, and a non-finite value in any other row is an error naming
+    it.  Offsets must not straddle zero: an all-negative window is fitted
+    in magnitude and reported with a negative amplitude; a mixed-sign or
+    zero offset is an error naming the offending row.
     """
     if window is None:
         window = (critical_point + DEFAULT_WINDOW[0], critical_point + DEFAULT_WINDOW[1])
     if baseline is None:
         baseline = DEFAULT_BASELINES[observable]
+    if not math.isfinite(baseline):
+        raise ValueError(f"baseline must be finite, got {baseline}")
     lo, hi = (float(w) for w in window)
     if not critical_point < lo <= hi:
         raise ValueError(f"fit window ({lo}, {hi}) must lie strictly above {critical_point}")
     xs = sweep.omega_over_delta
     values, _ = sweep.column(observable)
-    mask = (xs >= lo) & (xs <= hi)
+    ok = np.array([r != REGIME_FAILED for r in sweep.regime])
+    mask = (xs >= lo) & (xs <= hi) & ok
     if mask.sum() < MIN_FIT_POINTS:
-        raise ValueError(
-            f"need at least {MIN_FIT_POINTS} rows in ({lo}, {hi}), found {int(mask.sum())}")
+        raise ValueError(f"need at least {MIN_FIT_POINTS} rows that did not fail "
+                         f"in ({lo}, {hi}), found {int(mask.sum())}")
     x = xs[mask]
     y = values[mask] - baseline
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"observable {observable} at omega/delta={x[bad[0]]} is "
+                         f"{values[mask][bad[0]]}, not a finite value")
     if np.all(y > 0.0):
         sign = 1.0
     elif np.all(y < 0.0):

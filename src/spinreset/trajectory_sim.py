@@ -147,6 +147,11 @@ class SimConfig:
         return np.nonzero((grid >= lo) & (grid <= hi))[0]
 
 
+# _moment_stats' statistics, in order: EnsembleStats fields; "window_" + name is the window's
+STAT_FIELDS = ("density", "density_stderr", "two_point", "two_point_stderr",
+               "correlation", "correlation_stderr")
+
+
 @dataclass
 class EnsembleStats:
     """Grid-time averages of an ensemble with their standard errors.
@@ -466,12 +471,10 @@ def _pair_block(products, layout) -> np.ndarray:
     return products[..., index] * sign
 
 
-def _accumulate_scalars(acc, gi, d, x):
-    acc["sd"][:, gi] += d.sum(axis=1)
-    acc["sd2"][:, gi] += (d * d).sum(axis=1)
-    acc["sx"][:, gi] += x.sum(axis=1)
-    acc["sx2"][:, gi] += (x * x).sum(axis=1)
-    acc["sdx"][:, gi] += (d * x).sum(axis=1)
+def _accumulate_scalars(moments, d, x):
+    """Add each drive's row sums of d, d^2, x, x^2 and d x to moments (drives, 5)."""
+    for m, v in enumerate((d, d * d, x, x * x, d * x)):
+        moments[:, m] += v.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +482,10 @@ def _accumulate_scalars(acc, gi, d, x):
 # ---------------------------------------------------------------------------
 
 
-def _new_accumulators(*shape):
-    """Zero moment sums of the given (drives, grid points) shape."""
-    acc = {key: np.zeros(shape) for key in ("sd", "sd2", "sx", "sx2", "sdx")}
-    acc["pair"] = np.zeros(shape + (4, 4), dtype=complex)
-    return acc
+def _new_accumulators(drives: int, points: int) -> dict:
+    """Zero sums of one chunk: moments (drives, points + 1, 5), the last column the window's."""
+    return {"moments": np.zeros((drives, points + 1, 5)),
+            "pair": np.zeros((drives, points, 4, 4), dtype=complex)}
 
 
 def _expected_resets(dist: WaitingTime, horizon: float) -> float:
@@ -762,7 +764,7 @@ class _ChunkState:
             uu, ud, dd = _symbol_products(np.stack([c_uu, c_ud, c_dd]), d_up, d_down, cr, ci)
             blocks = [_pair_block(products, layout)
                       for products, layout in zip((uu, ud, ud, dd), _FINITE_BLOCKS)]
-        _accumulate_scalars(acc, gi, d, x)
+        _accumulate_scalars(acc["moments"][:, gi], d, x)
         pair = acc["pair"][:, gi]
         for block in blocks:  # uu, ud, du, dd: the order of einsum's four calls
             pair += block
@@ -770,26 +772,19 @@ class _ChunkState:
 
 
 def _chunk_sums(configs: list, start: int, rows: int) -> dict:
-    """Every drive's moment sums over one chunk, drives in configs order."""
+    """Every drive's sums over one chunk, drives in configs order."""
     state = _ChunkState(configs, start, rows)
     grid = configs[0].sample_grid
     acc = _new_accumulators(len(configs), len(grid))
     widx = set(configs[0].window_indices().tolist())
-    row_d = np.zeros((len(configs), rows)) if widx else None
-    row_x = np.zeros((len(configs), rows)) if widx else None
+    rows_dx = np.zeros((2, len(configs), rows))  # each row's sums of d and x over the window
     state.advance_to()
     for gi, tg in enumerate(grid):
-        d, x = state.record(tg, acc, gi)
+        dx = state.record(tg, acc, gi)
         if gi in widx:
-            row_d += d
-            row_x += x
+            rows_dx += dx
     if widx:
-        nw = len(widx)
-        row_d /= nw
-        row_x /= nw
-        acc["window"] = np.stack([row_d.sum(axis=1), (row_d * row_d).sum(axis=1),
-                                  row_x.sum(axis=1), (row_x * row_x).sum(axis=1),
-                                  (row_d * row_x).sum(axis=1)], axis=1)
+        _accumulate_scalars(acc["moments"][:, -1], *rows_dx / len(widx))
     return acc
 
 
@@ -844,46 +839,33 @@ def _ensemble_stats(config: SimConfig, chunks: list, chunk_counts: np.ndarray,
     """Combine one drive's chunk sums, in chunk order, into its statistics."""
     n = config.n_trajectories
     n_grid = len(config.sample_grid)
-    total = _new_accumulators(n_grid)
-    window_sums = np.zeros(5)
+    moments = np.zeros((n_grid + 1, 5))
+    pair = np.zeros((n_grid, 4, 4), dtype=complex)
     chunk_pair_means = np.empty((len(chunks), n_grid, 4, 4), dtype=complex)
     for ci, acc in enumerate(chunks):  # fixed combination order
-        for key in ("sd", "sd2", "sx", "sx2", "sdx", "pair"):
-            total[key] += acc[key]
-        if "window" in acc:
-            window_sums += acc["window"]
+        moments += acc["moments"]
+        pair += acc["pair"]
         chunk_pair_means[ci] = acc["pair"] / chunk_counts[ci]
-
-    stats = _moment_stats(n, total["sd"], total["sd2"], total["sx"],
-                          total["sx2"], total["sdx"])
-    out = EnsembleStats(
+    window = {}
+    widx = config.window_indices()
+    if widx.size:
+        # finished on float64 scalars: a scalar's **2 calls libm pow, an
+        # array's computes x*x, and the two round differently
+        stats = _moment_stats(n, *moments[-1])
+        window = {"window_" + name: float(v) for name, v in zip(STAT_FIELDS, stats)}
+        window["window_pair"] = pair[widx].sum(axis=0) / (n * widx.size)
+        window["chunk_window_pair_means"] = chunk_pair_means[:, widx].mean(axis=1)
+    return EnsembleStats(
         config=config,
         times=np.asarray(config.sample_grid),
-        density=stats[0],
-        density_stderr=stats[1],
-        two_point=stats[2],
-        two_point_stderr=stats[3],
-        correlation=stats[4],
-        correlation_stderr=stats[5],
-        pair_states=total["pair"] / n,
+        **dict(zip(STAT_FIELDS, _moment_stats(n, *moments[:-1].T))),
+        pair_states=pair / n,
         chunk_pair_means=chunk_pair_means,
         chunk_counts=chunk_counts,
         n_trajectories=n,
         wall_time=time.perf_counter() - t0,
+        **window,
     )
-    widx = config.window_indices()
-    if widx.size:
-        w = _moment_stats(n, *window_sums)
-        out.window_density = float(w[0])
-        out.window_density_stderr = float(w[1])
-        out.window_two_point = float(w[2])
-        out.window_two_point_stderr = float(w[3])
-        out.window_correlation = float(w[4])
-        out.window_correlation_stderr = float(w[5])
-        out.window_pair = total["pair"][widx].sum(axis=0) / (n * widx.size)
-        out.chunk_window_pair_means = chunk_pair_means[:, widx].mean(axis=1)
-        out.wall_time = time.perf_counter() - t0
-    return out
 
 
 def _moment_stats(n, sd, sd2, sx, sx2, sdx):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinreset import analysis, renewal
 from spinreset.analysis import (
@@ -318,24 +320,41 @@ def test_use_mc_agrees_with_closed_form():
     assert abs(pull) < 4.0
 
 
+def per_chunk_lqu(stats):
+    """The window LQU and its size-weighted batch-means error, one lqu call per state."""
+    chunk_vals = np.array([lqu(c).value for c in stats.chunk_window_pair_means])
+    w = stats.chunk_counts.astype(float)
+    vbar = (w * chunk_vals).sum() / w.sum()
+    s2 = (w * (chunk_vals - vbar) ** 2).sum() / (len(w) - 1)
+    return lqu(stats.window_pair).value, math.sqrt(s2 / w.sum())
+
+
 def test_ensemble_lqu_batch_means():
     mc = McTemplate(n_trajectories=1100, observation_time=8.0, seed=2,
                     average_window=(5.0, 8.0), window_points=7)
     stats = run_ensemble(mc.config(ProtocolKind.UNCONDITIONAL_RESET,
                                    DriveParams(1.2, 1.0), POISSON))
     value, err = ensemble_lqu(stats)
-    assert value == pytest.approx(lqu(stats.window_pair).value, abs=1e-14)
-    chunk_vals = np.array([lqu(c).value for c in stats.chunk_window_pair_means])
-    w = stats.chunk_counts.astype(float)
-    vbar = (w * chunk_vals).sum() / w.sum()
-    s2 = (w * (chunk_vals - vbar) ** 2).sum() / (len(w) - 1)
-    assert err == pytest.approx(math.sqrt(s2 / w.sum()), abs=1e-14)
+    assert (value, err) == per_chunk_lqu(stats)
     assert err > 0.0
     # no window -> no estimator
     cfg = mc.config(ProtocolKind.UNCONDITIONAL_RESET, DriveParams(1.2, 1.0), POISSON)
     cfg = type(cfg)(**{**cfg.__dict__, "average_window": None})
     with pytest.raises(ValueError):
         ensemble_lqu(run_ensemble(cfg))
+
+
+def test_mc_sweep_discord_equals_each_ensembles_per_chunk_lqu():
+    mc = McTemplate(n_trajectories=2100, observation_time=8.0, seed=4,
+                    average_window=(5.0, 8.0), window_points=5)
+    grid = [0.6, 1.1, 1.7]
+    sweep = sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, POISSON, grid, mc=mc,
+                             use_mc=True)
+    assert sweep.regime == [REGIME_MC] * len(grid)
+    for i, x in enumerate(grid):
+        stats = run_ensemble(mc.config(ProtocolKind.CONDITIONAL_TWO_STATE,
+                                       DriveParams(x, 1.0), POISSON))
+        assert (sweep.lqu[i], sweep.lqu_stderr[i]) == per_chunk_lqu(stats)
 
 
 def test_jump_protocol_two_is_exact():
@@ -470,3 +489,24 @@ def test_finite_size_crossover_is_resolved():
         dens[n] = stats.window_density
     assert dens[51] < 0.55
     assert dens[1001] > 0.75
+
+
+log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drives=st.lists(st.builds(DriveParams, omega=log_uniform, delta=log_uniform),
+                       min_size=1, max_size=4),
+       dist=st.one_of(st.builds(WaitingTime.poisson, log_uniform),
+                      st.builds(WaitingTime.chopped, log_uniform, log_uniform)),
+       n_spins=st.sampled_from([None, 1, 51, 1001]))
+def test_closed_form_rows_are_valid_property(drives, dist, n_spins):
+    for protocol in (ProtocolKind.UNCONDITIONAL_RESET, ProtocolKind.CONDITIONAL_TWO_STATE):
+        rows, _ = analysis.closed_form_rows(protocol, drives, dist, n_spins)
+        for params, (density, _, corr, _, discord, _, _) in zip(drives, rows):
+            assert 0.0 <= density <= 1.0
+            assert -0.25 <= corr <= 0.25
+            assert 0.0 <= discord <= 1.0
+            if protocol is ProtocolKind.UNCONDITIONAL_RESET:
+                assert density == pytest.approx(
+                    stationary_density_closed_form(params, dist), abs=1e-12)

@@ -405,6 +405,33 @@ def test_fit_command_from_both_formats(tmp_path, capsys):
     assert "change sign" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_skips_failed_rows(tmp_path, capsys, fmt):
+    xs = 1.0 + np.linspace(0.02, 0.25, 9)
+    dens = 0.5 + 0.3 * (xs - 1.0) ** 0.5
+    failed = (float("nan"),) * 6 + (analysis.REGIME_FAILED,)
+
+    def fit(rows, name, *extra):
+        sweep = analysis.SweepResult.from_rows(analysis.ProtocolKind.UNCONDITIONAL_RESET,
+                                               WaitingTime.poisson(0.5), 1.0, xs, rows)
+        path = cli.write_table(sweep, fmt, str(tmp_path / name))[0]
+        return run_cli(["fit", "--input", path, "--observable", "density", *extra], capsys)
+
+    rows = [(d, 0.0, 0.0, 0.0, 0.0, 0.0, "monte-carlo") for d in dens]
+    code, out, err = fit([failed if i == 4 else r for i, r in enumerate(rows)], "one")
+    assert code == 0, err
+    assert json.loads(out)["exponent"] == pytest.approx(0.5, abs=1e-8)
+    # too few rows left: a reason, not a traceback
+    code, _, err = fit([failed if i >= 4 else r for i, r in enumerate(rows)], "many")
+    assert code == 3 and "did not fail" in err and "Traceback" not in err
+    # a NaN in a row that did not fail names the row
+    code, _, err = fit([(float("nan"),) + r[1:] if i == 4 else r for i, r in enumerate(rows)],
+                       "nan")
+    assert code == 3 and f"omega/delta={xs[4]}" in err
+    code, _, err = fit(rows, "baseline", "--baseline", "nan")
+    assert code == 3 and "baseline must be finite" in err
+
+
 def test_finite_size_command(tmp_path, capsys):
     stem = str(tmp_path / "fs")
     code, out, _ = run_cli([

@@ -595,9 +595,12 @@ def assert_record_matches_oracle(state, gi, times):
             else:
                 rd, rx = record_finite(params, s, origin[k].astype(float), n_spins, ref, gi)
             assert d[k].tobytes() == rd.tobytes() and x[k].tobytes() == rx.tobytes()
+    moments = acc["moments"]
     for k, ref in enumerate(refs):
-        for key, value in ref.items():
-            assert acc[key][k].tobytes() == value.tobytes(), (key, state.params[k])
+        for m, key in enumerate(("sd", "sd2", "sx", "sx2", "sdx")):
+            assert moments[k, :points, m].tobytes() == ref[key].tobytes(), (key, state.params[k])
+        assert acc["pair"][k].tobytes() == ref["pair"].tobytes(), state.params[k]
+    assert not moments[:, points].any()  # the window column is _chunk_sums' alone
 
 
 def oracle_state(n_spins, rows, drives=ORACLE_DRIVES, protocol=ProtocolKind.CONDITIONAL_FLIP,
