@@ -324,7 +324,8 @@ def estimate_discontinuity(sweep: SweepResult, critical_point: float = 1.0,
     exact skips the extrapolation and evaluates its branch at the
     critical point itself, which carries zero error; mixture rows do not
     qualify because evaluating at the critical point would cross onto
-    the other branch.
+    the other branch.  A row that did not fail but holds a non-finite
+    value or standard error where a side reads it is an error naming it.
     """
     xs = sweep.omega_over_delta
     values, stderrs = sweep.column(observable)
@@ -341,6 +342,10 @@ def estimate_discontinuity(sweep: SweepResult, critical_point: float = 1.0,
             params = DriveParams(omega=critical_point * sweep.delta, delta=sweep.delta)
             row, _ = closed_form_row(sweep.protocol, params, sweep.dist)
             return float(row[SWEEP_COLUMNS.index(observable) - 1]), 0.0
+        for i in side[:2]:  # the rows _one_sided_limit reads
+            if not (math.isfinite(values[i]) and math.isfinite(stderrs[i])):
+                raise ValueError(f"observable {observable} at omega/delta={xs[i]} is "
+                                 f"{values[i]} +- {stderrs[i]}, not a finite value")
         return _one_sided_limit(xs[side], values[side], stderrs[side], critical_point)
 
     lv, le = limit(left)

@@ -290,7 +290,7 @@ def _add_mc_args(p, trajectories=10000):
     p.add_argument("--trajectories", type=int, default=trajectories)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker threads (default ${WORKERS_ENV} or 1)")
+                   help=f"worker processes, at most the usable CPUs (default ${WORKERS_ENV} or 1)")
     p.add_argument("--time", type=float, default=None,
                    help="observation time (default 30, or 2000 at finite N)")
 

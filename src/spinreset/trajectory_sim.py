@@ -30,10 +30,11 @@ None of these draws depends on the drive, so ensembles that differ only
 in it (the rows of a sweep) share each chunk's schedule: run_ensembles
 draws it once and replays it for every drive, and each drive's sums are
 its own run_ensemble's bit for bit.  Chunks of CHUNK trajectories are
-reduced independently (on the worker threads) and combined in index
-order, so results are bitwise identical for any worker count.  Changing
-CHUNK would change the rounding pattern of the reduction (not the
-statistics), so it is a fixed constant, not a knob.
+reduced independently (in the calling process and forked worker
+processes) and combined in index order, so results are bitwise identical
+for any worker count.  Changing CHUNK would change the rounding pattern
+of the reduction (not the statistics), so it is a fixed constant, not a
+knob.
 A chunk applies its resets with t <= the last grid time for every drive,
 and the record reads each grid point's origins and last reset times by
 index.  In the thermodynamic limit step k applies every row's k-th reset.
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -270,7 +270,7 @@ class _RowStreams:
     counter 0 and no buffered words.  fill sets the row's key and counter
     skip // 4 and discards skip % 4 draws, so the row continues exactly
     where an earlier fill of `skip` values stopped.  Each chunk owns its
-    own instance: chunks run on threads.
+    own instance, whichever process runs it.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -788,18 +788,113 @@ def _chunk_sums(configs: list, start: int, rows: int) -> dict:
     return acc
 
 
-def ordered_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], run on up to `workers` threads.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    import os
 
-    Results come back in input order whatever the thread count.  The
-    first failing item (in input order) re-raises its exception after
-    the items still queued are cancelled.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _share(fn, items) -> list:
+    """(True, fn(x)) for each x in order, up to the first failure, kept as (False, exception)."""
+    out = []
+    for x in items:
+        try:
+            out.append((True, fn(x)))
+        except Exception as exc:
+            out.append((False, exc))
+            break
+    return out
+
+
+def _send_share(fn, share: list, write: int, reads: list):
+    """A forked child's whole life: run its share, pickle the outcomes into write, exit."""
+    import os
+    import pickle
+    import traceback
+
+    status = 1
+    try:
+        for fd in reads:  # the read ends it inherited
+            os.close(fd)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(_share(fn, share), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)  # never returns into the parent's stack, flushes no parent buffer
+
+
+def _fork_join(fn, items: list, procs: int) -> list:
+    """ordered_map over procs processes: share k = items[k::procs], share 0 here."""
+    import os
+    import pickle
+    import signal
+
+    reads, pids, statuses, drained = [], [], [], False
+    try:
+        for k in range(1, procs):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(fn, items[k::procs], write, reads)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        shares = [_share(fn, items[0::procs])]
+        for fd in reads:  # every pipe to EOF before any wait: a full pipe blocks its writer
+            with os.fdopen(fd, "rb", closefd=False) as pipe:
+                shares.append(pipe.read())
+        drained = True
+    finally:
+        for fd in reads:
+            os.close(fd)
+        for pid in pids:
+            if not drained:  # an aborted call waits for no share
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for k, (pid, status) in enumerate(zip(pids, statuses), 1):
+        if status:
+            raise ChildProcessError(f"worker process {pid} (items {k}::{procs}) "
+                                    f"exited with status {status}")
+    outcomes = [None] * len(items)
+    for k, share in enumerate(shares[:1] + [pickle.loads(sent) for sent in shares[1:]]):
+        outcomes[k:k + procs * len(share):procs] = share
+    results = []
+    for ok, value in outcomes:  # an item a share skipped comes after that share's failure
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def ordered_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items] on this process and up to workers - 1 forked children.
+
+    The process count is capped at the items and at the usable CPUs.  Item
+    i runs in share i % processes: share 0 here, every other share in a
+    child forked for the call, which pickles its results back through a
+    pipe and exits.  Results come back in input order whatever the
+    process count, and the first failing item in input order re-raises
+    its exception: a share stops at its own first failure, which comes
+    after every earlier item of that share.  A child that dies raises
+    ChildProcessError with its exit status.  No child outlives the call.
+    Where os.fork does not exist the items run here, one after another.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    if workers > 1 and len(items) > 1:
+        import os
+
+        procs = min(workers, len(items), _usable_cpus())
+        if procs > 1 and hasattr(os, "fork"):
+            return _fork_join(fn, items, procs)
+    return [fn(x) for x in items]
 
 
 def run_ensembles(configs) -> list:
@@ -807,10 +902,11 @@ def run_ensembles(configs) -> list:
 
     Trajectory i draws from streams keyed by (seed, i) whatever the drive,
     so each chunk of CHUNK trajectories draws its schedule once and every
-    drive replays it.  Chunks run independently (on up to `workers`
-    threads) and each drive's sums are combined in fixed order, so every
-    result is bitwise its own run_ensemble's, for any worker count.  A
-    failing chunk aborts the whole run: no partial averages are returned.
+    drive replays it.  Chunks run independently (in up to `workers`
+    processes, see ordered_map) and each drive's sums are combined in
+    fixed order, so every result is bitwise its own run_ensemble's, for
+    any worker count.  A failing chunk aborts the whole run: no partial
+    averages are returned.
     """
     t0 = time.perf_counter()
     configs = list(configs)

@@ -58,7 +58,7 @@ def test_mc_template_config():
     assert len(cfg.sample_grid) == 4
     assert cfg.sample_grid[0] == 8.0 and cfg.sample_grid[-1] == 12.0
     assert cfg.seed == 5 and cfg.n_trajectories == 100
-    # the template's workers are the ensemble's chunk threads
+    # the template's workers are the ensemble's chunk processes
     assert McTemplate(workers=7).config(ProtocolKind.UNCONDITIONAL_RESET,
                                         DriveParams(1.0, 1.0), POISSON).workers == 7
 
@@ -195,7 +195,7 @@ def test_mc_sweep_rows_and_row_parallelism():
     serial = sweep_stationary(ProtocolKind.CONDITIONAL_FLIP, POISSON, grid, mc=mc)
     assert serial.regime == [REGIME_MC] * 3
     assert np.all(serial.density_stderr > 0.0)
-    # chunk threads must not change any number (every row replays the
+    # chunk processes must not change any number (every row replays the
     # chunk's one schedule, and chunks are combined in index order)
     mc_par = McTemplate(n_trajectories=2 * CHUNK + 100, observation_time=6.0, seed=0,
                         average_window=(4.0, 6.0), window_points=5, workers=3)
@@ -414,6 +414,23 @@ def test_jump_skips_failed_rows_and_center_row():
     with pytest.raises(ValueError):
         estimate_discontinuity(synthetic_sweep(xs[:2], values[:2], errs[:2],
                                                [REGIME_MC, REGIME_MC]), 2.0)
+
+
+@pytest.mark.parametrize("column, bad", [("values", 1), ("values", 3), ("errs", 0),
+                                         ("errs", 2)])
+def test_jump_rejects_a_non_finite_row_that_did_not_fail(column, bad):
+    # a NaN in a row not labelled failed (a hand-edited or foreign sweep)
+    # used to come back as a NaN jump; it now names the row
+    xs = np.array([0.8, 0.9, 1.1, 1.2])
+    data = {"values": np.array([0.7, 0.65, 0.45, 0.4]), "errs": np.full(4, 0.01)}
+    data[column][bad] = np.nan if column == "values" else np.inf
+    with pytest.raises(ValueError, match=f"omega/delta={xs[bad]} .*not a finite value"):
+        estimate_discontinuity(synthetic_sweep(xs, data["values"], data["errs"]), 1.0)
+    # a row beyond the two nearest on its side is not read
+    xs = np.array([0.7, 0.8, 0.9, 1.1, 1.2])
+    values = np.array([np.nan, 0.7, 0.65, 0.45, 0.4])
+    jump = estimate_discontinuity(synthetic_sweep(xs, values, np.full(5, 0.01)), 1.0)
+    assert math.isfinite(jump.value) and math.isfinite(jump.stderr)
 
 
 @pytest.mark.parametrize("beta", [0.2, 0.5, 1.0])

@@ -1,8 +1,10 @@
-"""Start-up of the CLI loads no scipy subpackage beyond scipy.special.
+"""Start-up of the CLI loads no scipy subpackage beyond scipy.special,
+and no multiprocessing.
 
 Import is most of an exact command's run time.  The quadrature
 cross-check is in the package (spinreset.integrate), so importing the
-CLI must not pull in scipy.integrate and what it drags along.
+CLI must not pull in scipy.integrate and what it drags along.  The chunk
+pool forks with os.fork and needs no multiprocessing.
 """
 
 import os
@@ -23,3 +25,4 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     assert "spinreset.cli" in loaded and "spinreset.integrate" in loaded
     heavy = [m for m in loaded if any(m == h or m.startswith(h + ".") for h in HEAVY)]
     assert heavy == []
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []

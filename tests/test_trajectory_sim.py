@@ -1,3 +1,5 @@
+import os
+import signal
 import types
 from dataclasses import replace
 
@@ -504,23 +506,29 @@ def test_output_does_not_depend_on_wait_buffer_size(protocol, n_spins, monkeypat
     assert short.window_pair.tobytes() == full.window_pair.tobytes()
 
 
-def test_measurement_stream_is_built_only_where_measured(monkeypatch):
-    # streams are keyed once per chunk and kind, for all of its rows
-    keys, calls = [], []
+def test_measurement_stream_is_built_only_where_measured(monkeypatch, tmp_path):
+    # streams are keyed once per chunk and kind, for all of its rows; chunks
+    # run in forked processes too, so each call appends a line to a file
+    log = tmp_path / "streams.log"
     derive = trajectory_sim._trajectory_streams
 
     def recording(seed, index, kind):
-        calls.append(kind)
-        keys.extend((int(i), kind) for i in index)
+        with open(log, "a") as fh:
+            fh.write(f"{kind} {' '.join(str(int(i)) for i in index)}\n")
         return derive(seed, index, kind)
+
+    def recorded():
+        lines = [line.split() for line in log.read_text().splitlines()]
+        calls = [int(line[0]) for line in lines]
+        return [(int(i), kind) for kind, line in zip(calls, lines) for i in line[1:]], calls
 
     monkeypatch.setattr(trajectory_sim, "_trajectory_streams", recording)
     n = 16
     for protocol in ProtocolKind:
         for n_spins in (None, 11):
-            keys.clear()
-            calls.clear()
+            log.write_text("")
             run_ensemble(small_config(protocol, n_spins=n_spins, n_traj=n))
+            keys, calls = recorded()
             measured = n_spins is not None and protocol is not ProtocolKind.UNCONDITIONAL_RESET
             expect = [(i, 0) for i in range(n)] + [(i, 1) for i in range(n) if measured]
             assert sorted(keys) == sorted(expect)
@@ -534,9 +542,9 @@ def test_measurement_stream_is_built_only_where_measured(monkeypatch):
             mc = McTemplate(n_trajectories=n, observation_time=4.0, window_points=3,
                             n_spins=n_spins, workers=2)
             for grid in ([1.1], [0.5, 1.0, 1.5, 2.0]):
-                keys.clear()
-                calls.clear()
+                log.write_text("")
                 sweep_stationary(protocol, POISSON, grid, mc=mc, use_mc=True)
+                keys, calls = recorded()
                 assert sorted(calls) == sorted(kinds * 2)  # 2 chunks x kinds
                 assert sorted(keys) == [(i, k) for i in range(n) for k in kinds]
 
@@ -783,3 +791,101 @@ def test_first_wait_block_is_capped_before_any_chunk_runs(monkeypatch):
     trajectory_sim._check_first_wait_block(POISSON, 8.0, rows)
     with pytest.raises(ValueError, match="about 4 resets per trajectory by t = 8"):
         trajectory_sim._check_first_wait_block(POISSON, 8.0, rows + 1)
+
+
+# The chunk pool: the calling process and workers - 1 forked children.  No
+# test here starts more than one child.
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # two processes even where this one may run on a single CPU
+    monkeypatch.setattr(trajectory_sim, "_usable_cpus", lambda: 2)
+
+
+def test_usable_cpus_is_the_affinity_mask():
+    assert trajectory_sim._usable_cpus() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("failing", [(3, 4), (2, 5), (1,), (4,), (0, 1)])
+def test_pool_raises_the_first_failing_item_in_input_order(failing, two_cpus):
+    # item i runs in process i % 2: this one runs 0, 2 and 4, the child 1, 3 and 5
+    def square(x):
+        if x in failing:
+            raise ValueError(f"item {x}")
+        return x * x
+
+    with pytest.raises(ValueError, match=f"^item {min(failing)}$"):
+        trajectory_sim.ordered_map(square, range(6), 2)
+    assert_no_child_left()
+    assert trajectory_sim.ordered_map(lambda x: x * x, range(6), 2) == [x * x for x in range(6)]
+    assert_no_child_left()
+
+
+def test_pool_forks_no_more_than_the_usable_cpus(monkeypatch, two_cpus):
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)  # before the fork: only this process counts
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert trajectory_sim.ordered_map(lambda x: x + 1, range(8), 100000) == list(range(1, 9))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_pool_runs_here_without_fork(monkeypatch, two_cpus):
+    monkeypatch.delattr(os, "fork")
+    assert trajectory_sim.ordered_map(lambda x: os.getpid(), range(4), 2) == [os.getpid()] * 4
+
+
+def test_chunks_run_in_two_processes(tmp_path, monkeypatch, two_cpus):
+    log = tmp_path / "pids.log"
+    chunk_sums = trajectory_sim._chunk_sums
+
+    def logging_chunk_sums(configs, start, rows):
+        with open(log, "a") as fh:
+            fh.write(f"{start} {os.getpid()}\n")
+        return chunk_sums(configs, start, rows)
+
+    monkeypatch.setattr(trajectory_sim, "_chunk_sums", logging_chunk_sums)
+    config = replace(small_config(ProtocolKind.CONDITIONAL_FLIP, n_traj=2 * CHUNK + 5), workers=2)
+    pooled = run_ensemble(config)
+    ran = {int(start): int(pid) for start, pid in map(str.split, log.read_text().splitlines())}
+    assert sorted(ran) == [0, CHUNK, 2 * CHUNK]
+    assert ran[0] == ran[2 * CHUNK] == os.getpid() != ran[CHUNK]
+    assert_no_child_left()
+    serial = run_ensemble(replace(config, workers=1))
+    for name in ("density", "correlation_stderr", "pair_states", "chunk_pair_means"):
+        assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
+    assert pooled.window_density == serial.window_density
+
+
+def test_a_chunk_process_that_dies_raises_its_exit_status(monkeypatch, two_cpus):
+    parent, chunk_sums = os.getpid(), trajectory_sim._chunk_sums
+
+    def dying_chunk_sums(configs, start, rows):
+        if os.getpid() != parent:
+            os._exit(1)
+        return chunk_sums(configs, start, rows)
+
+    def hung(signum, frame):
+        raise TimeoutError("the pool waits on a dead child")
+
+    monkeypatch.setattr(trajectory_sim, "_chunk_sums", dying_chunk_sums)
+    config = replace(small_config(ProtocolKind.UNCONDITIONAL_RESET, n_traj=CHUNK + 5), workers=2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match="exited with status 1$"):
+            run_ensemble(config)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
