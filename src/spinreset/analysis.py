@@ -122,7 +122,6 @@ class SweepResult:
     lqu_stderr: np.ndarray
     regime: list
     n_spins: int | None = None
-    fits: dict = field(default_factory=dict)
     row_errors: dict = field(default_factory=dict)
 
     def __post_init__(self):

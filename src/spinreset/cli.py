@@ -48,6 +48,7 @@ from .spin_dynamics import DriveParams
 from .trajectory_sim import EnsembleStats, SimConfig, run_ensemble
 
 WORKERS_ENV = "SPINRESET_WORKERS"
+MAX_GRID_POINTS = 10**6  # a lo:hi:step grid is built as a list before any row runs
 
 # argparse attributes that are plumbing, not configuration
 _NOT_CONFIG = ("func", "command", "argv", "start")
@@ -122,8 +123,8 @@ def _table(result):
         head = {"kind": "sweep", "protocol": result.protocol.value,
                 "dist": _dist_dict(result.dist), "delta": result.delta,
                 "n_spins": result.n_spins}
-        tail = {"row_errors": {str(k): v for k, v in result.row_errors.items()},
-                "fits": {k: asdict(v) for k, v in result.fits.items()}}
+        # "fits" is always empty; it stays until the benchmark's checksums are re-recorded
+        tail = {"row_errors": {str(k): v for k, v in result.row_errors.items()}, "fits": {}}
         return SWEEP_COLUMNS, [getattr(result, c) for c in SWEEP_COLUMNS], head, tail
     if isinstance(result, EnsembleStats):
         # the time column is emitted as t*delta, mirroring the input groups
@@ -244,8 +245,12 @@ def _parse_grid(text: str):
             lo, hi, step = (float(v) for v in text.split(":"))
             if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
                 raise ValueError
-            count = int(round((hi - lo) / step))
-            vals = [lo + k * step for k in range(count + 1)]
+            span = (hi - lo) / step  # inf when the quotient overflows
+            if not (math.isfinite(span) and round(span) < MAX_GRID_POINTS):
+                raise argparse.ArgumentTypeError(
+                    f"grid {text!r} asks for {span + 1:.4g} points, "
+                    f"more than the {MAX_GRID_POINTS} allowed")
+            vals = [lo + k * step for k in range(round(span) + 1)]
             return [v for v in vals if v <= hi + 1e-9]
         vals = [float(v) for v in text.split(",")]
         if not all(map(math.isfinite, vals)):
@@ -713,6 +718,9 @@ def execute_command(argv=None) -> int:
         return 5
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -159,9 +159,9 @@ class EnsembleStats:
     Standard errors are sample standard deviation / sqrt(n_trajectories)
     (ddof=1).  The correlation row is the plug-in estimate
     mean(two_point) - mean(density)^2 with a delta-method error.
-    chunk_pair_means keeps the per-chunk mean pair states so callers can
-    attach batch-means uncertainties to spectral quantities of the mean
-    state (the discord measure has no per-trajectory estimator).
+    chunk_window_pair_means keeps each chunk's mean window pair state, so
+    callers can attach batch-means errors to spectral quantities of the
+    mean state (the discord measure has no per-trajectory estimator).
     """
 
     config: SimConfig
@@ -173,7 +173,6 @@ class EnsembleStats:
     correlation: np.ndarray
     correlation_stderr: np.ndarray
     pair_states: np.ndarray
-    chunk_pair_means: np.ndarray
     chunk_counts: np.ndarray
     n_trajectories: int
     wall_time: float
@@ -903,10 +902,10 @@ def run_ensembles(configs) -> list:
     Trajectory i draws from streams keyed by (seed, i) whatever the drive,
     so each chunk of CHUNK trajectories draws its schedule once and every
     drive replays it.  Chunks run independently (in up to `workers`
-    processes, see ordered_map) and each drive's sums are combined in
-    fixed order, so every result is bitwise its own run_ensemble's, for
-    any worker count.  A failing chunk aborts the whole run: no partial
-    averages are returned.
+    processes, see ordered_map), and every drive's chunk sums are merged
+    in one pass in chunk order, so every result is bitwise its own
+    run_ensemble's, for any worker count.  A failing chunk aborts the
+    whole run: no partial averages are returned.
     """
     t0 = time.perf_counter()
     configs = list(configs)
@@ -920,48 +919,34 @@ def run_ensembles(configs) -> list:
     bounds = [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]
     chunks = ordered_map(lambda b: _chunk_sums(configs, *b), bounds, first.workers)
     chunk_counts = np.array([r for _, r in bounds], dtype=np.int64)
-    return [_ensemble_stats(config, [{key: v[k] for key, v in acc.items()} for acc in chunks],
-                            chunk_counts, t0)
+    moments, pair = (np.zeros_like(chunks[0][key]) for key in ("moments", "pair"))
+    for chunk in chunks:  # fixed combination order
+        moments += chunk["moments"]
+        pair += chunk["pair"]
+    grid_stats = _moment_stats(n, *np.moveaxis(moments[:, :-1], -1, 0))
+    windows = [{} for _ in configs]
+    widx = first.window_indices()
+    if widx.size:
+        window_pair = pair[:, widx].sum(axis=1) / (n * widx.size)
+        batch_means = np.mean([c["pair"][:, widx] / r for c, r in zip(chunks, chunk_counts)],
+                              axis=2)
+        for k, window in enumerate(windows):
+            # finished on float64 scalars: a scalar's **2 calls libm pow, an
+            # array's computes x*x, and the two round differently
+            stats = _moment_stats(n, *moments[k, -1])
+            window.update({"window_" + name: float(v) for name, v in zip(STAT_FIELDS, stats)},
+                          window_pair=window_pair[k], chunk_window_pair_means=batch_means[:, k])
+    wall_time = time.perf_counter() - t0
+    return [EnsembleStats(config=config, times=np.asarray(config.sample_grid),
+                          **{name: v[k] for name, v in zip(STAT_FIELDS, grid_stats)},
+                          pair_states=pair[k] / n, chunk_counts=chunk_counts, n_trajectories=n,
+                          wall_time=wall_time, **windows[k])
             for k, config in enumerate(configs)]
 
 
 def run_ensemble(config: SimConfig) -> EnsembleStats:
     """Simulate the configured ensemble and average it on the sample grid."""
     return run_ensembles([config])[0]
-
-
-def _ensemble_stats(config: SimConfig, chunks: list, chunk_counts: np.ndarray,
-                    t0: float) -> EnsembleStats:
-    """Combine one drive's chunk sums, in chunk order, into its statistics."""
-    n = config.n_trajectories
-    n_grid = len(config.sample_grid)
-    moments = np.zeros((n_grid + 1, 5))
-    pair = np.zeros((n_grid, 4, 4), dtype=complex)
-    chunk_pair_means = np.empty((len(chunks), n_grid, 4, 4), dtype=complex)
-    for ci, acc in enumerate(chunks):  # fixed combination order
-        moments += acc["moments"]
-        pair += acc["pair"]
-        chunk_pair_means[ci] = acc["pair"] / chunk_counts[ci]
-    window = {}
-    widx = config.window_indices()
-    if widx.size:
-        # finished on float64 scalars: a scalar's **2 calls libm pow, an
-        # array's computes x*x, and the two round differently
-        stats = _moment_stats(n, *moments[-1])
-        window = {"window_" + name: float(v) for name, v in zip(STAT_FIELDS, stats)}
-        window["window_pair"] = pair[widx].sum(axis=0) / (n * widx.size)
-        window["chunk_window_pair_means"] = chunk_pair_means[:, widx].mean(axis=1)
-    return EnsembleStats(
-        config=config,
-        times=np.asarray(config.sample_grid),
-        **dict(zip(STAT_FIELDS, _moment_stats(n, *moments[:-1].T))),
-        pair_states=pair / n,
-        chunk_pair_means=chunk_pair_means,
-        chunk_counts=chunk_counts,
-        n_trajectories=n,
-        wall_time=time.perf_counter() - t0,
-        **window,
-    )
 
 
 def _moment_stats(n, sd, sd2, sx, sx2, sdx):

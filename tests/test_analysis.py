@@ -251,8 +251,8 @@ def test_mc_row_failure_fails_only_its_own_row(monkeypatch):
 
 
 STATS_ARRAYS = ("density", "density_stderr", "two_point", "two_point_stderr", "correlation",
-                "correlation_stderr", "pair_states", "chunk_pair_means", "chunk_counts",
-                "window_pair", "chunk_window_pair_means")
+                "correlation_stderr", "pair_states", "chunk_counts", "window_pair",
+                "chunk_window_pair_means")
 STATS_WINDOW = ("window_density", "window_density_stderr", "window_two_point",
                 "window_two_point_stderr", "window_correlation", "window_correlation_stderr")
 

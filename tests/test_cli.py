@@ -48,6 +48,11 @@ def test_grid_parsing():
     for bad in ("1:0:0.1", "1:2:-0.5", "a,b", "1:2"):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_grid(bad)
+    # the point count is checked before the list is built
+    with pytest.raises(argparse.ArgumentTypeError, match="asks for inf points"):
+        _parse_grid("0:1e308:1e-308")  # the quotient overflows
+    with pytest.raises(argparse.ArgumentTypeError, match="asks for 2e\\+06 points"):
+        _parse_grid("0:1:5e-7")
     assert _parse_window("3:7.5") == (3.0, 7.5)
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_window("3")
@@ -160,6 +165,27 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad_json.write_text("{\"kind\": \"sweep\"")
     assert run_cli(["fit", "--input", str(bad_json), "--observable", "density"],
                    capsys)[0] == 5
+
+
+def test_oversized_grid_is_a_usage_error():
+    for grid in ("0:1e308:1e-308", "0:1:5e-7"):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["sweep", "--protocol", "1", "--grid", grid])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (["ensemble", "--protocol", "1", "--omega", "1"], "run_ensemble"),
+    (["sweep", "--protocol", "3", "--grid", "1.1"], "sweep_stationary"),
+])
+def test_out_of_memory_exits_3(argv, engine, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.24 GiB for an array")
+
+    monkeypatch.setattr(cli, engine, exhausted)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == "error: out of memory: Unable to allocate 2.24 GiB for an array\n"
 
 
 def test_ensemble_too_long_for_one_wait_block_exits_3(capsys, monkeypatch):

@@ -391,7 +391,7 @@ def test_run_ensembles_gives_each_drive_its_own_ensemble(protocol, n_spins):
         alone = run_ensemble(config)
         assert shared.config == config
         for name in ("density", "two_point_stderr", "correlation_stderr", "pair_states",
-                     "chunk_pair_means", "window_pair", "chunk_window_pair_means"):
+                     "window_pair", "chunk_window_pair_means"):
             assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), name
         assert shared.window_density == alone.window_density
         assert shared.window_correlation_stderr == alone.window_correlation_stderr
@@ -422,7 +422,8 @@ def test_ensemble_bitwise_worker_independence():
         assert outs[0].pair_states.tobytes() == other.pair_states.tobytes()
         assert outs[0].window_density == other.window_density
         assert outs[0].window_correlation_stderr == other.window_correlation_stderr
-        assert outs[0].chunk_pair_means.tobytes() == other.chunk_pair_means.tobytes()
+        assert (outs[0].chunk_window_pair_means.tobytes()
+                == other.chunk_window_pair_means.tobytes())
     assert outs[0].chunk_counts.sum() == base["n_trajectories"]
 
 
@@ -465,7 +466,6 @@ def test_ensemble_stats_bookkeeping():
     assert out.wall_time >= 0.0
     assert out.times.shape == (9,)
     assert out.chunk_counts.sum() == 64
-    assert out.chunk_pair_means.shape[0] == len(out.chunk_counts)
     assert out.chunk_window_pair_means.shape == (len(out.chunk_counts), 4, 4)
     # no window requested -> no window fields
     cfg2 = SimConfig(protocol=ProtocolKind.UNCONDITIONAL_RESET, params=PARAMS,
@@ -862,7 +862,7 @@ def test_chunks_run_in_two_processes(tmp_path, monkeypatch, two_cpus):
     assert ran[0] == ran[2 * CHUNK] == os.getpid() != ran[CHUNK]
     assert_no_child_left()
     serial = run_ensemble(replace(config, workers=1))
-    for name in ("density", "correlation_stderr", "pair_states", "chunk_pair_means"):
+    for name in ("density", "correlation_stderr", "pair_states", "chunk_window_pair_means"):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
     assert pooled.window_density == serial.window_density
 
