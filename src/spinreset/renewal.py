@@ -31,7 +31,7 @@ import numpy as np
 from . import integrate
 from .finite_size import _check_n
 from .spin_dynamics import DriveParams, free_pair_poly, free_qubit_poly, free_state_batch
-from .trigpoly import TrigPoly, _bucket
+from .trigpoly import TrigPoly
 
 WEIGHT_TOL = 1e-12
 
@@ -301,10 +301,8 @@ def _branch_mix_poly(dist: WaitingTime, params: DriveParams, branches):
     return 0.5 * (state + state.conj().T), 0.5 * (pair + pair.conj().T)
 
 
-# the free entries live on the frequencies k * obar for these k, the
-# amplitudes they are built from on k = +-1
+# the free entries live on the frequencies k * obar for these k
 _ENTRY_MULTIPLES = (0, 2, -2, 4, -4)
-_ALL_MULTIPLES = _ENTRY_MULTIPLES + (1, -1)
 _BATCH_MIN_ROWS = 5
 
 
@@ -348,19 +346,16 @@ def _branch_mix(dist: WaitingTime, params_list, mixes):
 
     mixes[i] = (c_up, c_down) of row i.  Each branch is built and
     averaged once for the whole grid (TrigPolyBatch); a row the batch
-    cannot reproduce bit for bit takes the TrigPoly path: obar = 0, two
-    multiples k * obar in one rounding bucket, a coefficient near the
-    drop threshold, or an is_real verdict too close to call.  So do the
-    rows of a grid shorter than _BATCH_MIN_ROWS, where the batch's fixed
-    cost (a few thousand small array operations) exceeds theirs.
+    cannot reproduce bit for bit takes the TrigPoly path: obar = 0, a
+    coefficient near the drop threshold, or an is_real verdict too close
+    to call.  So do the rows of a grid shorter than _BATCH_MIN_ROWS,
+    where the batch's fixed cost (a few thousand small array operations)
+    exceeds theirs.  Both paths key each term by its exact frequency, so
+    a row's output does not depend on the scale of obar.
     """
     n = len(params_list)
     obars = [p.effective_rabi for p in params_list]
-    if n < _BATCH_MIN_ROWS:
-        general = np.ones(n, dtype=bool)
-    else:
-        general = np.array([ob == 0.0 or len({_bucket(k * ob) for k in _ALL_MULTIPLES})
-                            < len(_ALL_MULTIPLES) for ob in obars], dtype=bool)
+    general = np.array([n < _BATCH_MIN_ROWS or ob == 0.0 for ob in obars], dtype=bool)
     c_up, c_down = np.array(mixes, dtype=float).reshape(n, 2).T
     state = np.zeros((n, 2, 2), dtype=complex)
     pair = np.zeros((n, 4, 4), dtype=complex)
@@ -440,7 +435,7 @@ def reset_rates_R(params: DriveParams, dist: WaitingTime, n_spins: int | None = 
         leaves = params.omega > 0.0
     elif params.omega > params.delta:
         w = params.effective_rabi
-        t1 = math.asin(math.sqrt(w**2 / (2.0 * params.omega**2))) / w
+        t1 = math.asin(w / (math.sqrt(2.0) * params.omega)) / w
         leaves = dist.t_max is None or t1 < dist.t_max
     else:
         leaves = False

@@ -16,6 +16,7 @@ of drives at once, on the multiples k * obar of each row's frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,17 @@ def free_two_spin_state(params: DriveParams, t: float, init_j: str, init_k: str)
 # are products of two amplitudes, so they live on frequencies
 # {0, +-2 obar}; two-spin entries on {0, +-2 obar, +-4 obar}.
 # ---------------------------------------------------------------------------
+
+
+def _coherence_re(params: DriveParams, obar: float) -> float:
+    """delta * omega / obar**2, the up branch's coherence over sin^2(obar t).
+
+    Taken over 2**e (obar = m * 2**e) where obar**2 would not be a normal
+    float, so it neither overflows nor underflows at any scale; elsewhere
+    unscaled, since libm's pow does not round evenly under such scaling.
+    """
+    e = 0 if 2.0**-450 < obar < 2.0**450 else math.frexp(obar)[1]
+    return math.ldexp(params.delta, -e) * math.ldexp(params.omega, -e) / math.ldexp(obar, -e) ** 2
 
 
 def _amplitude_coeffs(omega, delta, obar):

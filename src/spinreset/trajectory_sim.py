@@ -66,7 +66,7 @@ from scipy.special import bdtr, bdtrik, ndtri  # noqa: F401
 
 from .finite_size import _check_n
 from .renewal import ProtocolKind, WaitingTime, _fourier_weight, waiting_time_from_uniform
-from .spin_dynamics import DriveParams
+from .spin_dynamics import DriveParams, _coherence_re
 
 CHUNK = 1024
 WAIT_BLOCK = 64
@@ -584,7 +584,7 @@ class _ChunkState:
         obar = [p.effective_rabi for p in self.params]
         ratio = [(p.omega / o) ** 2 if o else 0.0 for p, o in zip(self.params, obar)]
         # the up branch's coherence is coh_re * sin^2 + i coh_im * sin*cos
-        coh_re = [p.delta * p.omega / o**2 if o else 0.0 for p, o in zip(self.params, obar)]
+        coh_re = [_coherence_re(p, o) if o else 0.0 for p, o in zip(self.params, obar)]
         coh_im = [p.omega / o if o else 0.0 for p, o in zip(self.params, obar)]
         # columns of p = ratio * sin(obar * tau)^2: a drive with obar = 0 keeps p = 0
         self.obar, self.ratio, self.coh_re, self.coh_im = (

@@ -10,6 +10,12 @@ with a handful of real frequencies w.  Keeping track of the pairs
 (w, c_w) instead of sampling f on a grid lets the renewal layer do all
 of its time integrals analytically.
 
+Each term is keyed by the frequency it is given, with -0.0 folded into
+0.0.  Every frequency the package builds is an exact float sum of
++-obar terms (obar + obar is 2 * obar bit for bit), so algebraically
+equal frequencies meet on one key at any scale of obar, and distinct
+ones never merge.
+
 TrigPolyBatch holds one such sum per row of a drive grid, on the
 frequencies k * scale[row], and repeats TrigPoly's arithmetic on whole
 columns of coefficients at once, rounding for rounding.
@@ -19,44 +25,26 @@ from __future__ import annotations
 
 import numpy as np
 
-# Frequencies within the same rounding bucket are merged, so that
-# algebraically equal frequencies produced by different floating-point
-# routes (e.g. 2*w vs w+w) land on one term.  The stored key is the
-# first frequency seen in the bucket, not the rounded value: integrals
-# downstream are sensitive to the exact frequency.
-_FREQ_DECIMALS = 9
-
 # Coefficients below this magnitude are dropped on construction.
 _COEFF_EPS = 1e-15
-
-
-def _bucket(w: float) -> float:
-    key = round(float(w), _FREQ_DECIMALS)
-    return 0.0 if key == 0.0 else key
 
 
 class TrigPoly:
     """A finite sum of complex exponentials c_w * exp(i w t)."""
 
-    __slots__ = ("coeffs", "_keys")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         self.coeffs: dict[float, complex] = {}
-        self._keys: dict[float, float] = {}  # bucket -> representative frequency
         if coeffs:
             for w, c in coeffs.items():
                 self._add_term(w, c)
 
     def _add_term(self, w, c):
-        bucket = _bucket(w)
-        key = self._keys.get(bucket)
-        if key is None:
-            key = 0.0 if bucket == 0.0 else float(w)
-            self._keys[bucket] = key
+        key = 0.0 if w == 0.0 else float(w)
         new = self.coeffs.get(key, 0.0) + complex(c)
         if abs(new) <= _COEFF_EPS:
             self.coeffs.pop(key, None)
-            del self._keys[bucket]
         else:
             self.coeffs[key] = new
 
@@ -74,15 +62,6 @@ class TrigPoly:
         return out
 
     __radd__ = __add__
-
-    def __neg__(self) -> "TrigPoly":
-        return TrigPoly({w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TrigPoly) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other) -> "TrigPoly":
         out = TrigPoly()
@@ -107,16 +86,10 @@ class TrigPoly:
             out = out + c * np.exp(1j * w * t)
         return out if out.shape else complex(out)
 
-    @property
-    def frequencies(self):
-        return sorted(self.coeffs)
-
     def is_real(self, tol=1e-12) -> bool:
         """True if f(t) is real for all t (coefficients come in conjugate pairs)."""
         for w, c in self.coeffs.items():
-            partner = self._keys.get(_bucket(-w))
-            mirror = 0.0 if partner is None else self.coeffs.get(partner, 0.0)
-            if abs(c - np.conj(mirror)) > tol:
+            if abs(c - np.conj(self.coeffs.get(-w, 0.0))) > tol:
                 return False
         return True
 
@@ -157,8 +130,9 @@ class TrigPolyBatch:
     and a first insertion adds the coefficient to 0.0.  That holds while a
     row's terms stay in the shared key order, so ``unsafe`` flags the rows
     where TrigPoly would drop a coefficient (it comes within reach of
-    _COEFF_EPS; a later re-add appends it at the end).  Rows whose
-    frequencies share a rounding bucket are the caller's to flag.
+    _COEFF_EPS; a later re-add appends it at the end).  Distinct k keep
+    distinct frequencies k * scale wherever scale > 0, as TrigPoly's
+    exact keys do; rows with scale = 0 are the caller's to route.
     """
 
     __slots__ = ("coeffs", "unsafe")

@@ -142,11 +142,12 @@ def _bits(x):
 def test_batched_rows_equal_the_per_row_reference_bit_for_bit(protocol, dist, monkeypatch):
     rng = np.random.default_rng(4)
     generic = [(x, 1.0) for x in np.r_[np.arange(0.01, 3.0, 0.0475), rng.uniform(0.0, 3.0, 25)]]
+    # terms are keyed by their exact frequency, so a tiny obar (small
+    # delta) is a generic row too
+    generic += [(x * 1e-10, 1e-10) for x in (0.5, 1.5)]
     # degenerate term structure: a coefficient TrigPoly drops (omega/delta
-    # = 0, 1e-12, 2), frequencies in one rounding bucket (tiny obar via
-    # small delta); omega = delta is the protocol-2 threshold
-    degenerate = ([(x, 1.0) for x in (0.0, 1e-12, 1.0, 2.0)]
-                  + [(x * 1e-10, 1e-10) for x in (0.5, 1.5)])
+    # = 0, 1e-12, 2); omega = delta is the protocol-2 threshold
+    degenerate = [(x, 1.0) for x in (0.0, 1e-12, 1.0, 2.0)]
     drives = generic + degenerate + [(x * 1e-3, 1e-3) for x in (0.5, 1.0, 1.5)]
     params = [DriveParams(om, de) for om, de in drives]
     general = []
@@ -511,13 +512,22 @@ def test_finite_size_crossover_is_resolved():
 log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
 
 
+def _rescaled(drives, dist, s):
+    """The same dimensionless rows in units scaled by s: (s omega, s delta, s gamma, t_max / s)."""
+    scaled = [DriveParams(s * p.omega, s * p.delta) for p in drives]
+    if dist.t_max is None:
+        return scaled, WaitingTime.poisson(s * dist.gamma)
+    return scaled, WaitingTime.chopped(s * dist.gamma, dist.t_max / s)
+
+
 @settings(max_examples=100, deadline=None)
 @given(drives=st.lists(st.builds(DriveParams, omega=log_uniform, delta=log_uniform),
                        min_size=1, max_size=4),
        dist=st.one_of(st.builds(WaitingTime.poisson, log_uniform),
                       st.builds(WaitingTime.chopped, log_uniform, log_uniform)),
-       n_spins=st.sampled_from([None, 1, 51, 1001]))
-def test_closed_form_rows_are_valid_property(drives, dist, n_spins):
+       n_spins=st.sampled_from([None, 1, 51, 1001]),
+       scale=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e))
+def test_closed_form_rows_are_valid_property(drives, dist, n_spins, scale):
     for protocol in (ProtocolKind.UNCONDITIONAL_RESET, ProtocolKind.CONDITIONAL_TWO_STATE):
         rows, _ = analysis.closed_form_rows(protocol, drives, dist, n_spins)
         for params, (density, _, corr, _, discord, _, _) in zip(drives, rows):
@@ -527,3 +537,11 @@ def test_closed_form_rows_are_valid_property(drives, dist, n_spins):
             if protocol is ProtocolKind.UNCONDITIONAL_RESET:
                 assert density == pytest.approx(
                     stationary_density_closed_form(params, dist), abs=1e-12)
+        # the rows depend only on the dimensionless groups; the LQU takes the
+        # square root of a nearly singular state, which turns rounding-level
+        # changes of that state into about 1e-8
+        scaled, _ = analysis.closed_form_rows(protocol, *_rescaled(drives, dist, scale), n_spins)
+        for row, other in zip(rows, scaled):
+            assert other[0] == pytest.approx(row[0], abs=1e-14)
+            assert other[2] == pytest.approx(row[2], abs=1e-14)
+            assert other[4] == pytest.approx(row[4], abs=1e-7)

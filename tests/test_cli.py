@@ -98,6 +98,32 @@ def test_stationary_is_scale_invariant(capsys):
     assert float(r1[5]) == pytest.approx(float(r2[5]), abs=1e-7)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--protocol", "1", "--grid", "0.2:2.0:0.3"],
+    ["sweep", "--protocol", "2", "--grid", "0.2:2.0:0.3"],
+    ["sweep", "--protocol", "1", "--grid", "0.2:2.0:0.3", "--dist", "chopped", "--tmax", "4"],
+    ["sweep", "--protocol", "2", "--grid", "0.2:2.0:0.3", "--dist", "chopped", "--tmax", "4"],
+    ["stationary", "--protocol", "1", "--omega", "1.3"],
+    ["stationary", "--protocol", "2", "--n-spins", "51", "--omega", "1.3"],
+    ["ensemble", "--protocol", "2", "--omega", "1.3"],
+    ["ensemble", "--protocol", "2", "--n-spins", "11", "--omega", "1.3"],
+    ["ensemble", "--protocol", "3", "--n-spins", "11", "--omega", "1.3"],
+], ids=["sweep-p1", "sweep-p2", "sweep-p1-chopped", "sweep-p2-chopped", "stationary-p1",
+        "stationary-p2-n51", "ensemble-p2", "ensemble-p2-n11", "ensemble-p3-n11"])
+def test_power_of_two_delta_prints_the_bytes_of_delta_one(argv, capsys):
+    # every input is a dimensionless group and a power of two rescales
+    # without rounding, so only the unit changes, even near the ends of
+    # the float range
+    if argv[0] == "ensemble":
+        argv = argv + ["--trajectories", "300", "--time", "6", "--points", "4"]
+    outs = []
+    for delta in (1.0, 2.0 ** -600, 2.0 ** 600):
+        code, out, err = run_cli(argv + ["--delta", repr(delta)], capsys)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli(["stationary", "--protocol", "1"], capsys)[0] == 2  # missing omega
     assert run_cli(["stationary", "--protocol", "7", "--omega", "1"], capsys)[0] == 2

@@ -344,6 +344,22 @@ def test_reset_rates_thermo_chopped_cutoff_before_first_flip_window():
     assert st2.density == st1.density and st2.note == ""
 
 
+@pytest.mark.parametrize("scale", [1e-170, np.float64(1e-170), 1e160, np.float64(1e160)],
+                         ids=["tiny", "tiny-numpy", "huge", "huge-numpy"])
+def test_reset_rates_thermo_cutoff_test_holds_at_any_scale(scale):
+    # in units scaled by s the first flip window opens at t1 / s: deciding
+    # whether it opens before the cutoff must neither overflow nor
+    # underflow, on Python or numpy floats
+    params = DriveParams(2.0, 1.0)
+    t1 = optimize.brentq(lambda t: flip_probability(params, t) - 0.5, 0.0,
+                         0.5 * math.pi / params.effective_rabi, xtol=1e-15)
+    scaled = DriveParams(2.0 * scale, 1.0 * scale)
+    for factor, c_up in ((1.0 - 1e-6, 1.0), (1.0 + 1e-6, 0.5)):
+        dist = WaitingTime.chopped(0.5 * scale, t1 * factor / scale)
+        assert reset_rates_R(scaled, dist).c_up == c_up
+    assert reset_rates_R(scaled, WaitingTime.poisson(0.5 * scale)).c_up == 0.5
+
+
 def test_reset_rates_finite_n():
     params = DriveParams(1.5, 1.0)
     for bad in (10, -3, 0):

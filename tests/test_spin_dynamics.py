@@ -3,6 +3,7 @@ import pytest
 
 from spinreset.spin_dynamics import (
     DriveParams,
+    _coherence_re,
     evolve_qubit,
     flip_probability_poly,
     free_pair_poly,
@@ -143,3 +144,16 @@ def test_flip_probability_poly_matches_scalar():
         ts = np.linspace(0.0, 25.0, 60)
         np.testing.assert_allclose(np.real(poly(ts)), flip_probability(params, ts),
                                    atol=1e-14)
+
+
+def test_coherence_constant_at_any_scale():
+    # delta * omega / obar**2 keeps the unscaled formula's bits at ordinary
+    # scales, and stays finite and right where obar**2 over- or underflows
+    for _ in range(200):
+        p = random_params()
+        o = p.effective_rabi
+        value = _coherence_re(p, o)
+        assert value == p.delta * p.omega / o**2
+        for s in (2.0**-600, 1e-200, 1e200, 2.0**600):
+            scaled = DriveParams(s * p.omega, s * p.delta)
+            assert _coherence_re(scaled, scaled.effective_rabi) == pytest.approx(value, rel=1e-15)
