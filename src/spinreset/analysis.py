@@ -268,6 +268,9 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
     _require_increasing(grid)
     if delta <= 0.0:
         raise ValueError("sweeps need delta > 0 (the grid is in units of delta)")
+    top = float(np.max(np.abs(grid)))
+    if not math.isfinite(top * delta):
+        raise ValueError(f"omega/delta = {top:g} times delta = {delta:g} is not finite")
     mc = mc or McTemplate()
     needs_mc = use_mc or not protocol.has_exact_state or protocol.measures(mc.n_spins)
 

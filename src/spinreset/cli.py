@@ -388,6 +388,8 @@ def _resolve_physics(args):
     delta_zero = delta == 0.0
     unit = 1.0 if delta_zero else delta
     omega = getattr(args, "omega", None)
+    if omega is not None and not math.isfinite(omega * unit):
+        raise ValueError(f"--omega {omega:g} times --delta {delta:g} is not finite")
     params = None if omega is None else DriveParams(omega=omega * unit, delta=delta)
     gamma = (0.5 if args.gamma is None else args.gamma) * unit
     if args.dist == "chopped":

@@ -7,13 +7,13 @@ unconditional protocol; the conditional protocol mixes the averages
 from all-up and all-down with the stationary weights of its reset
 chain, which follow from whether that chain can leave all-up.
 
-Trajectory entries are TrigPoly objects, so every time integral here is
-done term by term in closed form; an adaptive vector-quadrature path
-exists as an independent cross-check for callables.  The stationary
-states of a grid of drives are averaged in one batched pass
-(TrigPolyBatch) that rounds exactly as the TrigPoly row code, which
-stays as the general path for the rows the batch cannot reproduce; one
-state is the one-row case.
+Trajectory entries are trig polynomials on the multiples k * obar of
+the drive's frequency, so every time integral here is done term by term
+in closed form.  The stationary states of a grid of drives, one drive
+included, are built and averaged in one stacked pass (TrigPolyBatch);
+rows with obar = 0 have no dynamics and are their origin states.  An
+adaptive vector-quadrature path exists as an independent cross-check
+for callables.
 
 ProtocolKind is defined here with the two rules every path reads:
 has_exact_state and measures.
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import integrate
 from .finite_size import _check_n
-from .spin_dynamics import DriveParams, free_pair_poly, free_qubit_poly, free_state_batch
-from .trigpoly import TrigPoly
+from .spin_dynamics import DOWN, UP, DriveParams, free_pair_poly, free_qubit_poly
+from .trigpoly import TrigPolyBatch
 
 WEIGHT_TOL = 1e-12
 
@@ -143,7 +143,7 @@ def _phi2(x):
 
 def _fourier_weight_short(g: float, t_max: float, w: float):
     """U(w) of the chopped law at small gamma * t_max, as complex128 (the
-    type _average_batch's chopped division form stands in for).
+    type _average's chopped division form stands in for).
 
     With a = g t_max, c = exp(-a) and x = i w t_max, U(w) = a (B / (1 - c))
     / (g - i w), where B = (1 - c) - a phi2(-a) - c x phi2(x) writes the
@@ -177,12 +177,6 @@ def _fourier_weight(dist: WaitingTime, w: float) -> complex:
     return (part - e_max * osc) / (1.0 - e_max)
 
 
-def _average_poly(dist: WaitingTime, poly: TrigPoly):
-    u0 = _fourier_weight(dist, 0.0).real
-    val = sum(c * _fourier_weight(dist, w) for w, c in poly.coeffs.items()) / u0
-    return val.real if poly.is_real() else val
-
-
 def _quad_upper_limit(dist: WaitingTime) -> float:
     if dist.kind is WaitingKind.POISSON:
         # exp(-60) ~ 9e-27, far below the 1e-8 agreement target
@@ -190,7 +184,17 @@ def _quad_upper_limit(dist: WaitingTime) -> float:
     return dist.t_max
 
 
-def _average_callable(dist: WaitingTime, f):
+def exp_weighted_average(dist: WaitingTime, f):
+    """Average a free trajectory f: t -> scalar/array against the survival weight q(t)/q_hat.
+
+    One adaptive vector quadrature (integrate.quad, Gauss-Kronrod 10/21)
+    integrates f as a whole, so every entry shares the same subintervals:
+    an independent cross-check of the closed-form states, which it
+    matches to 1e-8.
+    """
+    if not callable(f):
+        raise TypeError(f"cannot average object of type {type(f).__name__}")
+
     def weighted(nodes):
         vals = np.array([f(t) for t in nodes.tolist()])
         q = survival_probability(dist, nodes)
@@ -199,40 +203,9 @@ def _average_callable(dist: WaitingTime, f):
     return integrate.quad(weighted, 0.0, _quad_upper_limit(dist)) / _fourier_weight(dist, 0.0).real
 
 
-def exp_weighted_average(dist: WaitingTime, f):
-    """Average a free trajectory against the survival weight q(t)/q_hat.
-
-    f may be a TrigPoly, an object array of TrigPoly (integrated in
-    closed form term by term) or a plain callable t -> scalar/array.  A
-    callable is integrated as a whole by one adaptive vector quadrature
-    (integrate.quad, Gauss-Kronrod 10/21), so every entry shares the same
-    subintervals; the two paths agree to 1e-8.
-    """
-    if isinstance(f, TrigPoly):
-        return _average_poly(dist, f)
-    if isinstance(f, np.ndarray) and f.dtype == object:
-        out = np.empty(f.shape, dtype=complex)
-        for idx in np.ndindex(*f.shape):
-            out[idx] = _average_poly(dist, f[idx])
-        return out
-    if callable(f):
-        return _average_callable(dist, f)
-    raise TypeError(f"cannot average object of type {type(f).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Last-renewal state at finite time (Poisson resetting only).
 # ---------------------------------------------------------------------------
-
-
-def _renewal_value(poly: TrigPoly, gamma: float, t: float) -> complex:
-    # exp(-g t) f(t) + g * integral_0^t exp(-g s) f(s) ds, term by term
-    val = 0.0 + 0.0j
-    for w, c in poly.coeffs.items():
-        z = 1j * w - gamma
-        ez = np.exp(z * t)
-        val += c * ez + gamma * c * (ez - 1.0) / z
-    return val
 
 
 def renewal_state_at_time(params: DriveParams, gamma: float, t: float, pair: bool = False):
@@ -246,10 +219,18 @@ def renewal_state_at_time(params: DriveParams, gamma: float, t: float, pair: boo
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    entries = free_pair_poly(params, "up", "up") if pair else free_qubit_poly(params, "up")
-    out = np.empty(entries.shape, dtype=complex)
-    for idx in np.ndindex(*entries.shape):
-        out[idx] = _renewal_value(entries[idx], gamma, t)
+    obar = _exact_rabi(params)
+    if obar == 0.0:
+        return np.kron(UP, UP) if pair else UP.copy()
+    entries = free_qubit_poly(np.array([params.omega]), np.array([params.delta]),
+                              np.array([obar]), "up")
+    if pair:
+        entries = free_pair_poly(entries)
+    # exp(-g t) f(t) + g * integral_0^t exp(-g s) f(s) ds, term by term
+    c = entries.re[:, 0] + 1j * entries.im[:, 0]
+    z = 1j * (entries.keys() * obar) - gamma
+    ez = np.exp(z * t)
+    out = entries.entry_sums(c * ez + gamma * c * (ez - 1.0) / z).reshape(entries.shape)
     return 0.5 * (out + out.conj().T)
 
 
@@ -285,106 +266,77 @@ class StationaryState:
     note: str = field(default="")
 
 
-def _branch_mix_poly(dist: WaitingTime, params: DriveParams, branches):
-    """Mix survival-weighted averages of free evolutions from pure origins.
-
-    The TrigPoly form of one row: the general path, taken by the rows a
-    batch cannot reproduce.
-    """
-    state = np.zeros((2, 2), dtype=complex)
-    pair = np.zeros((4, 4), dtype=complex)
-    for weight, origin in branches:
-        if weight == 0.0:
-            continue
-        state += weight * exp_weighted_average(dist, free_qubit_poly(params, origin))
-        pair += weight * exp_weighted_average(dist, free_pair_poly(params, origin, origin))
-    return 0.5 * (state + state.conj().T), 0.5 * (pair + pair.conj().T)
+def _exact_rabi(params: DriveParams) -> float:
+    """obar of a drive on the exact path, whose frequencies reach 4 * obar."""
+    obar = params.effective_rabi
+    if not math.isfinite(4.0 * obar):
+        raise ValueError(f"omega = {params.omega:g}, delta = {params.delta:g}: 4 * obar is not "
+                         "finite, so the exact state's frequencies overflow")
+    return obar
 
 
-# the free entries live on the frequencies k * obar for these k
-_ENTRY_MULTIPLES = (0, 2, -2, 4, -4)
-_BATCH_MIN_ROWS = 5
+# the free entries live on the frequencies k * obar for these k (sorted)
+_MULTIPLES = (-4, -2, 0, 2, 4)
+# rows per stacked pass: bounds the (terms x rows) temporaries on any grid
+_BLOCK_ROWS = 64
 
 
-def _average_batch(dist: WaitingTime, entries: np.ndarray, weights: dict):
-    """_average_poly of every entry for every row, bit for bit.
+def _average(dist: WaitingTime, entries: TrigPolyBatch, weights: np.ndarray) -> np.ndarray:
+    """Survival-weighted average of every entry on every row: (rows, *entries.shape).
 
-    entries is an object array of TrigPolyBatch, weights[k] the (re, im)
-    of U(k * obar) per row.  The sum over terms starts at 0 as sum()
-    does, and the division by u0 takes the form of the scalar type it
-    stands in for: CPython's complex quotient for the Poisson law's
-    complex, numpy's reciprocal product for the chopped law's
-    complex128.  Entries that is_real accepts get an imaginary part of
-    exactly 0.  Returns the (rows, *entries.shape) averages and the rows
-    where is_real cannot be settled the way TrigPoly settles it.
+    weights[i] is U(_MULTIPLES[i] * obar) per row.  Each entry's sum over
+    its terms starts at 0 as sum() does, and the division by u0 takes the
+    form of the scalar type it stands in for: CPython's complex quotient
+    for the Poisson law's complex, numpy's reciprocal product for the
+    chopped law's complex128.
     """
     u0 = _fourier_weight(dist, 0.0).real
-    n = len(weights[0][0])
-    out = np.empty((n,) + entries.shape, dtype=complex)
-    unsure = np.zeros(n, dtype=bool)
-    for idx in np.ndindex(*entries.shape):
-        re = im = None
-        for k, (cr, ci) in entries[idx].coeffs.items():
-            ur, ui = weights[k]
-            tr, ti = cr * ur - ci * ui, cr * ui + ci * ur
-            re, im = (0.0 + tr, 0.0 + ti) if re is None else (re + tr, im + ti)
-        if dist.kind is WaitingKind.POISSON:
-            re, im = (re + im * 0.0) / u0, (im - re * 0.0) / u0
-        else:
-            scale = 1.0 / u0
-            re, im = (re + im * 0.0) * scale, (im - re * 0.0) * scale
-        real, unsure_here = entries[idx].is_real()
-        unsure |= unsure_here
-        at = (slice(None),) + idx
-        out.real[at] = re
-        out.imag[at] = np.where(real, 0.0, im)
-    return out, unsure
+    u = weights[np.searchsorted(_MULTIPLES, entries.keys())]
+    cr, ci, ur, ui = entries.re, entries.im, u.real, u.imag
+    re, im = entries.entry_sums(cr * ur - ci * ui), entries.entry_sums(cr * ui + ci * ur)
+    if dist.kind is WaitingKind.POISSON:
+        re, im = (re + im * 0.0) / u0, (im - re * 0.0) / u0
+    else:
+        scale = 1.0 / u0
+        re, im = (re + im * 0.0) * scale, (im - re * 0.0) * scale
+    out = np.empty(re.shape[::-1], dtype=complex)
+    out.real, out.imag = re.T, im.T
+    return out.reshape((-1,) + entries.shape)
 
 
 def _branch_mix(dist: WaitingTime, params_list, mixes):
     """Stacked stationary (state, pair) of rows mixing all-up and all-down.
 
     mixes[i] = (c_up, c_down) of row i.  Each branch is built and
-    averaged once for the whole grid (TrigPolyBatch); a row the batch
-    cannot reproduce bit for bit takes the TrigPoly path: obar = 0, a
-    coefficient near the drop threshold, or an is_real verdict too close
-    to call.  So do the rows of a grid shorter than _BATCH_MIN_ROWS,
-    where the batch's fixed cost (a few thousand small array operations)
-    exceeds theirs.  Both paths key each term by its exact frequency, so
-    a row's output does not depend on the scale of obar.
+    averaged once per block of up to _BLOCK_ROWS rows, for a grid of any
+    size.  A row with obar = 0 has no dynamics: it is its mix of the
+    origin states.
     """
     n = len(params_list)
-    obars = [p.effective_rabi for p in params_list]
-    general = np.array([n < _BATCH_MIN_ROWS or ob == 0.0 for ob in obars], dtype=bool)
+    obars = [_exact_rabi(p) for p in params_list]
+    still = np.array(obars) == 0.0
+    omega = np.array([p.omega for p in params_list])
+    delta = np.array([p.delta for p in params_list])
+    obar = np.where(still, 1.0, obars)  # still rows: a placeholder, replaced below
+    weights = np.array([[complex(_fourier_weight(dist, k * ob)) for ob in obars]
+                        for k in _MULTIPLES])
     c_up, c_down = np.array(mixes, dtype=float).reshape(n, 2).T
     state = np.zeros((n, 2, 2), dtype=complex)
     pair = np.zeros((n, 4, 4), dtype=complex)
-    if not general.all():
-        weights = {}
-        for k in _ENTRY_MULTIPLES:
-            u = np.array([complex(_fourier_weight(dist, k * ob)) for ob in obars])
-            weights[k] = (u.real, u.imag)
-        omega = np.array([p.omega for p in params_list])
-        delta = np.array([p.delta for p in params_list])
-        obar = np.where(general, 1.0, obars)  # general rows: placeholders, replaced below
-        for origin, c in (("up", c_up), ("down", c_down)):
+    for block in (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS)):
+        for origin, c in (("up", c_up[block]), ("down", c_down[block])):
             rows = c != 0.0
             if not rows.any():
                 continue
-            with np.errstate(all="ignore"):
-                qubit, two = free_state_batch(omega, delta, obar, origin)
-                avg_q, unsure_q = _average_batch(dist, qubit, weights)
-                avg_p, unsure_p = _average_batch(dist, two, weights)
-            unsafe = np.logical_or.reduce([e.unsafe for e in (*qubit.flat, *two.flat)])
-            general |= rows & (unsure_q | unsure_p | unsafe)
-            w = c[rows, None, None]
-            state[rows] += w * avg_q[rows]
-            pair[rows] += w * avg_p[rows]
+            qubit = free_qubit_poly(omega[block], delta[block], obar[block], origin)
+            w, u = c[rows, None, None], weights[:, block]
+            state[block][rows] += w * _average(dist, qubit, u)[rows]
+            pair[block][rows] += w * _average(dist, free_pair_poly(qubit), u)[rows]
     state = 0.5 * (state + state.conj().swapaxes(-1, -2))
     pair = 0.5 * (pair + pair.conj().swapaxes(-1, -2))
-    for i in np.flatnonzero(general):
-        up, down = mixes[i]
-        state[i], pair[i] = _branch_mix_poly(dist, params_list[i], [(up, "up"), (down, "down")])
+    up, down = c_up[still, None, None], c_down[still, None, None]
+    state[still] = up * UP + down * DOWN
+    pair[still] = up * np.kron(UP, UP) + down * np.kron(DOWN, DOWN)
     return state, pair
 
 

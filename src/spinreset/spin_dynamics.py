@@ -10,8 +10,9 @@ All frequencies are understood in units of the detuning delta and times
 in units of 1/delta, but nothing here enforces that normalization; the
 formulas are homogeneous.
 
-The *_batch functions build the trig-polynomial entries of a whole grid
-of drives at once, on the multiples k * obar of each row's frequency.
+free_qubit_poly and free_pair_poly build the trig-polynomial entries of
+the free states of a whole grid of drives at once, on the multiples
+k * obar of each row's frequency.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import TrigPoly, TrigPolyBatch, kron_poly, poly_matrix
+from .trigpoly import TrigPolyBatch, kron_poly
 
 # Tolerances for state validation.  Ensemble-averaged matrices pick up
 # rounding noise roughly at the 1e-12 level; these sit safely above it.
@@ -173,69 +174,33 @@ def _amplitude_coeffs(omega, delta, obar):
             (-omega / (2.0 * obar), omega / (2.0 * obar)))
 
 
-def _from_origin(alpha, beta, init: str):
+def _spinor(omega, delta, obar, init: str) -> TrigPolyBatch:
+    """Spinor amplitudes from init over a grid, as a 2x1 column: (alpha, beta) from
+    up and (beta, conj alpha) from down, on the multiples +-1 of obar."""
+    zero = np.zeros(len(obar))
+    alpha, beta = ({1: (plus, zero), -1: (minus, zero)}
+                   for plus, minus in _amplitude_coeffs(omega, delta, obar))
     if init == "up":
-        return alpha, beta
+        return TrigPolyBatch.from_entries((2, 1), (alpha, beta))
     if init == "down":
-        return beta, alpha.conj()
+        conj_alpha = {-k: (re, -im) for k, (re, im) in alpha.items()}
+        return TrigPolyBatch.from_entries((2, 1), (beta, conj_alpha))
     raise ValueError(f"initial state must be 'up' or 'down', got {init!r}")
 
 
-def free_amplitudes(params: DriveParams, init: str):
-    """Spinor amplitudes (a_up(t), a_down(t)) as TrigPoly."""
-    obar = params.effective_rabi
-    if obar == 0.0:
-        one, zero = TrigPoly.constant(1.0), TrigPoly()
-        return (one, zero) if init == "up" else (zero, one)
-    alpha, beta = (TrigPoly({obar: plus, -obar: minus})
-                   for plus, minus in _amplitude_coeffs(params.omega, params.delta, obar))
-    return _from_origin(alpha, beta, init)
-
-
-def free_amplitudes_batch(omega, delta, obar, init: str):
-    """free_amplitudes for a grid of drives, keyed by multiples of obar.
+def free_qubit_poly(omega, delta, obar, init: str) -> TrigPolyBatch:
+    """Entries of the reset-free qubit state from init, for a grid of drives.
 
     omega, delta and obar are arrays over the rows (obar as
-    DriveParams.effective_rabi computes it, obar > 0); the coefficients
-    are those free_amplitudes builds, bit for bit.
+    DriveParams.effective_rabi computes it, obar > 0).  The state is the
+    outer product of the spinor with its adjoint, on the multiples
+    k in {0, +-2} of obar.
     """
-    n, zero = len(obar), np.zeros(len(obar))
-    alpha, beta = (TrigPolyBatch(n, {1: (plus, zero), -1: (minus, zero)})
-                   for plus, minus in _amplitude_coeffs(omega, delta, obar))
-    return _from_origin(alpha, beta, init)
+    ket = _spinor(omega, delta, obar, init)
+    return kron_poly(ket, ket.adjoint())
 
 
-def _qubit_entries(amps) -> np.ndarray:
-    return poly_matrix([[amps[i] * amps[j].conj() for j in range(2)] for i in range(2)])
-
-
-def free_qubit_poly(params: DriveParams, init: str) -> np.ndarray:
-    """Entries of the reset-free qubit state as a 2x2 array of TrigPoly."""
-    return _qubit_entries(free_amplitudes(params, init))
-
-
-def free_pair_poly(params: DriveParams, init_j: str, init_k: str) -> np.ndarray:
-    """Entries of the reset-free two-spin product state, 4x4 TrigPoly array."""
-    return kron_poly(free_qubit_poly(params, init_j), free_qubit_poly(params, init_k))
-
-
-def free_state_batch(omega, delta, obar, init: str):
-    """Qubit (2x2) and two-spin (4x4, both spins from init) entries over a grid.
-
-    Object arrays of TrigPolyBatch on the multiples k in {0, +-2} and
-    {0, +-2, +-4} of obar; row i matches free_qubit_poly and
-    free_pair_poly(params, init, init) of its drive wherever the batch
-    does not flag it unsafe.
-    """
-    qubit = _qubit_entries(free_amplitudes_batch(omega, delta, obar, init))
-    return qubit, kron_poly(qubit, qubit)
-
-
-def flip_probability_poly(params: DriveParams) -> TrigPoly:
-    """The flip probability (omega/obar)^2 sin^2(obar t) as a TrigPoly (frequencies 0, +-2 obar)."""
-    obar = params.effective_rabi
-    if obar == 0.0:
-        return TrigPoly()
-    a = (params.omega / obar) ** 2
-    # sin^2(obar t) = 1/2 - cos(2 obar t)/2
-    return TrigPoly({0.0: 0.5 * a, 2.0 * obar: -0.25 * a, -2.0 * obar: -0.25 * a})
+def free_pair_poly(qubit: TrigPolyBatch) -> TrigPolyBatch:
+    """Entries of the reset-free two-spin product state, both spins from the origin of
+    the qubit entries given: their Kronecker square, on the multiples k in {0, +-2, +-4}."""
+    return kron_poly(qubit, qubit)

@@ -1,175 +1,139 @@
-"""Finite complex-exponential polynomials in one time variable.
+"""Matrices of finite complex-exponential polynomials over a grid of drives.
 
 Everything the reset-free dynamics produces (matrix entries of the
-time-evolved one- and two-spin states, flip probabilities, two-point
-densities) is of the form
+time-evolved one- and two-spin states) is of the form
 
-    f(t) = sum_w c_w exp(i w t)
+    f(t) = sum_k c_k exp(i k obar t)
 
-with a handful of real frequencies w.  Keeping track of the pairs
-(w, c_w) instead of sampling f on a grid lets the renewal layer do all
-of its time integrals analytically.
+with a handful of integers k and obar the drive's effective Rabi
+frequency.  Keeping track of the pairs (k, c_k) instead of sampling f on
+a grid lets the renewal layer do all of its time integrals analytically.
 
-Each term is keyed by the frequency it is given, with -0.0 folded into
-0.0.  Every frequency the package builds is an exact float sum of
-+-obar terms (obar + obar is 2 * obar bit for bit), so algebraically
-equal frequencies meet on one key at any scale of obar, and distinct
-ones never merge.
-
-TrigPolyBatch holds one such sum per row of a drive grid, on the
-frequencies k * scale[row], and repeats TrigPoly's arithmetic on whole
-columns of coefficients at once, rounding for rounding.
+TrigPolyBatch holds a matrix of such sums for every row of a grid at
+once.  Every coefficient is kept, exact zeros included, so the term
+structure of an entry (which k it holds, in which order, and which
+products sum into each coefficient) is the same on every row.  It is
+worked out once per operation, and the arithmetic runs on stacked
+(terms x rows) arrays.  Each coefficient rounds as a per-row sum of
+Python complex numbers keyed by the frequency k * obar would: terms keep
+their insertion order, a first insertion adds the coefficient to 0.0,
+and complex products are written out as CPython evaluates them (numpy's
+complex array kernels may fuse a multiply-add and round differently).
+Distinct k keep distinct frequencies k * obar wherever obar > 0 and
+4 * obar is finite; rows with obar = 0 have no dynamics and are the
+caller's to route.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-# Coefficients below this magnitude are dropped on construction.
-_COEFF_EPS = 1e-15
 
-
-class TrigPoly:
-    """A finite sum of complex exponentials c_w * exp(i w t)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs: dict[float, complex] = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                self._add_term(w, c)
-
-    def _add_term(self, w, c):
-        key = 0.0 if w == 0.0 else float(w)
-        new = self.coeffs.get(key, 0.0) + complex(c)
-        if abs(new) <= _COEFF_EPS:
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = new
-
-    @classmethod
-    def constant(cls, c) -> "TrigPoly":
-        return cls({0.0: c})
-
-    def __add__(self, other) -> "TrigPoly":
-        out = TrigPoly(self.coeffs)
-        if isinstance(other, TrigPoly):
-            for w, c in other.coeffs.items():
-                out._add_term(w, c)
-        else:
-            out._add_term(0.0, other)
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "TrigPoly":
-        out = TrigPoly()
-        if isinstance(other, TrigPoly):
-            for w1, c1 in self.coeffs.items():
-                for w2, c2 in other.coeffs.items():
-                    out._add_term(w1 + w2, c1 * c2)
-        else:
-            for w, c in self.coeffs.items():
-                out._add_term(w, c * complex(other))
-        return out
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "TrigPoly":
-        return TrigPoly({-w: np.conj(c) for w, c in self.coeffs.items()})
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for w, c in self.coeffs.items():
-            out = out + c * np.exp(1j * w * t)
-        return out if out.shape else complex(out)
-
-    def is_real(self, tol=1e-12) -> bool:
-        """True if f(t) is real for all t (coefficients come in conjugate pairs)."""
-        for w, c in self.coeffs.items():
-            if abs(c - np.conj(self.coeffs.get(-w, 0.0))) > tol:
-                return False
-        return True
-
-    def __repr__(self):
-        terms = ", ".join(f"{w:g}: {c:.6g}" for w, c in sorted(self.coeffs.items()))
-        return f"TrigPoly({{{terms}}})"
-
-
-def poly_matrix(entries) -> np.ndarray:
-    """Pack a nested list of TrigPoly into an object array."""
-    out = np.empty((len(entries), len(entries[0])), dtype=object)
-    for i, row in enumerate(entries):
-        for j, e in enumerate(row):
-            out[i, j] = e
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.setflags(write=False)
     return out
 
 
-def kron_poly(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two object arrays of TrigPoly."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.empty((ra * rb, ca * cb), dtype=object)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
+def _chain_steps(chains) -> tuple:
+    """Steps that sum each chain of indices in order: step s holds (chain, index) of every
+    chain longer than s.  Every chain holds at least one index."""
+    depth = max(map(len, chains))
+    return tuple((_frozen([o for o, c in enumerate(chains) if len(c) > s]),
+                  _frozen([c[s] for c in chains if len(c) > s])) for s in range(depth))
+
+
+def _chain_sum(values: np.ndarray, steps) -> np.ndarray:
+    """Sum values[index] along each chain in order, from 0.0 as Python's sum() starts."""
+    (_, first), *rest = steps
+    acc = 0.0 + values[first]
+    for outs, index in rest:
+        acc[outs] += values[index]
+    return acc
+
+
+@functools.cache
+def _product_plan(a_terms, b_terms, pairs):
+    """Term structure of the products a[ea] * b[eb] for (ea, eb) in pairs.
+
+    Returns the slots of both factors of every partial product, the
+    chain steps summing them into the result's coefficients, and the
+    result's terms.  Partial products come in the order of a product of
+    two dicts keyed by frequency: a's terms outside, b's inside.
+    """
+    left, right, chains, terms = [], [], [], []
+    for ea, eb in pairs:
+        slots = {}
+        for ka, sa in a_terms[ea]:
+            for kb, sb in b_terms[eb]:
+                slot = slots.setdefault(ka + kb, len(chains))
+                if slot == len(chains):
+                    chains.append([])
+                chains[slot].append(len(left))
+                left.append(sa)
+                right.append(sb)
+        terms.append(tuple(slots.items()))
+    return _frozen(left), _frozen(right), _chain_steps(chains), tuple(terms)
+
+
+@functools.cache
+def _entry_layout(terms):
+    """Multiple k of every slot, and the chain steps summing each entry's terms in order."""
+    keys = [0] * sum(map(len, terms))
+    for entry in terms:
+        for k, slot in entry:
+            keys[slot] = k
+    return _frozen(keys), _chain_steps([[slot for _, slot in entry] for entry in terms])
 
 
 class TrigPolyBatch:
-    """One TrigPoly per grid row, on the frequencies k * scale[row].
+    """A matrix of trig polynomials on the frequencies k * obar, one matrix per grid row.
 
-    Keys are the integers k and coefficients are (re, im) float arrays over
-    the rows.  Every operation repeats TrigPoly's, rounding for rounding:
-    complex products are written out as CPython evaluates them (numpy's
-    complex array kernels may fuse a multiply-add and round differently),
-    and a first insertion adds the coefficient to 0.0.  That holds while a
-    row's terms stay in the shared key order, so ``unsafe`` flags the rows
-    where TrigPoly would drop a coefficient (it comes within reach of
-    _COEFF_EPS; a later re-add appends it at the end).  Distinct k keep
-    distinct frequencies k * scale wherever scale > 0, as TrigPoly's
-    exact keys do; rows with scale = 0 are the caller's to route.
+    terms[e] lists the terms (k, slot) of entry e (entries in C order) in
+    insertion order; re[slot] and im[slot] are that coefficient's real and
+    imaginary parts over the rows.
     """
 
-    __slots__ = ("coeffs", "unsafe")
+    __slots__ = ("shape", "terms", "re", "im")
 
-    def __init__(self, n: int, coeffs=None):
-        self.coeffs: dict[int, tuple] = {}
-        self.unsafe = np.zeros(n, dtype=bool)
-        if coeffs:
-            for k, (re, im) in coeffs.items():
-                self._add_term(k, re, im)
+    def __init__(self, shape: tuple, terms: tuple, re: np.ndarray, im: np.ndarray):
+        self.shape, self.terms, self.re, self.im = shape, terms, re, im
 
-    def _add_term(self, k, re, im):
-        old = self.coeffs.get(k)
-        new = (0.0 + re, 0.0 + im) if old is None else (old[0] + re, old[1] + im)
-        # np.hypot and CPython's abs may differ in the last bit: keep a margin
-        self.unsafe |= ~(np.hypot(*new) > 2.0 * _COEFF_EPS)
-        self.coeffs[k] = new
+    @classmethod
+    def from_entries(cls, shape, entries) -> "TrigPolyBatch":
+        """Build from one dict k -> (re, im) per entry, each part an array over the rows."""
+        terms, re, im = [], [], []
+        for entry in entries:
+            terms.append(tuple((k, len(re) + i) for i, k in enumerate(entry)))
+            for part_re, part_im in entry.values():
+                re.append(0.0 + part_re)
+                im.append(0.0 + part_im)
+        return cls(tuple(shape), tuple(terms), np.array(re), np.array(im))
 
-    def __mul__(self, other) -> "TrigPolyBatch":
-        out = TrigPolyBatch(len(self.unsafe))
-        out.unsafe = self.unsafe | other.unsafe
-        for k1, (r1, i1) in self.coeffs.items():
-            for k2, (r2, i2) in other.coeffs.items():
-                out._add_term(k1 + k2, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
-        return out
+    def adjoint(self) -> "TrigPolyBatch":
+        """Conjugate transpose: entry (j, i) takes the conjugate of (i, j) on the keys -k."""
+        rows, cols = self.shape
+        terms = tuple(tuple((-k, slot) for k, slot in self.terms[i * cols + j])
+                      for j in range(cols) for i in range(rows))
+        return TrigPolyBatch((cols, rows), terms, 0.0 + self.re, 0.0 - self.im)
 
-    def conj(self) -> "TrigPolyBatch":
-        out = TrigPolyBatch(len(self.unsafe),
-                            {-k: (re, -im) for k, (re, im) in self.coeffs.items()})
-        out.unsafe |= self.unsafe
-        return out
+    def keys(self) -> np.ndarray:
+        """The multiple k of obar that each coefficient slot sits on."""
+        return _entry_layout(self.terms)[0]
 
-    def is_real(self, tol=1e-12):
-        """TrigPoly.is_real per row, and the rows too close to tol to tell."""
-        gap = np.zeros(len(self.unsafe))
-        for k, (re, im) in self.coeffs.items():
-            mirror = self.coeffs.get(-k, (0.0, 0.0))
-            gap = np.maximum(gap, np.hypot(re - mirror[0], im + mirror[1]))
-        unsure = ~np.isfinite(gap) | ((gap > tol / 8.0) & (gap < 8.0 * tol))
-        return gap <= tol, unsure
+    def entry_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-slot values (slots x rows) over each entry's terms in order: (entries x rows)."""
+        return _chain_sum(values, _entry_layout(self.terms)[1])
+
+
+def kron_poly(a: TrigPolyBatch, b: TrigPolyBatch) -> TrigPolyBatch:
+    """Kronecker product of two matrices of trig polynomials, on every row of a grid."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    pairs = tuple((i * ca + j, k * cb + m) for i in range(ra) for k in range(rb)
+                  for j in range(ca) for m in range(cb))
+    left, right, steps, terms = _product_plan(a.terms, b.terms, pairs)
+    ar, ai, br, bi = a.re[left], a.im[left], b.re[right], b.im[right]
+    pr, pi = ar * br - ai * bi, ar * bi + ai * br
+    return TrigPolyBatch((ra * rb, ca * cb), terms, _chain_sum(pr, steps), _chain_sum(pi, steps))

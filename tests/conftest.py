@@ -3,9 +3,19 @@
 Tests named test_criterion_<k> (in test_acceptance.py) get a one-line
 PASS/FAIL verdict in the terminal summary so a full run ends with a
 compact scorecard of the acceptance checks.
+
+The property tests (hypothesis) run on a derandomized profile with no
+example database: every run draws the same examples, as every other
+stochastic test uses a fixed seed, and nothing is written into the
+checkout.
 """
 
 import re
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

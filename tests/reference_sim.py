@@ -12,6 +12,11 @@ record, which repeats einsum's roundings bit for bit.  GridWalk is the
 oracle of the engine's reset scan: it walks a chunk's schedule grid
 point by grid point, applying at each the resets due by then, and gives
 the origins and last reset times the scan must leave there.
+
+TrigPoly and branch_mix_poly are the oracle of the exact stationary
+states: one drive at a time, with Python complex coefficients keyed by
+their exact float frequency, which the package's stacked trig-polynomial
+batch reproduces bit for bit on every row with obar > 0.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from spinreset.renewal import WaitingTime, waiting_time_from_uniform
-from spinreset.spin_dynamics import DriveParams
+from spinreset.renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
+from spinreset.spin_dynamics import DriveParams, _amplitude_coeffs
 from spinreset.trajectory_sim import (ProtocolKind, SimConfig, _quantile_at_most,
                                       binomial_quantile)
 
@@ -342,3 +347,135 @@ class GridWalk:
             count[...] = n
             count[flip] = n - stay_up - flip_up[flip]
             self.origin[..., idx] = count
+
+
+# ---------------------------------------------------------------------------
+# Trig-polynomial oracle of the exact stationary states.  Every coefficient
+# is kept, exact zeros included, as the package's stacked batch keeps them.
+# ---------------------------------------------------------------------------
+
+
+class TrigPoly:
+    """A finite sum of complex exponentials c_w * exp(i w t)."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs: dict[float, complex] = {}
+        for w, c in (coeffs or {}).items():
+            self._add_term(w, c)
+
+    def _add_term(self, w, c):
+        key = 0.0 if w == 0.0 else float(w)  # -0.0 lands on the 0.0 term
+        self.coeffs[key] = self.coeffs.get(key, 0.0) + complex(c)
+
+    @classmethod
+    def constant(cls, c) -> "TrigPoly":
+        return cls({0.0: c})
+
+    def __add__(self, other) -> "TrigPoly":
+        out = TrigPoly(self.coeffs)
+        if isinstance(other, TrigPoly):
+            for w, c in other.coeffs.items():
+                out._add_term(w, c)
+        else:
+            out._add_term(0.0, other)
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "TrigPoly":
+        out = TrigPoly()
+        if isinstance(other, TrigPoly):
+            for w1, c1 in self.coeffs.items():
+                for w2, c2 in other.coeffs.items():
+                    out._add_term(w1 + w2, c1 * c2)
+        else:
+            for w, c in self.coeffs.items():
+                out._add_term(w, c * complex(other))
+        return out
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "TrigPoly":
+        return TrigPoly({-w: np.conj(c) for w, c in self.coeffs.items()})
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape, dtype=complex)
+        for w, c in self.coeffs.items():
+            out = out + c * np.exp(1j * w * t)
+        return out if out.shape else complex(out)
+
+
+def poly_matrix(entries) -> np.ndarray:
+    """Pack a nested list of TrigPoly into an object array."""
+    out = np.empty((len(entries), len(entries[0])), dtype=object)
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            out[i, j] = e
+    return out
+
+
+def kron_poly(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two object arrays of TrigPoly."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    out = np.empty((ra * rb, ca * cb), dtype=object)
+    for i, j, k, m in np.ndindex(ra, ca, rb, cb):
+        out[i * rb + k, j * cb + m] = a[i, j] * b[k, m]
+    return out
+
+
+def free_amplitudes(params: DriveParams, init: str):
+    """Spinor amplitudes (a_up(t), a_down(t)) of one drive as TrigPoly."""
+    obar = params.effective_rabi
+    if obar == 0.0:
+        one, zero = TrigPoly.constant(1.0), TrigPoly()
+        return (one, zero) if init == "up" else (zero, one)
+    alpha, beta = (TrigPoly({obar: plus, -obar: minus})
+                   for plus, minus in _amplitude_coeffs(params.omega, params.delta, obar))
+    return (alpha, beta) if init == "up" else (beta, alpha.conj())
+
+
+def free_qubit_poly(params: DriveParams, init: str) -> np.ndarray:
+    """Entries of the reset-free qubit state as a 2x2 array of TrigPoly."""
+    amps = free_amplitudes(params, init)
+    return poly_matrix([[amps[i] * amps[j].conj() for j in range(2)] for i in range(2)])
+
+
+def free_pair_poly(params: DriveParams, init_j: str, init_k: str) -> np.ndarray:
+    """Entries of the reset-free two-spin product state, 4x4 TrigPoly array."""
+    return kron_poly(free_qubit_poly(params, init_j), free_qubit_poly(params, init_k))
+
+
+def flip_probability_poly(params: DriveParams) -> TrigPoly:
+    """The flip probability (omega/obar)^2 sin^2(obar t) (frequencies 0, +-2 obar)."""
+    obar = params.effective_rabi
+    if obar == 0.0:
+        return TrigPoly()
+    a = (params.omega / obar) ** 2
+    # sin^2(obar t) = 1/2 - cos(2 obar t)/2
+    return TrigPoly({0.0: 0.5 * a, 2.0 * obar: -0.25 * a, -2.0 * obar: -0.25 * a})
+
+
+def average_poly(dist: WaitingTime, poly: TrigPoly) -> complex:
+    """Survival-weighted average of a TrigPoly, term by term in closed form."""
+    u0 = _fourier_weight(dist, 0.0).real
+    return sum(c * _fourier_weight(dist, w) for w, c in poly.coeffs.items()) / u0
+
+
+def branch_mix_poly(dist: WaitingTime, params: DriveParams, branches):
+    """Stationary (state, pair) of one drive: survival-averaged free evolutions from the
+    pure origins of branches = [(weight, origin), ...], mixed by weight."""
+    state = np.zeros((2, 2), dtype=complex)
+    pair = np.zeros((4, 4), dtype=complex)
+    for weight, origin in branches:
+        if weight == 0.0:
+            continue
+        for out, entries in ((state, free_qubit_poly(params, origin)),
+                             (pair, free_pair_poly(params, origin, origin))):
+            avg = np.empty(entries.shape, dtype=complex)
+            for idx in np.ndindex(*entries.shape):
+                avg[idx] = average_poly(dist, entries[idx])
+            out += weight * avg
+    return 0.5 * (state + state.conj().T), 0.5 * (pair + pair.conj().T)

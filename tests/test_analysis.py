@@ -28,6 +28,8 @@ from spinreset.renewal import WaitingTime, stationary_density_closed_form
 from spinreset.spin_dynamics import DriveParams
 from spinreset.trajectory_sim import CHUNK, ProtocolKind, run_ensemble
 
+from reference_sim import branch_mix_poly
+
 POISSON = WaitingTime.poisson(0.5)
 
 
@@ -102,14 +104,14 @@ def test_closed_form_sweep_protocol_two():
         sweep_stationary(ProtocolKind.CONDITIONAL_TWO_STATE, POISSON, [0.5], delta=0.0)
 
 
-def _reference_row(protocol, params, dist):
-    """One exact row the pre-batch way: TrigPoly state, 2-D observables."""
-    weights = renewal.reset_rates_R(params, dist)
+def _reference_row(protocol, params, dist, n_spins=None):
+    """One exact row the per-row way: the oracle's TrigPoly state, 2-D observables."""
+    weights = renewal.reset_rates_R(params, dist, n_spins)
     if protocol is ProtocolKind.UNCONDITIONAL_RESET:
         branches = [(1.0, "up")]
     else:
         branches = [(weights.c_up, "up"), (weights.c_down, "down")]
-    state, pair = renewal._branch_mix_poly(dist, params, branches)
+    state, pair = branch_mix_poly(dist, params, branches)
     if protocol is ProtocolKind.CONDITIONAL_TWO_STATE and weights.c_up == weights.c_down:
         density = 0.5
     else:
@@ -139,35 +141,34 @@ def _bits(x):
                                   WaitingTime.chopped(0.5, 0.6)],
                          ids=["poisson", "poisson-1.7", "chopped", "chopped-1.7",
                               "chopped-short", "chopped-1.7-short", "chopped-below-cutoff"])
-def test_batched_rows_equal_the_per_row_reference_bit_for_bit(protocol, dist, monkeypatch):
+def test_batched_rows_equal_the_per_row_reference_bit_for_bit(protocol, dist):
     rng = np.random.default_rng(4)
     generic = [(x, 1.0) for x in np.r_[np.arange(0.01, 3.0, 0.0475), rng.uniform(0.0, 3.0, 25)]]
     # terms are keyed by their exact frequency, so a tiny obar (small
     # delta) is a generic row too
     generic += [(x * 1e-10, 1e-10) for x in (0.5, 1.5)]
-    # degenerate term structure: a coefficient TrigPoly drops (omega/delta
-    # = 0, 1e-12, 2); omega = delta is the protocol-2 threshold
-    degenerate = [(x, 1.0) for x in (0.0, 1e-12, 1.0, 2.0)]
+    # no coefficient is dropped, so exact and tiny zeros (omega/delta = 0,
+    # 1e-12, 1e-9) keep the term structure; omega = delta is the
+    # protocol-2 threshold; obar = 0 has no dynamics
+    degenerate = [(x, 1.0) for x in (0.0, 1e-12, 1e-9, 1e-7, 1.0, 2.0)] + [(0.0, 0.0)]
     drives = generic + degenerate + [(x * 1e-3, 1e-3) for x in (0.5, 1.0, 1.5)]
     params = [DriveParams(om, de) for om, de in drives]
-    general = []
-    per_row = renewal._branch_mix_poly
-    monkeypatch.setattr(renewal, "_branch_mix_poly",
-                        lambda d, p, b: general.append(p) or per_row(d, p, b))
-    rows, states = analysis.closed_form_rows(protocol, params, dist)
-    # the batch computes every generic row itself
-    assert {(p.omega, p.delta) for p in general} >= {
-        (om, de) for om, de in degenerate if (om, de) != (1.0, 1.0)}
-    assert not {(p.omega, p.delta) for p in general} & set(generic)
-    for p, row, st in zip(params, rows, states):
-        (density, corr, discord), state, pair = _reference_row(protocol, p, dist)
-        assert np.array_equal(_bits(st.state), _bits(state)), p
-        assert np.array_equal(_bits(st.pair_state), _bits(pair)), p
-        got = np.array([row[0], row[2], row[4]], dtype=complex)
-        assert np.array_equal(_bits(got), _bits([density, corr, discord])), p
-        # and the one-row case is the same code
-        one, _ = analysis.closed_form_row(protocol, p, dist)
-        assert np.array_equal(_bits([one[0], one[2], one[4]]), _bits(got)), p
+    up = np.diag([1.0, 0.0]).astype(complex)
+    for n_spins in (None, 51):
+        rows, states = analysis.closed_form_rows(protocol, params, dist, n_spins)
+        for p, row, st in zip(params, rows, states):
+            (density, corr, discord), state, pair = _reference_row(protocol, p, dist, n_spins)
+            assert np.array_equal(_bits(st.state), _bits(state)), p
+            assert np.array_equal(_bits(st.pair_state), _bits(pair)), p
+            got = np.array([row[0], row[2], row[4]], dtype=complex)
+            assert np.array_equal(_bits(got), _bits([density, corr, discord])), p
+            # and the one-row case is the same code
+            one, _ = analysis.closed_form_row(protocol, p, dist, n_spins)
+            assert np.array_equal(_bits([one[0], one[2], one[4]]), _bits(got)), p
+        # the undriven row is its origin state
+        still = states[drives.index((0.0, 0.0))]
+        assert np.array_equal(_bits(still.state), _bits(up))
+        assert np.array_equal(_bits(still.pair_state), _bits(np.kron(up, up)))
 
 
 @pytest.mark.parametrize("protocol", [ProtocolKind.UNCONDITIONAL_RESET,
@@ -522,15 +523,21 @@ def _rescaled(drives, dist, s):
 
 @settings(max_examples=100, deadline=None)
 @given(drives=st.lists(st.builds(DriveParams, omega=log_uniform, delta=log_uniform),
-                       min_size=1, max_size=4),
+                       min_size=1, max_size=8),
        dist=st.one_of(st.builds(WaitingTime.poisson, log_uniform),
                       st.builds(WaitingTime.chopped, log_uniform, log_uniform)),
        n_spins=st.sampled_from([None, 1, 51, 1001]),
        scale=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e))
 def test_closed_form_rows_are_valid_property(drives, dist, n_spins, scale):
     for protocol in (ProtocolKind.UNCONDITIONAL_RESET, ProtocolKind.CONDITIONAL_TWO_STATE):
-        rows, _ = analysis.closed_form_rows(protocol, drives, dist, n_spins)
-        for params, (density, _, corr, _, discord, _, _) in zip(drives, rows):
+        rows, states = analysis.closed_form_rows(protocol, drives, dist, n_spins)
+        for params, (density, _, corr, _, discord, _, _), state in zip(drives, rows, states):
+            # every row equals the per-row oracle bit for bit
+            weights = state.weights
+            ref_state, ref_pair = branch_mix_poly(
+                dist, params, [(weights.c_up, "up"), (weights.c_down, "down")])
+            assert np.array_equal(_bits(state.state), _bits(ref_state))
+            assert np.array_equal(_bits(state.pair_state), _bits(ref_pair))
             assert 0.0 <= density <= 1.0
             assert -0.25 <= corr <= 0.25
             assert 0.0 <= discord <= 1.0

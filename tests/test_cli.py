@@ -139,6 +139,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                     "--tmax", "5"], capsys)[0] == 3  # tmax needs chopped
     assert run_cli(["sweep", "--protocol", "2", "--grid", "0.5,1.5",
                     "--delta", "0"], capsys)[0] == 3
+    # the engine does not form 4 * obar: it runs where the exact path refuses
+    code, _, err = run_cli(["ensemble", "--protocol", "1", "--omega", "1.3", "--delta", "1e308",
+                            "--trajectories", "300", "--time", "6", "--points", "4"], capsys)
+    assert (code, err) == (0, "")
     for workers in ("0", "-2"):
         assert run_cli(["sweep", "--protocol", "3", "--grid", "1.1",
                         "--workers", workers], capsys)[0] == 3
@@ -235,13 +239,24 @@ def test_ensemble_too_long_for_one_wait_block_exits_3(capsys, monkeypatch):
     (["sweep", "--protocol", "1", "--grid", "0.5,nan"], 2, "grid"),
     (["sweep", "--protocol", "3", "--grid", "1.1", "--time", "inf"], 3, "--time"),
     (["finite-size", "--n-spins", "5", "--grid", "1.1", "--time", "inf"], 3, "--time"),
+    # finite inputs whose drive is not: omega/delta times delta, or the
+    # exact path's highest frequency 4 * obar
+    (["stationary", "--protocol", "1", "--omega", "1e10", "--delta", "1e300"], 3, "--delta"),
+    (["sweep", "--protocol", "1", "--grid", "0.5:2.5:0.5", "--delta", "1e308"], 3, "delta"),
+    (["sweep", "--protocol", "3", "--grid", "0.5:2.5:0.5", "--delta", "1e308"], 3, "delta"),
+    (["stationary", "--protocol", "1", "--omega", "1.3", "--delta", "3e307"], 3, "delta"),
+    (["stationary", "--protocol", "2", "--omega", "1.3", "--delta", "1e308"], 3, "delta"),
 ], ids=["omega", "time-finite-n", "stationary-delta", "ensemble-delta", "gamma", "tmax",
-        "grid-range", "grid-list", "sweep-time", "finite-size-time"])
+        "grid-range", "grid-list", "sweep-time", "finite-size-time", "stationary-omega-times-delta",
+        "sweep-omega-times-delta", "sweep-mc-omega-times-delta", "stationary-4-obar-3e307",
+        "stationary-4-obar-1e308"])
 def test_non_finite_inputs_fail_with_a_reason(argv, code, name, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(analysis, "run_ensembles", calls.append)
     monkeypatch.setattr(cli, "run_ensemble", calls.append)
-    got, out, err = run_cli(argv, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(argv, capsys)
     assert (got, out, calls) == (code, "", [])
     assert name in err and "finite" in err
     assert "Traceback" not in err and "Warning" not in err

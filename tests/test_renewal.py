@@ -23,15 +23,9 @@ from spinreset.renewal import (
     survival_probability,
     waiting_time_from_uniform,
 )
-from spinreset.spin_dynamics import (
-    evolve_qubit,
-    flip_probability_poly,
-    free_qubit_poly,
-    free_two_spin_state,
-    require_qubit_state,
-)
+from spinreset.spin_dynamics import evolve_qubit, free_two_spin_state, require_qubit_state
 
-from reference_sim import flip_probability, sample_waiting_time
+from reference_sim import average_poly, flip_probability, flip_probability_poly, sample_waiting_time
 
 POISSON = WaitingTime.poisson(0.5)
 CHOPPED = WaitingTime.chopped(0.5, 8.0)
@@ -140,13 +134,11 @@ def test_sampling_statistics():
 @pytest.mark.parametrize("dist", [POISSON, CHOPPED], ids=["poisson", "chopped"])
 def test_exp_weighted_average_routes_agree(dist):
     params = DriveParams(omega=1.3, delta=1.0)
-    poly = flip_probability_poly(params)
-    via_poly = exp_weighted_average(dist, poly)
+    via_poly = average_poly(dist, flip_probability_poly(params))
     via_quad = exp_weighted_average(dist, lambda t: flip_probability(params, float(t)))
     assert via_poly == pytest.approx(via_quad, abs=1e-9)
-    # matrix-valued callable against the object-array route
-    entries = free_qubit_poly(params, "up")
-    mat_poly = exp_weighted_average(dist, entries)
+    # matrix-valued callable against the closed-form state
+    mat_poly = stationary_state_p1(params, dist).state
     up = np.diag([1.0, 0.0]).astype(complex)
     mat_quad = exp_weighted_average(dist, lambda t: evolve_qubit(params, float(t), up))
     np.testing.assert_allclose(mat_poly, mat_quad, atol=1e-9)
@@ -225,6 +217,22 @@ def test_poisson_stationary_density_closed_form():
     assert stationary_density_closed_form(DriveParams(1.0, 1.0), dist) == pytest.approx(
         25.0 / 33.0, abs=1e-16)
     assert stationary_density_closed_form(DriveParams(0.0, 1.0), dist) == 1.0
+
+
+def test_small_omega_populations_keep_full_precision():
+    # the down populations are O(omega^2) and O(omega^4): every
+    # coefficient is kept, so they stay right to rounding however small
+    g = 0.5
+    dist = WaitingTime.poisson(g)
+    for x in np.logspace(-12.0, 0.0, 49):
+        params = DriveParams(omega=float(x), delta=1.0)
+        obar = params.effective_rabi
+        r2, r4 = (g**2 / (g**2 + k**2 * obar**2) for k in (2, 4))
+        st = stationary_state_p1(params, dist)
+        down = (x / obar) ** 2 * (4.0 * obar**2 / (g**2 + 4.0 * obar**2)) / 2.0
+        both_down = (x / obar) ** 4 * (3.0 - 4.0 * r2 + r4) / 8.0
+        assert st.state[1, 1].real == pytest.approx(down, rel=1e-12, abs=0.0), x
+        assert st.pair_state[3, 3].real == pytest.approx(both_down, rel=1e-12, abs=0.0), x
 
 
 def test_chopped_stationary_density_matches_machinery():

@@ -5,7 +5,6 @@ from spinreset.spin_dynamics import (
     DriveParams,
     _coherence_re,
     evolve_qubit,
-    flip_probability_poly,
     free_pair_poly,
     free_qubit_poly,
     free_two_spin_state,
@@ -14,6 +13,7 @@ from spinreset.spin_dynamics import (
     require_states,
 )
 
+import reference_sim as ref
 from reference_sim import flip_probability, free_excitation_density
 
 RNG = np.random.default_rng(42)
@@ -22,6 +22,18 @@ RNG = np.random.default_rng(42)
 def at(entries, t):
     """An object array of TrigPoly evaluated at one time."""
     return np.array([[p(t) for p in row] for row in entries])
+
+
+def batch_at(entries, params, t):
+    """The one row of a TrigPolyBatch of params evaluated at one time."""
+    phase = np.exp(1j * entries.keys() * params.effective_rabi * t)
+    return entries.entry_sums((entries.re[:, 0] + 1j * entries.im[:, 0]) * phase).reshape(
+        entries.shape)
+
+
+def qubit_batch(params, init):
+    return free_qubit_poly(np.array([params.omega]), np.array([params.delta]),
+                           np.array([params.effective_rabi]), init)
 
 
 def random_params():
@@ -121,17 +133,23 @@ def test_state_validators_reject_bad_matrices():
 @pytest.mark.parametrize("init", ["up", "down"])
 def test_qubit_poly_matches_direct_evolution(init):
     params = random_params()
-    entries = free_qubit_poly(params, init)
+    batch, oracle = qubit_batch(params, init), ref.free_qubit_poly(params, init)
     pure = np.diag([1.0, 0.0]) if init == "up" else np.diag([0.0, 1.0])
     for t in (0.0, 0.9, 4.7, 13.2):
-        np.testing.assert_allclose(at(entries, t),
-                                   evolve_qubit(params, t, pure.astype(complex)),
-                                   atol=1e-13)
+        direct = evolve_qubit(params, t, pure.astype(complex))
+        np.testing.assert_allclose(batch_at(batch, params, t), direct, atol=1e-13)
+        np.testing.assert_allclose(at(oracle, t), direct, atol=1e-13)
 
 
 def test_pair_poly_matches_direct_evolution():
     params = random_params()
-    entries = free_pair_poly(params, "up", "down")
+    for init in ("up", "down"):
+        pair = free_pair_poly(qubit_batch(params, init))
+        for t in (0.4, 2.8, 9.1):
+            np.testing.assert_allclose(batch_at(pair, params, t),
+                                       free_two_spin_state(params, t, init, init), atol=1e-13)
+    # the oracle also pairs spins from different origins
+    entries = ref.free_pair_poly(params, "up", "down")
     for t in (0.4, 2.8, 9.1):
         np.testing.assert_allclose(at(entries, t),
                                    free_two_spin_state(params, t, "up", "down"),
@@ -140,7 +158,7 @@ def test_pair_poly_matches_direct_evolution():
 
 def test_flip_probability_poly_matches_scalar():
     for params in (random_params(), DriveParams(omega=0.0, delta=1.0)):
-        poly = flip_probability_poly(params)
+        poly = ref.flip_probability_poly(params)
         ts = np.linspace(0.0, 25.0, 60)
         np.testing.assert_allclose(np.real(poly(ts)), flip_probability(params, ts),
                                    atol=1e-14)

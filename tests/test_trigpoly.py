@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spinreset.trigpoly import TrigPoly, kron_poly, poly_matrix
+from spinreset.trigpoly import TrigPolyBatch, kron_poly
+
+from reference_sim import TrigPoly, kron_poly as kron_oracle, poly_matrix
 
 
 def at(mat, t):
@@ -32,14 +34,6 @@ def test_algebra_matches_pointwise_evaluation():
     np.testing.assert_allclose(a.conj()(ts), np.conj(a(ts)), atol=1e-14)
 
 
-def test_real_combinations_are_detected():
-    assert cos(0.9).is_real()
-    assert sin(0.9).is_real()
-    assert (cos(0.9) * sin(0.9)).is_real()
-    assert not TrigPoly({0.9: 1.0}).is_real()
-    assert TrigPoly.constant(1.0 + 1e-3j).is_real(tol=1e-2)
-
-
 def test_products_merge_onto_existing_frequencies():
     # cos(w)^2 deposits weight on w + w; adding an explicit 2w term must
     # land on the same coefficient slot: doubling a float is exact, so
@@ -53,13 +47,16 @@ def test_products_merge_onto_existing_frequencies():
                                atol=1e-14)
 
 
-def test_cancellation_drops_coefficients():
+def test_cancellation_keeps_zero_coefficients():
+    # no coefficient is dropped, so the term structure of a sum does not
+    # depend on the values it holds
     p = cos(1.1) + (-1.0) * cos(1.1)
-    assert sorted(p.coeffs) == []
+    assert sorted(p.coeffs) == [-1.1, 1.1]
+    assert set(p.coeffs.values()) == {0.0}
     assert p(3.7) == 0.0
-    # sin^2 + cos^2 collapses to the constant
+    # sin^2 + cos^2 collapses to the constant, on all three frequencies
     q = sin(2.3) * sin(2.3) + cos(2.3) * cos(2.3)
-    assert sorted(q.coeffs) == [0.0]
+    assert sorted(q.coeffs) == [-4.6, 0.0, 4.6]
     assert q(0.9) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -72,10 +69,55 @@ def test_distinct_frequencies_stay_apart_at_any_scale():
     q = TrigPoly({0.0: 1.0}) + TrigPoly({-0.0: 2.0})
     assert list(q.coeffs) == [0.0] and q.coeffs[0.0] == 3.0
     assert math.copysign(1.0, next(iter(TrigPoly({-0.0: 1.0}).coeffs))) == 1.0
-    # is_real reads the partner term at exactly -w, tiny or huge
-    for w in (2.0 ** -600, 1e-10, 2.0 ** 600):
-        assert cos(w).is_real() and sin(w).is_real()
-        assert not TrigPoly({w: 1.0, -2.0 * w: 1.0}).is_real()
+
+
+def _random_matrix(rng, shape, keys, scale):
+    """A TrigPolyBatch of random coefficients over the rows of scale, and its rows as TrigPoly."""
+    entries = [{k: (rng.normal(size=len(scale)), rng.normal(size=len(scale))) for k in keys}
+               for _ in range(shape[0] * shape[1])]
+    batch = TrigPolyBatch.from_entries(shape, entries)
+    rows = [poly_matrix([[TrigPoly({k * s: complex(re[i], im[i]) for k, (re, im) in
+                                    entries[r * shape[1] + c].items()})
+                          for c in range(shape[1])] for r in range(shape[0])])
+            for i, s in enumerate(scale)]
+    return batch, rows
+
+
+def _row(batch, i, s):
+    """Row i of a TrigPolyBatch as {frequency: (re, im)} per entry, in term order."""
+    return [[tuple(float(x).hex() for x in (k * s, batch.re[slot, i], batch.im[slot, i]))
+             for k, slot in entry] for entry in batch.terms]
+
+
+def _oracle_row(mat):
+    return [[tuple(x.hex() for x in (w, c.real, c.imag)) for w, c in p.coeffs.items()]
+            for p in mat.flat]
+
+
+def test_batch_products_equal_the_per_row_algebra_bit_for_bit():
+    # kron_poly and adjoint on stacked rows repeat the Python complex
+    # algebra of each row: the same terms in the same order, every
+    # coefficient to the bit, whatever the scale of the frequencies
+    rng = np.random.default_rng(11)
+    scale = np.array([1.0, 0.3, 2.0 ** -600, 1e-10, 2.0 ** 600])
+    a, a_rows = _random_matrix(rng, (2, 1), (1, -1), scale)
+    b, b_rows = _random_matrix(rng, (2, 2), (0, 2, -2), scale)
+    adj = a.adjoint()
+    assert adj.shape == (1, 2)
+    outer, square = kron_poly(a, adj), kron_poly(b, b)
+    assert outer.shape == (2, 2) and square.shape == (4, 4)
+    for i, s in enumerate(scale):
+        ar = a_rows[i]
+        adj_rows = poly_matrix([[ar[0, 0].conj(), ar[1, 0].conj()]])
+        assert _row(adj, i, s) == _oracle_row(adj_rows)
+        assert _row(outer, i, s) == _oracle_row(kron_oracle(ar, adj_rows))
+        assert _row(square, i, s) == _oracle_row(kron_oracle(b_rows[i], b_rows[i]))
+    # entry sums add each entry's terms in order, from 0.0
+    sums = square.entry_sums(square.re)
+    for e, entry in enumerate(square.terms):
+        assert np.array_equal(sums[e], sum(square.re[slot] for _, slot in entry))
+    np.testing.assert_array_equal(square.keys()[[slot for _, slot in square.terms[0]]],
+                                  [k for k, _ in square.terms[0]])
 
 
 def test_matrix_helpers():
@@ -85,4 +127,4 @@ def test_matrix_helpers():
                      [TrigPoly(), TrigPoly({0.5: 1.0})]])
     t = 1.234
     av, bv = at(a, t), at(b, t)
-    np.testing.assert_allclose(at(kron_poly(a, b), t), np.kron(av, bv), atol=1e-14)
+    np.testing.assert_allclose(at(kron_oracle(a, b), t), np.kron(av, bv), atol=1e-14)
