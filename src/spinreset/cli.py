@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 validation or output error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finite-size", help="majority-vote protocol crossover curves at finite N")
     p.add_argument("--n-spins", type=_parse_n_list, required=True, help="comma list of odd N")
-    p.add_argument("--grid", type=_parse_grid, default=_parse_grid("0.85:1.1:0.05"))
+    p.add_argument("--grid", type=_parse_grid, default="0.85:1.1:0.05")
     _add_physics_args(p, omega=False)
     _add_mc_args(p)
     p.add_argument("--window-points", type=int, default=26)
@@ -650,10 +651,8 @@ def _verify_checks():
 
     # finite-N threshold probabilities against the erf approximation
     ps = np.linspace(0.05, 0.95, 37)
-    diffs = []
-    for n in (51, 201, 1001):
-        diffs.append(max(abs(transition_prob_exact(n, p) - transition_prob_approx(n, p))
-                         for p in ps))
+    diffs = [float(np.max(np.abs(transition_prob_exact(n, ps) - transition_prob_approx(n, ps))))
+             for n in (51, 201, 1001)]
     check("finite N: erf error shrinks with N",
           diffs[0] > diffs[1] > diffs[2] and diffs[2] < 5e-3,
           f"{[f'{d:.2e}' for d in diffs]}")
@@ -702,10 +701,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
+def _command_parser() -> argparse.ArgumentParser:
+    """The parser every execute_command call shares, built on the first.
+
+    A parse leaves no state in it: parse_args returns a fresh namespace,
+    and no action appends to or mutates a default (a string default such
+    as finite-size's --grid goes through its type on every parse).
+    """
+    return build_parser()
+
+
 def execute_command(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _command_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, gammaln, xlogy
 
 
 def _check_n(n_spins: int) -> int:
@@ -35,6 +34,22 @@ def _check_p(p):
     return p
 
 
+def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
+    """x * log(y) for non-negative integers x, with 0 * log 0 = 0.
+
+    math.log is the C log, so for y > 0 this is scipy.special.xlogy's
+    product bit for bit (np.log rounds differently on some inputs).
+    """
+    if y == 0.0:
+        return np.where(x == 0, 0.0, -math.inf)
+    return x * math.log(y)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """math.erf elementwise over an array of any shape (0-d included)."""
+    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def transition_prob_exact(n_spins: int, p):
     """P(at most (N-1)/2 of N spins stay up), each up with probability 1-p.
 
@@ -46,10 +61,11 @@ def transition_prob_exact(n_spins: int, p):
     p = _check_p(p)
     m = (n - 1) // 2
     k = np.arange(m + 1)
-    log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])  # log j!
+    log_binom = log_fact[n] - log_fact[k] - log_fact[n - k]
 
     def one(pv):
-        logs = log_binom + xlogy(k, 1.0 - pv) + xlogy(n - k, pv)
+        logs = log_binom + _xlogy(k, 1.0 - pv) + _xlogy(n - k, pv)
         return math.fsum(np.exp(logs))
 
     if p.ndim == 0:
@@ -65,7 +81,7 @@ def transition_prob_approx(n_spins: int, p):
     p = _check_p(p)
     s = np.sqrt(2.0 * n * p * (1.0 - p))
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = 0.5 * (erf((n * p - 0.5 * n) / s) - erf((n * p - 1.0 * n) / s))
+        val = 0.5 * (_erf((n * p - 0.5 * n) / s) - _erf((n * p - 1.0 * n) / s))
     # the variance vanishes at the endpoints; the limits are exact
     out = np.where(p <= 0.0, 0.0, np.where(p >= 1.0, 1.0, val))
     return float(out) if p.ndim == 0 else out

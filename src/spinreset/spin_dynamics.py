@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,8 @@ class DriveParams:
 
     Both are finite and non-negative; the phase diagrams only ever use the ratio
     omega/delta >= 0.  The effective Rabi frequency is recomputed on
-    access so it can never go stale.
+    access; the Rabi axis, which the propagator reads at every time, is
+    built once per drive (the instance is frozen, so it cannot go stale).
     """
 
     omega: float
@@ -64,6 +66,17 @@ class DriveParams:
     @property
     def effective_rabi(self) -> float:
         return float(np.hypot(self.omega, self.delta))
+
+    @cached_property
+    def rabi_axis(self):
+        """(obar, (omega sigma_x + delta sigma_z) / obar) as propagator reads it;
+        the axis is None when obar = 0, and read-only otherwise."""
+        obar = self.effective_rabi
+        if obar == 0.0:
+            return obar, None
+        axis = (self.omega * SIGMA_X + self.delta * SIGMA_Z) / obar
+        axis.flags.writeable = False
+        return obar, axis
 
 
 def require_states(rho, dim: int) -> np.ndarray:
@@ -105,10 +118,9 @@ def require_qubit_state(rho) -> np.ndarray:
 
 def propagator(params: DriveParams, t: float) -> np.ndarray:
     """Single-spin unitary exp(-i H t) in axis-angle form."""
-    obar = params.effective_rabi
-    if obar == 0.0:
+    obar, axis = params.rabi_axis
+    if axis is None:
         return IDENTITY_2.copy()
-    axis = (params.omega * SIGMA_X + params.delta * SIGMA_Z) / obar
     th = obar * t
     return np.cos(th) * IDENTITY_2 - 1j * np.sin(th) * axis
 
@@ -126,10 +138,11 @@ def _evolve(params: DriveParams, t: float, rho: np.ndarray) -> np.ndarray:
 
 
 def _pure_state(init: str) -> np.ndarray:
+    """The shared origin |init><init|; callers only read it."""
     if init == "up":
-        return UP.copy()
+        return UP
     if init == "down":
-        return DOWN.copy()
+        return DOWN
     raise ValueError(f"initial state must be 'up' or 'down', got {init!r}")
 
 

@@ -17,6 +17,10 @@ TrigPoly and branch_mix_poly are the oracle of the exact stationary
 states: one drive at a time, with Python complex coefficients keyed by
 their exact float frequency, which the package's stacked trig-polynomial
 batch reproduces bit for bit on every row with obar > 0.
+
+propagator and free_two_spin_state rebuild obar and the Rabi axis on
+every call: the oracle of the package's per-drive axis, which must keep
+their bits.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from spinreset.renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
-from spinreset.spin_dynamics import DriveParams, _amplitude_coeffs
+from spinreset.spin_dynamics import (DOWN, IDENTITY_2, SIGMA_X, SIGMA_Z, UP, DriveParams,
+                                     _amplitude_coeffs)
 from spinreset.trajectory_sim import (ProtocolKind, SimConfig, _quantile_at_most,
                                       binomial_quantile)
 
@@ -54,6 +59,30 @@ def flip_probability(params: DriveParams, t):
     a = (params.omega / obar) ** 2
     out = a * np.sin(obar * t) ** 2
     return out if out.shape else float(out)
+
+
+def propagator(params: DriveParams, t: float) -> np.ndarray:
+    """Single-spin unitary exp(-i H t), with obar and the axis recomputed per call."""
+    obar = params.effective_rabi
+    if obar == 0.0:
+        return IDENTITY_2.copy()
+    axis = (params.omega * SIGMA_X + params.delta * SIGMA_Z) / obar
+    th = obar * t
+    return np.cos(th) * IDENTITY_2 - 1j * np.sin(th) * axis
+
+
+def evolve(params: DriveParams, t: float, rho: np.ndarray) -> np.ndarray:
+    """Conjugation of rho by the reference propagator."""
+    u = propagator(params, t)
+    return u @ rho @ u.conj().T
+
+
+def free_two_spin_state(params: DriveParams, t: float, init_j: str, init_k: str) -> np.ndarray:
+    """Product state of two spins evolved from |init_j init_k> by the reference propagator."""
+    origin = {"up": UP, "down": DOWN}
+    rj = evolve(params, t, origin[init_j])
+    rk = evolve(params, t, origin[init_k])
+    return (rj[:, None, :, None] * rk[None, :, None, :]).reshape(4, 4)
 
 
 def free_excitation_density(params: DriveParams, t, n0):

@@ -204,6 +204,38 @@ def test_oversized_grid_is_a_usage_error():
         assert exc.value.code == 2
 
 
+def test_shared_parser_carries_nothing_between_commands(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._command_parser.cache_clear()
+    sweep = ["sweep", "--protocol", "1", "--grid", "0.5,1.0,1.5"]
+    assert run_cli(sweep + ["--output", str(tmp_path / "first")], capsys)[0] == 0
+    first_build = len(built)
+    assert first_build > 0
+    code, out, _ = run_cli(["stationary", "--protocol", "2", "--n-spins", "51",
+                            "--omega", "1.3"], capsys)
+    assert code == 0 and out.startswith("omega_over_delta")
+    code, out, err = run_cli(sweep + ["--dist", "bogus"], capsys)
+    assert code == 2 and out == "" and "--dist" in err
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: spinreset")
+    assert run_cli(sweep + ["--output", str(tmp_path / "second")], capsys)[0] == 0
+    assert len(built) == first_build  # every call after the first reuses the parser
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    # a default list is built again by each parse, so mutating one leaves the next alone
+    parser = cli._command_parser()
+    parser.parse_args(["finite-size", "--n-spins", "51"]).grid.append(9.0)
+    assert parser.parse_args(["finite-size", "--n-spins", "51"]).grid == _parse_grid(
+        "0.85:1.1:0.05")
+    assert len(built) == first_build
+
+
 @pytest.mark.parametrize("argv, engine", [
     (["ensemble", "--protocol", "1", "--omega", "1"], "run_ensemble"),
     (["sweep", "--protocol", "3", "--grid", "1.1"], "sweep_stationary"),

@@ -90,6 +90,27 @@ def test_evolve_qubit_matches_conjugation():
         evolve_qubit(params, -0.5, rho)
 
 
+def test_per_drive_axis_keeps_every_bit():
+    # the reference rebuilds obar and the axis on every call; the package builds
+    # them once per drive.  The -0.0 drives compare and hash equal to the 0.0
+    # drives evaluated just before them, as a cache keyed by value would see them.
+    drives = [random_params() for _ in range(20)]
+    drives += [DriveParams(omega=0.0), DriveParams(omega=-0.0),
+               DriveParams(omega=0.0, delta=0.0), DriveParams(omega=-0.0, delta=0.0)]
+    drives += [DriveParams(omega=om, delta=d) for d in (2.0**600, 2.0**-600)
+               for om in (0.0, 0.7 * d, 1.3)]
+    times = [0.0, 1e-300] + [float(t) for t in RNG.uniform(0.0, 200.0, 12)]
+    mixed = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+    origins = [("up", "up"), ("up", "down"), ("down", "up"), ("down", "down")]
+    for params in drives:
+        for t in times:
+            for init_j, init_k in origins:
+                assert (free_two_spin_state(params, t, init_j, init_k).tobytes()
+                        == ref.free_two_spin_state(params, t, init_j, init_k).tobytes())
+            for rho in (ref.UP, ref.DOWN, mixed):
+                assert evolve_qubit(params, t, rho).tobytes() == ref.evolve(params, t, rho).tobytes()
+
+
 def test_free_excitation_density_affine_in_origin_density():
     params = random_params()
     ts = np.linspace(0.0, 10.0, 50)
