@@ -16,10 +16,9 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .renewal import (
 from .spin_dynamics import DriveParams
 from .trajectory_sim import EnsembleStats, SimConfig, run_ensemble
 
-WORKERS_ENV = "SPINRESET_WORKERS"
 MAX_GRID_POINTS = 10**6  # a lo:hi:step grid is built as a list before any row runs
 
 # argparse attributes that are plumbing, not configuration
@@ -64,34 +62,31 @@ class UnreadableInput(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation and the files it produced."""
-
-    command: str
-    argv: list
-    config: dict
-    seed: int | None
-    version: str
-    wall_time: float
-    outputs: list = field(default_factory=list)
-
-    def write(self, prefix: str):
-        path = prefix + ".manifest.json"
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
-        return path
-
-
-def _manifest(args, extra=None) -> RunManifest:
-    """This invocation's resolved configuration, plus extra, and its wall time so far."""
+def _manifest(args, extra=None) -> dict:
+    """This run's configuration, plus extra, its wall time so far and (once written) its outputs."""
     config = {k: list(v) if isinstance(v, tuple) else v
               for k, v in sorted(vars(args).items()) if k not in _NOT_CONFIG}
     config.update(extra or {})
-    return RunManifest(command=args.command, argv=list(args.argv), config=config,
-                       seed=getattr(args, "seed", None), version=__version__,
-                       wall_time=time.perf_counter() - args.start)
+    return {"command": args.command, "argv": list(args.argv), "config": config,
+            "seed": getattr(args, "seed", None), "version": __version__,
+            "wall_time": time.perf_counter() - args.start, "outputs": []}
+
+
+def _write(path: str, text: str) -> str:
+    """Write one file the CLI produces; returns its path."""
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _write_manifest(stem: str, manifest: dict, outputs: list) -> str:
+    """Write <stem>.manifest.json listing outputs; returns its path."""
+    manifest["outputs"] = outputs
+    return _write(stem + ".manifest.json", _json_text(manifest))
 
 
 def _fmt(v) -> str:
@@ -146,7 +141,7 @@ def _table(result):
     raise ValueError(f"cannot serialize {type(result).__name__}")
 
 
-def write_table(result, fmt: str, path: str, manifest: RunManifest | None = None) -> list:
+def write_table(result, fmt: str, path: str, manifest: dict | None = None) -> list:
     """Write a sweep or time-series table as CSV and/or JSON files.
 
     fmt is csv, json, or both; path is the stem the extensions are
@@ -155,20 +150,15 @@ def write_table(result, fmt: str, path: str, manifest: RunManifest | None = None
     columns, values, head, tail = _table(result)
     written = []
     if fmt in ("csv", "both"):
-        with open(path + ".csv", "w") as fh:
-            fh.write(_csv_text(columns, zip(*values)))
-        written.append(path + ".csv")
+        written.append(_write(path + ".csv", _csv_text(columns, zip(*values))))
     if fmt in ("json", "both"):
         doc = {**head, "columns": list(columns),
                **{c: v.tolist() if isinstance(v, np.ndarray) else list(v)
                   for c, v in zip(columns, values)},
                **tail}
         if manifest is not None:
-            doc["manifest"] = asdict(manifest)
-        with open(path + ".json", "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        written.append(path + ".json")
+            doc["manifest"] = manifest
+        written.append(_write(path + ".json", _json_text(doc)))
     return written
 
 
@@ -230,9 +220,7 @@ def write_svg(path: str, x, series, labels, xlabel: str, ylabel: str):
         parts.append(f'<text x="{width - mr - 8}" y="{mt + 16 + 16 * k}" text-anchor="end" '
                      f'fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _write(path, "\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ def _add_mc_args(p, trajectories=10000):
     p.add_argument("--trajectories", type=int, default=trajectories)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes, at most the usable CPUs (default ${WORKERS_ENV} or 1)")
+                   help="worker processes, at most the usable CPUs (default 1)")
     p.add_argument("--time", type=float, default=None,
                    help="observation time (default 30, or 2000 at finite N)")
 
@@ -370,15 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return 1
+    return 1 if args.workers is None else args.workers
 
 
 def _resolve_physics(args):
@@ -431,8 +411,7 @@ def _emit(args, tables, extra=None, svg_series=None) -> int:
     if args.svg and svg_series:
         for name, (x, ys, labels, xlabel, ylabel) in svg_series.items():
             outputs.append(write_svg(f"{args.output}.{name}.svg", x, ys, labels, xlabel, ylabel))
-    manifest.outputs = outputs
-    outputs.append(manifest.write(args.output))
+    outputs.append(_write_manifest(args.output, manifest, outputs))
     print("\n".join(outputs))
     return 0
 
@@ -579,14 +558,10 @@ def cmd_fit(args) -> int:
                         window=args.window, baseline=args.baseline)
     doc = asdict(fit)
     doc["observable"] = args.observable
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _json_text(doc)
     sys.stdout.write(text)
     if args.output is not None:
-        with open(args.output + ".json", "w") as fh:
-            fh.write(text)
-        manifest = _manifest(args)
-        manifest.outputs = [args.output + ".json"]
-        manifest.write(args.output)
+        _write_manifest(args.output, _manifest(args), [_write(args.output + ".json", text)])
     return 0
 
 

@@ -267,9 +267,9 @@ class _RowStreams:
     Philox makes its outputs four at a time: draw j of a stream is word
     j % 4 of the block at counter j // 4 + 1, and a fresh stream has
     counter 0 and no buffered words.  fill sets the row's key and counter
-    skip // 4 and discards skip % 4 draws, so the row continues exactly
-    where an earlier fill of `skip` values stopped.  Each chunk owns its
-    own instance, whichever process runs it.
+    skip // 4, so for skip a multiple of 4 the row continues exactly where
+    an earlier fill of `skip` values stopped.  Each chunk owns its own
+    instance, whichever process runs it.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -279,13 +279,10 @@ class _RowStreams:
         self.state = self.bit_generator.state
 
     def fill(self, row: int, out: np.ndarray, skip: int = 0):
-        """out <- uniforms skip, skip + 1, ... of the row's stream."""
-        block, offset = divmod(skip, _PHILOX_BLOCK)
+        """out <- uniforms skip, skip + 1, ... of the row's stream; skip is whole Philox blocks."""
         self.state["state"]["key"] = self.keys[row]
-        self.state["state"]["counter"] = (block, 0, 0, 0)
+        self.state["state"]["counter"] = (skip // _PHILOX_BLOCK, 0, 0, 0)
         self.bit_generator.state = self.state  # buffer_pos stays 4: nothing buffered
-        if offset:
-            self.generator.random(offset)
         self.generator.random(out=out)
 
 
@@ -513,10 +510,11 @@ def _reset_times(dist: WaitingTime, streams: _RowStreams, t_end: float) -> np.nd
 
     A row still short of t_end continues its own stream and its own sum
     in further blocks, so every entry is the same left-to-right sum
-    however the draws are blocked.  Entries past a row's last reset are
-    +inf.
+    however the draws are blocked.  Every block is whole Philox blocks
+    (WAIT_BLOCK is), so a row resumes its stream at a block boundary.
+    Entries past a row's last reset are +inf.
     """
-    resets, block = None, _initial_wait_capacity(dist, t_end)
+    resets, block = None, -(-_initial_wait_capacity(dist, t_end) // _PHILOX_BLOCK) * _PHILOX_BLOCK
     short = np.arange(len(streams.keys))
     drawn = 0
     while short.size:
@@ -602,11 +600,11 @@ class _ChunkState:
 
     def advance_to(self):
         """Apply every row's resets with t <= the last grid time: at finite N
-        by _finite_origins, else in reset order, step k applying each row's
-        k-th reset (to all rows while every row has one, then to the rows
-        that do) after the origins go to the grid points that see exactly k
-        resets.  grid_origin (grid points, drives, rows) and t_last (grid
-        points, rows) then hold what record reads; the schedule is released.
+        by _finite_origins, else in reset order, step k applying the k-th
+        reset of the rows that have one after the origins go to the grid
+        points that see exactly k resets.  grid_origin (grid points, drives,
+        rows) and t_last (grid points, rows) then hold what record reads;
+        the schedule is released.
         """
         seen = self.seen
         shape = (seen.shape[1],) + self.origin.shape
@@ -617,7 +615,7 @@ class _ChunkState:
         else:
             self.grid_origin = np.empty(shape, dtype=self.origin.dtype)
             applied = seen[:, -1]
-            every, last = int(applied.min()), int(applied.max())
+            last = int(applied.max())
             # flat (row, grid point) pairs, grouped by the resets they see
             pairs = np.argsort(seen, axis=None)
             bounds = np.cumsum(np.bincount(seen.ravel(), minlength=last + 1))
@@ -627,9 +625,7 @@ class _ChunkState:
                     row, gi = np.divmod(pairs[start:end], shape[0])
                     self.grid_origin[gi, :, row] = self.origin[:, row].T
                 start = end
-                if k < every:
-                    self._reset(k, slice(None))
-                elif k < last:
+                if k < last:
                     live = live[applied[live] > k]
                     self._reset(k, live)
             del pairs
@@ -638,7 +634,7 @@ class _ChunkState:
         self.resets = self.seen = self.meas = None
 
     def _reset(self, k: int, rows):
-        """Apply reset k of the given rows (a slice or an index array) to every drive's n0."""
+        """Apply reset k of the given rows (an index array) to every drive's n0."""
         t_reset = self.resets[rows, k]
         p = _flip_probability(self.obar, self.ratio,
                               t_reset - self.resets[rows, k - 1] if k else t_reset)

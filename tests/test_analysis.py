@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinreset import analysis, renewal
+from spinreset import analysis, renewal, trajectory_sim
 from spinreset.analysis import (
     DEFAULT_BASELINES,
     JumpEstimate,
@@ -25,8 +25,8 @@ from spinreset.analysis import (
 )
 from spinreset.observables import connected_correlation_closed_form, lqu
 from spinreset.renewal import WaitingTime, stationary_density_closed_form
-from spinreset.spin_dynamics import DriveParams
-from spinreset.trajectory_sim import CHUNK, ProtocolKind, run_ensemble
+from spinreset.spin_dynamics import DriveParams, require_states
+from spinreset.trajectory_sim import CHUNK, ProtocolKind, SimConfig, run_ensemble, run_ensembles
 
 from reference_sim import branch_mix_poly
 
@@ -552,3 +552,28 @@ def test_closed_form_rows_are_valid_property(drives, dist, n_spins, scale):
             assert other[0] == pytest.approx(row[0], abs=1e-14)
             assert other[2] == pytest.approx(row[2], abs=1e-14)
             assert other[4] == pytest.approx(row[4], abs=1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drives=st.lists(st.builds(DriveParams, omega=log_uniform, delta=log_uniform),
+                       min_size=1, max_size=3),
+       dist=st.one_of(st.builds(WaitingTime.poisson, log_uniform),
+                      st.builds(WaitingTime.chopped, log_uniform, log_uniform)),
+       n_spins=st.sampled_from([None, 1, 11, 51]),
+       protocol=st.sampled_from(list(ProtocolKind)),
+       resets=st.floats(0.5, 40.0))
+def test_ensemble_states_are_valid_property(drives, dist, n_spins, protocol, resets):
+    # the horizon is `resets` mean waits, so every schedule stays small;
+    # CHUNK + 1 trajectories make a second chunk for the batch-means error
+    horizon = resets / trajectory_sim._expected_resets(dist, 1.0)
+    configs = [SimConfig(protocol=protocol, params=params, dist=dist, observation_time=horizon,
+                         sample_grid=tuple(np.linspace(horizon / 2, horizon, 3)),
+                         n_trajectories=CHUNK + 1, seed=0, n_spins=n_spins,
+                         average_window=(horizon / 2, horizon))
+               for params in drives]
+    for stats in run_ensembles(configs):
+        require_states(stats.pair_states, 4)
+        require_exchange_symmetric(stats.pair_states)
+        value, stderr = ensemble_lqu(stats)
+        assert 0.0 <= value <= 1.0
+        assert math.isfinite(stderr)

@@ -1,6 +1,8 @@
 import argparse
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from spinreset import analysis, cli, trajectory_sim
 from spinreset.cli import (
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
-    WORKERS_ENV,
     _csv_text,
     _parse_grid,
     _parse_n_list,
@@ -19,11 +20,6 @@ from spinreset.cli import (
 from spinreset.observables import connected_correlation_closed_form
 from spinreset.renewal import WaitingTime, stationary_density_closed_form
 from spinreset.spin_dynamics import DriveParams
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
 
 
 def run_cli(args, capsys):
@@ -364,7 +360,7 @@ def test_ensemble_outputs_and_round_trip(tmp_path, capsys):
                                         stem + ".density.svg"}
 
 
-def test_ensemble_worker_and_rerun_determinism(tmp_path, capsys, monkeypatch):
+def test_ensemble_worker_and_rerun_determinism(tmp_path, capsys):
     base = ["ensemble", "--protocol", "2", "--omega", "1.3", "--trajectories", "600",
             "--time", "8", "--points", "9", "--seed", "5", "--format", "csv"]
     texts = []
@@ -374,20 +370,25 @@ def test_ensemble_worker_and_rerun_determinism(tmp_path, capsys, monkeypatch):
         assert run_cli(base + extra + ["--output", stem], capsys)[0] == 0
         texts.append((tmp_path / (tag + ".csv")).read_bytes())
     assert texts[0] == texts[1] == texts[2]
-    # workers can come from the environment
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    stem = str(tmp_path / "env")
-    assert run_cli(base + ["--output", stem], capsys)[0] == 0
-    assert (tmp_path / "env.csv").read_bytes() == texts[0]
-    # a broken environment value only matters when the flag is absent
-    monkeypatch.setenv(WORKERS_ENV, "lots")
-    assert run_cli(base, capsys)[0] == 3
-    assert run_cli(base + ["--workers", "2"], capsys)[0] == 0
-    # out-of-range values fail like the flag does, rather than being clamped
-    for bad in ("0", "-3"):
-        monkeypatch.setenv(WORKERS_ENV, bad)
-        assert run_cli(base, capsys)[0] == 3
-        assert run_cli(["sweep", "--protocol", "1", "--grid", "0.5"], capsys)[0] == 3
+
+
+def test_workers_come_from_the_flag_alone(monkeypatch, capsys):
+    # the environment is no second source of the worker count
+    monkeypatch.setenv("SPINRESET_WORKERS", "0")
+    assert run_cli(["sweep", "--protocol", "1", "--grid", "0.5"], capsys)[0] == 0
+
+
+def test_source_reads_no_environment():
+    # flags are the only settings source: no module under src/ reads os.environ or os.getenv
+    src = Path(__file__).resolve().parents[1] / "src"
+    names = ("environ", "environb", "getenv", "getenvb")
+    found = [f"{path.relative_to(src)}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.alias) and node.name in names]
+    assert found == []
 
 
 def test_json_documents_keep_their_key_order(tmp_path, capsys):
@@ -409,6 +410,28 @@ def test_json_documents_keep_their_key_order(tmp_path, capsys):
                          + list(SWEEP_COLUMNS) + ["row_errors", "fits", "manifest"])
     assert list(doc["manifest"]) == ["command", "argv", "config", "seed", "version",
                                      "wall_time", "outputs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--protocol", "2", "--omega", "1.2"],
+    ["ensemble", "--protocol", "1", "--omega", "1.1", "--trajectories", "64", "--time", "6",
+     "--points", "4", "--window", "3:6"],
+    ["sweep", "--protocol", "1", "--grid", "0.5,1.5"],
+    ["finite-size", "--n-spins", "5,7", "--grid", "0.9", "--trajectories", "50",
+     "--time", "20", "--window-points", "3"],
+], ids=["stationary", "ensemble", "sweep", "finite-size"])
+def test_json_tables_embed_the_manifest_before_its_outputs(argv, tmp_path, capsys):
+    stem = str(tmp_path / "run")
+    code, out, _ = run_cli(argv + ["--output", stem], capsys)
+    assert code == 0
+    listed = out.strip().splitlines()
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert listed == manifest["outputs"] + [stem + ".manifest.json"]
+    tables = [path for path in listed[:-1] if path.endswith(".json")]
+    assert len(tables) == (2 if argv[0] == "finite-size" else 1)
+    for path in tables:
+        # tables are written before the outputs are known
+        assert json.loads(Path(path).read_text())["manifest"] == {**manifest, "outputs": []}
 
 
 def test_stationary_files_and_manifest(tmp_path, capsys):
@@ -478,8 +501,10 @@ def test_fit_command_from_both_formats(tmp_path, capsys):
     assert doc["observable"] == "density"
     assert doc["exponent"] == pytest.approx(0.5, abs=1e-8)
     assert doc["amplitude"] == pytest.approx(0.3, abs=1e-8)
-    assert json.loads((tmp_path / "fit.json").read_text()) == doc
-    assert (tmp_path / "fit.manifest.json").exists()
+    assert (tmp_path / "fit.json").read_text() == out
+    manifest = json.loads((tmp_path / "fit.manifest.json").read_text())
+    assert manifest["command"] == "fit"
+    assert manifest["outputs"] == [str(tmp_path / "fit.json")]
 
     # the same table via the JSON writer fits identically
     json_doc = {

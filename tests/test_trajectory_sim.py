@@ -489,6 +489,22 @@ def test_mc_agrees_with_flip_probability_one_spin():
     np.testing.assert_allclose(out.density, expect, atol=1e-12)
 
 
+def one_wait_first_block(monkeypatch) -> list:
+    """Ask for a one-wait first block (one Philox block once rounded up); the
+    list returned gets each chunk's reset-table width, which exceeds that
+    block only where the rows short of the horizon drew further blocks."""
+    widths, draw = [], trajectory_sim._reset_times
+
+    def recording(dist, streams, t_end):
+        resets = draw(dist, streams, t_end)
+        widths.append(resets.shape[1])
+        return resets
+
+    monkeypatch.setattr(trajectory_sim, "_initial_wait_capacity", lambda dist, horizon: 1)
+    monkeypatch.setattr(trajectory_sim, "_reset_times", recording)
+    return widths
+
+
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
 @pytest.mark.parametrize("n_spins", [None, 11])
 def test_output_does_not_depend_on_wait_buffer_size(protocol, n_spins, monkeypatch):
@@ -496,8 +512,9 @@ def test_output_does_not_depend_on_wait_buffer_size(protocol, n_spins, monkeypat
     # drawn, so a one-wait first buffer changes no byte
     config = small_config(protocol, n_spins=n_spins)
     full = run_ensemble(config)
-    monkeypatch.setattr(trajectory_sim, "_initial_wait_capacity", lambda dist, horizon: 1)
+    widths = one_wait_first_block(monkeypatch)
     short = run_ensemble(config)
+    assert max(widths) > trajectory_sim._PHILOX_BLOCK  # the top-up path ran
     assert short.density.tobytes() == full.density.tobytes()
     assert short.pair_states.tobytes() == full.pair_states.tobytes()
     for name in ("window_density", "window_density_stderr", "window_two_point",
@@ -562,8 +579,9 @@ def test_stream_keys_match_seed_sequence(seed, kind):
         bit_generator = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i, kind)))
         assert keys[row].tolist() == bit_generator.state["state"]["key"].tolist(), (seed, i, kind)
         expect = np.random.Generator(bit_generator).random(200)
-        # skip > 0: a row short of the horizon re-keys and skips what it drew
-        for skip in (0, 1, 3, 4, 5, 67):
+        # skip > 0: a row short of the horizon re-keys and resumes at the
+        # whole Philox block after what it drew
+        for skip in (0, 4, 64, 68):
             got = np.empty(200 - skip)
             streams.fill(row, got, skip=skip)
             assert got.tobytes() == expect[skip:].tobytes(), (seed, i, kind, skip)
@@ -759,18 +777,18 @@ def test_reset_scan_matches_grid_walk_property(drives, protocol, n_spins, choppe
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("first_block", [None, 1], ids=["drawn", "one-wait"])
+@pytest.mark.parametrize("one_wait", [False, True], ids=["drawn", "one-wait"])
 @pytest.mark.parametrize("dist", [POISSON, CHOPPED], ids=["poisson", "chopped"])
 @pytest.mark.parametrize("n_spins", [None, 1, 201])
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
-def test_ensemble_raises_no_float_warning(protocol, n_spins, dist, first_block, monkeypatch):
+def test_ensemble_raises_no_float_warning(protocol, n_spins, dist, one_wait, monkeypatch):
     # a one-wait first block extends every row's waits WAIT_BLOCK at a time,
     # and the rows done by then are padded with +inf
-    if first_block is not None:
-        monkeypatch.setattr(trajectory_sim, "_initial_wait_capacity",
-                            lambda dist, horizon: first_block)
+    widths = one_wait_first_block(monkeypatch) if one_wait else None
     config = replace(small_config(protocol, n_spins=n_spins, n_traj=64), dist=dist)
     assert np.all(np.isfinite(run_ensemble(config).density))
+    if one_wait:
+        assert max(widths) > trajectory_sim._PHILOX_BLOCK  # the top-up path ran
 
 
 def test_first_wait_block_is_capped_before_any_chunk_runs(monkeypatch):
