@@ -78,6 +78,8 @@ class McTemplate:
     n_spins: int | None = None
 
     def __post_init__(self):
+        if self.window_points < 1:
+            raise ValueError(f"window_points must be >= 1, got {self.window_points}")
         # a template is valid when the ensembles it configures are
         self.config(ProtocolKind.UNCONDITIONAL_RESET, DriveParams(1.0), WaitingTime.poisson(1.0))
 
@@ -331,7 +333,7 @@ def estimate_discontinuity(sweep: SweepResult, critical_point: float = 1.0,
     """
     xs = sweep.omega_over_delta
     values, stderrs = sweep.column(observable)
-    ok = np.array([r != REGIME_FAILED for r in sweep.regime])
+    ok = np.array([r != REGIME_FAILED for r in sweep.regime], dtype=bool)
     left = np.nonzero((xs < critical_point) & ok)[0][::-1]  # nearest first
     right = np.nonzero((xs > critical_point) & ok)[0]
     if left.size == 0 or right.size == 0:
@@ -381,11 +383,13 @@ def fit_power_law(sweep: SweepResult, observable: str, critical_point: float = 1
     if not math.isfinite(baseline):
         raise ValueError(f"baseline must be finite, got {baseline}")
     lo, hi = (float(w) for w in window)
-    if not critical_point < lo <= hi:
+    if lo > hi:
+        raise ValueError(f"fit window ({lo}, {hi}) has lo > hi")
+    if not critical_point < lo:
         raise ValueError(f"fit window ({lo}, {hi}) must lie strictly above {critical_point}")
     xs = sweep.omega_over_delta
     values, _ = sweep.column(observable)
-    ok = np.array([r != REGIME_FAILED for r in sweep.regime])
+    ok = np.array([r != REGIME_FAILED for r in sweep.regime], dtype=bool)
     mask = (xs >= lo) & (xs <= hi) & ok
     if mask.sum() < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} rows that did not fail "

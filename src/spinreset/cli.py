@@ -37,7 +37,6 @@ from .finite_size import _check_n
 from .observables import connected_correlation, connected_correlation_closed_form, lqu
 from .renewal import (
     ProtocolKind,
-    WaitingKind,
     WaitingTime,
     renewal_state_at_time,
     stationary_density_closed_form,
@@ -104,13 +103,6 @@ def _csv_text(columns, rows) -> str:
 
 def _dist_dict(dist: WaitingTime) -> dict:
     return {"kind": dist.kind.value, "gamma": dist.gamma, "t_max": dist.t_max}
-
-
-def _dist_from_dict(d: dict) -> WaitingTime:
-    kind = WaitingKind(d["kind"])
-    if kind is WaitingKind.POISSON:
-        return WaitingTime.poisson(d["gamma"])
-    return WaitingTime.chopped(d["gamma"], d["t_max"])
 
 
 def _table(result):
@@ -296,7 +288,14 @@ def _add_output_args(p):
     p.add_argument("--svg", action="store_true", help="also write SVG line plots")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; callers must not modify it.
+
+    A parse leaves no state in it: parse_args returns a fresh namespace,
+    and no action appends to or mutates a default (a string default such
+    as finite-size's --grid goes through its type on every parse).
+    """
     parser = argparse.ArgumentParser(
         prog="spinreset",
         description="Stationary states and trajectory ensembles of driven spins under stochastic resetting.")
@@ -469,9 +468,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _, dist, unit, delta_zero = _resolve_physics(args)
-    if delta_zero:
-        raise ValueError("sweeps need delta > 0 (the grid is in units of delta)")
+    _, dist, unit, _ = _resolve_physics(args)
     protocol = ProtocolKind(args.protocol)
     workers = _resolve_workers(args)
     horizon = _resolve_horizon(args, protocol, unit)
@@ -491,9 +488,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_finite_size(args) -> int:
-    _, dist, unit, delta_zero = _resolve_physics(args)
-    if delta_zero:
-        raise ValueError("finite-size sweeps need delta > 0")
+    _, dist, unit, _ = _resolve_physics(args)
     workers = _resolve_workers(args)
     horizon = _resolve_horizon(args, ProtocolKind.CONDITIONAL_TWO_STATE, unit)
     # every template is checked before the first sweep runs
@@ -511,6 +506,7 @@ def cmd_finite_size(args) -> int:
 
 
 def _read_sweep_file(path: str) -> SweepResult:
+    """The SWEEP_COLUMNS of a CSV or JSON sweep table, as a SweepResult."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -520,16 +516,11 @@ def _read_sweep_file(path: str) -> SweepResult:
     try:
         if is_json:
             doc = json.loads(text)
-            meta = {"protocol": ProtocolKind(doc["protocol"]), "dist": _dist_from_dict(doc["dist"]),
-                    "delta": doc["delta"], "n_spins": doc.get("n_spins")}
-            columns = {c: doc[c] for c in SWEEP_COLUMNS}
+            columns = [doc[c] for c in SWEEP_COLUMNS]
         else:
-            # the CSV table alone carries no protocol metadata; defaults
-            # are fine because the fit only consumes the numeric columns
-            meta = {"protocol": ProtocolKind.UNCONDITIONAL_RESET,
-                    "dist": WaitingTime.poisson(0.5), "delta": 1.0}
-            columns = dict(zip(SWEEP_COLUMNS, _read_sweep_csv(path, text)))
-        return SweepResult(**meta, **columns)
+            columns = _read_sweep_csv(path, text)
+        # the fit reads no metadata, so placeholders fill protocol, law and delta
+        return SweepResult(ProtocolKind.UNCONDITIONAL_RESET, WaitingTime.poisson(0.5), 1.0, *columns)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         kind = "JSON" if is_json else "CSV"
         raise UnreadableInput(f"{path} is not a sweep {kind} file: {exc}") from exc
@@ -676,20 +667,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
-@functools.cache
-def _command_parser() -> argparse.ArgumentParser:
-    """The parser every execute_command call shares, built on the first.
-
-    A parse leaves no state in it: parse_args returns a fresh namespace,
-    and no action appends to or mutates a default (a string default such
-    as finite-size's --grid goes through its type on every parse).
-    """
-    return build_parser()
-
-
 def execute_command(argv=None) -> int:
     try:
-        args = _command_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -208,7 +208,7 @@ def exp_weighted_average(dist: WaitingTime, f):
 # ---------------------------------------------------------------------------
 
 
-def renewal_state_at_time(params: DriveParams, gamma: float, t: float, pair: bool = False):
+def renewal_state_at_time(params: DriveParams, gamma: float, t: float):
     """State of the unconditional protocol at finite time t (from |up>).
 
     Sum of the survival term exp(-gamma t) rho_free(t) and the
@@ -221,11 +221,9 @@ def renewal_state_at_time(params: DriveParams, gamma: float, t: float, pair: boo
         raise ValueError("time must be >= 0")
     obar = _exact_rabi(params)
     if obar == 0.0:
-        return np.kron(UP, UP) if pair else UP.copy()
+        return UP.copy()
     entries = free_qubit_poly(np.array([params.omega]), np.array([params.delta]),
                               np.array([obar]), "up")
-    if pair:
-        entries = free_pair_poly(entries)
     # exp(-g t) f(t) + g * integral_0^t exp(-g s) f(s) ds, term by term
     c = entries.re[:, 0] + 1j * entries.im[:, 0]
     z = 1j * (entries.keys() * obar) - gamma

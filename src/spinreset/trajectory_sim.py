@@ -134,7 +134,9 @@ class SimConfig:
         if self.average_window is not None:
             lo, hi = (float(x) for x in self.average_window)
             object.__setattr__(self, "average_window", (lo, hi))
-            if not (0.0 <= lo <= hi <= self.observation_time):
+            if lo > hi:
+                raise ValueError(f"average_window {self.average_window} has lo > hi")
+            if not (0.0 <= lo and hi <= self.observation_time):
                 raise ValueError(f"average_window {self.average_window} outside [0, T]")
             if not any(lo <= t <= hi for t in grid):
                 raise ValueError("average_window contains no sample_grid points")

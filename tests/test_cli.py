@@ -1,6 +1,8 @@
 import argparse
 import ast
 import json
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -193,6 +195,62 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                    capsys)[0] == 5
 
 
+def test_fit_rejects_an_ensemble_table(tmp_path, capsys):
+    # an ensemble table has no sweep columns
+    stem = str(tmp_path / "ens")
+    assert run_cli(["ensemble", "--protocol", "1", "--omega", "1", "--trajectories", "8",
+                    "--time", "2", "--points", "3", "--format", "json", "--output", stem],
+                   capsys)[0] == 0
+    code, _, err = run_cli(["fit", "--input", stem + ".json", "--observable", "density"], capsys)
+    assert code == 5 and "is not a sweep JSON file" in err
+
+
+def test_sweeps_need_positive_delta_with_one_message(capsys):
+    for argv in (["sweep", "--protocol", "2", "--grid", "0.5,1.5"],
+                 ["finite-size", "--n-spins", "5", "--grid", "1.1"]):
+        code, _, err = run_cli(argv + ["--delta", "0"], capsys)
+        assert code == 3
+        assert err == "error: sweeps need delta > 0 (the grid is in units of delta)\n"
+
+
+def test_reversed_ensemble_window_is_named(capsys):
+    code, _, err = run_cli(["ensemble", "--protocol", "1", "--omega", "1",
+                            "--window", "20:10"], capsys)
+    assert code == 3 and "average_window (20.0, 10.0) has lo > hi" in err
+
+
+def test_reversed_fit_window_is_named(tmp_path, capsys):
+    # a header-only table reaches the fit, which checks its window first
+    path = tmp_path / "empty.csv"
+    path.write_text(_csv_text(SWEEP_COLUMNS, []))
+    code, _, err = run_cli(["fit", "--input", str(path), "--observable", "density"], capsys)
+    assert code == 3 and "found 0" in err
+    code, _, err = run_cli(["fit", "--input", str(path), "--observable", "density",
+                            "--window", "1.5:1.2"], capsys)
+    assert code == 3 and "fit window (1.5, 1.2) has lo > hi" in err
+
+
+def test_zero_window_points_is_named(capsys):
+    for argv in (["sweep", "--protocol", "3", "--grid", "1.1"],
+                 ["finite-size", "--n-spins", "5", "--grid", "1.1"]):
+        code, _, err = run_cli(argv + ["--window-points", "0"], capsys)
+        assert code == 3 and "window_points must be >= 1, got 0" in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    lines = [ln.strip() for block in blocks for ln in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("spinreset ")]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: spinreset {shlex.join(argv)}")
+
+
 def test_oversized_grid_is_a_usage_error():
     for grid in ("0:1e308:1e-308", "0:1:5e-7"):
         with pytest.raises(SystemExit) as exc:
@@ -209,11 +267,12 @@ def test_shared_parser_carries_nothing_between_commands(tmp_path, capsys, monkey
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._command_parser.cache_clear()
-    sweep = ["sweep", "--protocol", "1", "--grid", "0.5,1.0,1.5"]
-    assert run_cli(sweep + ["--output", str(tmp_path / "first")], capsys)[0] == 0
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
     first_build = len(built)
     assert first_build > 0
+    sweep = ["sweep", "--protocol", "1", "--grid", "0.5,1.0,1.5"]
+    assert run_cli(sweep + ["--output", str(tmp_path / "first")], capsys)[0] == 0
     code, out, _ = run_cli(["stationary", "--protocol", "2", "--n-spins", "51",
                             "--omega", "1.3"], capsys)
     assert code == 0 and out.startswith("omega_over_delta")
@@ -222,10 +281,10 @@ def test_shared_parser_carries_nothing_between_commands(tmp_path, capsys, monkey
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0 and out.startswith("usage: spinreset")
     assert run_cli(sweep + ["--output", str(tmp_path / "second")], capsys)[0] == 0
-    assert len(built) == first_build  # every call after the first reuses the parser
+    assert len(built) == first_build  # every command reuses the parser built first
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
     # a default list is built again by each parse, so mutating one leaves the next alone
-    parser = cli._command_parser()
+    assert cli.build_parser() is parser
     parser.parse_args(["finite-size", "--n-spins", "51"]).grid.append(9.0)
     assert parser.parse_args(["finite-size", "--n-spins", "51"]).grid == _parse_grid(
         "0.85:1.1:0.05")
@@ -522,6 +581,11 @@ def test_fit_command_from_both_formats(tmp_path, capsys):
                              "--observable", "density"], capsys)
     assert code == 0
     assert json.loads(out2) == doc
+    # the fit reads only the sweep columns of a JSON table
+    json_path.write_text(json.dumps({c: json_doc[c] for c in SWEEP_COLUMNS}))
+    code, out3, _ = run_cli(["fit", "--input", str(json_path),
+                             "--observable", "density"], capsys)
+    assert (code, out3) == (0, out2)
     # mixed-sign offsets surface as a validation error, not a traceback
     code, _, err = run_cli(["fit", "--input", str(csv_path), "--observable", "density",
                             "--baseline", "0.6"], capsys)

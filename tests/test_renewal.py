@@ -4,10 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from spinreset import finite_size, renewal
-from spinreset.observables import connected_correlation
+from spinreset.observables import (
+    connected_correlation,
+    connected_correlation_closed_form,
+    connected_correlations,
+)
 from spinreset.renewal import (
     DriveParams,
     ProtocolKind,
@@ -271,6 +277,24 @@ def test_chopped_density_closed_form_at_small_gamma_t_max(gamma):
             assert closed <= 1.0
 
 
+log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(omega=log_uniform, delta=log_uniform, gamma=log_uniform, t_max=log_uniform)
+def test_closed_forms_equal_polynomial_averages_property(omega, delta, gamma, t_max):
+    params = DriveParams(omega, delta)
+    for dist in (WaitingTime.poisson(gamma), WaitingTime.chopped(gamma, t_max)):
+        state = stationary_states(ProtocolKind.UNCONDITIONAL_RESET, [params], dist)[0]
+        assert state.density == pytest.approx(
+            stationary_density_closed_form(params, dist), abs=1e-13)
+    poisson = WaitingTime.poisson(gamma)
+    pairs = [stationary_states(ProtocolKind(k), [params], poisson)[0].pair_state for k in (1, 2)]
+    for k, corr in zip((1, 2), connected_correlations(np.stack(pairs))):
+        assert corr == pytest.approx(connected_correlation_closed_form(k, params, gamma),
+                                     abs=1e-13)
+
+
 def test_renewal_state_relaxes_to_stationary():
     params = DriveParams(omega=1.1, delta=1.0)
     gamma = 0.5
@@ -280,8 +304,6 @@ def test_renewal_state_relaxes_to_stationary():
     np.testing.assert_allclose(early, np.diag([1.0, 0.0]), atol=1e-12)
     late = renewal_state_at_time(params, gamma, 120.0)
     np.testing.assert_allclose(late, st.state, atol=1e-12)
-    late_pair = renewal_state_at_time(params, gamma, 120.0, pair=True)
-    np.testing.assert_allclose(late_pair, st.pair_state, atol=1e-12)
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
             renewal_state_at_time(params, bad, 1.0)
