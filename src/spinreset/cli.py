@@ -297,12 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     as finite-size's --grid goes through its type on every parse).
     """
     parser = argparse.ArgumentParser(
-        prog="spinreset",
+        prog="spinreset", allow_abbrev=False,
         description="Stationary states and trajectory ensembles of driven spins under stochastic resetting.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated options: a typo such as --point must not parse as --points
+    add_command = functools.partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                                    allow_abbrev=False)
 
-    p = sub.add_parser("stationary", help="exact stationary observables at one parameter point")
+    p = add_command("stationary", help="exact stationary observables at one parameter point")
     p.add_argument("--protocol", type=int, required=True,
                    choices=[k.value for k in ProtocolKind if k.has_exact_state])
     _add_physics_args(p)
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=cmd_stationary)
 
-    p = sub.add_parser("ensemble", help="Monte Carlo trajectory ensemble time series")
+    p = add_command("ensemble", help="Monte Carlo trajectory ensemble time series")
     p.add_argument("--protocol", type=int, choices=(1, 2, 3), required=True)
     _add_physics_args(p)
     p.add_argument("--n-spins", type=int, default=None)
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("sweep", help="stationary observables across an omega/delta grid")
+    p = add_command("sweep", help="stationary observables across an omega/delta grid")
     p.add_argument("--protocol", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--grid", type=_parse_grid, required=True, help="lo:hi:step or comma list")
     _add_physics_args(p, omega=False)
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("finite-size", help="majority-vote protocol crossover curves at finite N")
+    p = add_command("finite-size", help="majority-vote protocol crossover curves at finite N")
     p.add_argument("--n-spins", type=_parse_n_list, required=True, help="comma list of odd N")
     p.add_argument("--grid", type=_parse_grid, default="0.85:1.1:0.05")
     _add_physics_args(p, omega=False)
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=cmd_finite_size)
 
-    p = sub.add_parser("fit", help="power-law exponent fit on an existing sweep file")
+    p = add_command("fit", help="power-law exponent fit on an existing sweep file")
     p.add_argument("--input", required=True, help="sweep .csv or .json file")
     p.add_argument("--observable", choices=("density", "correlation", "lqu"), required=True)
     p.add_argument("--critical-point", type=float, default=1.0)
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("verify", help="run the oracle cross-checks")
+    p = add_command("verify", help="run the oracle cross-checks")
     p.set_defaults(func=cmd_verify)
     return parser
 

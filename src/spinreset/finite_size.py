@@ -34,6 +34,25 @@ def _check_p(p):
     return p
 
 
+_LOG_FACTORIALS = np.zeros(1)  # log 0! = lgamma(1.0) = 0; extended on demand
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only log j! = math.lgamma(j + 1.0) for j = 0..n.
+
+    One table serves every n: a larger n extends it, a smaller one reads
+    its prefix, so each entry is computed once per process.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n >= table.size:
+        table = np.concatenate([table, [math.lgamma(j + 1.0) for j in range(table.size, n + 1)]])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[:n + 1]
+
+
 def _xlogy(x: np.ndarray, y: float) -> np.ndarray:
     """x * log(y) for non-negative integers x, with 0 * log 0 = 0.
 
@@ -61,7 +80,7 @@ def transition_prob_exact(n_spins: int, p):
     p = _check_p(p)
     m = (n - 1) // 2
     k = np.arange(m + 1)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])  # log j!
+    log_fact = _log_factorials(n)
     log_binom = log_fact[n] - log_fact[k] - log_fact[n - k]
 
     def one(pv):

@@ -13,13 +13,17 @@ counter-based stream keyed by (seed, i, 0), and its reset times are
 their running sum, added left to right as a scalar walk would.  Only a
 finite-N conditional protocol measures; it alone builds the stream
 (seed, i, 1) and takes two measurement uniforms per reset from it.  A
-reset uses both uniforms whatever it measures, but the engine computes
-only what the reset rule needs: whether the measured density is <= 1/2
-comes from one binomial cdf value (read from a table bracket at an all-up
-origin wherever that decides it), and protocol 3's stay-up count is drawn
-only where a reset flips its origin or would flip an all-up one; a search
-starts from a normal estimate.  No result changes: undecided comparisons
-use bdtr, and the integer quantile does not depend on the search's start.
+reset uses both uniforms whatever it measures, but at an all-up or
+all-down origin the engine computes only what the reset rule needs:
+whether the measured density is <= 1/2 comes from one binomial cdf value
+(read from a table bracket wherever that decides it), and protocol 3's
+stay-up count is drawn only where the reset flips the origin.  Below
+all-up protocol 3 draws both counts in full.  A count's search starts
+from a normal estimate and costs one bdtr, the cdf at its start; the
+binomial pmf from a log-factorial table gives the cdf one below, which
+decides wherever u lies outside _CDF_MARGIN of it.  No result changes:
+undecided comparisons and the few further steps use bdtr, and the integer
+quantile does not depend on the search's start.
 A stream (seed, i, kind) is a Philox stream whose key is
 SeedSequence(entropy=seed, spawn_key=(i, kind)).generate_state(2,
 uint64) and whose counter starts at 0, so its bytes are those of
@@ -64,7 +68,7 @@ import numpy as np
 # bdtrik is unused; perfbench/layers.py traces trajectory_sim.bdtrik, so the name stays
 from scipy.special import bdtr, bdtrik, ndtri  # noqa: F401
 
-from .finite_size import _check_n
+from .finite_size import _check_n, _log_factorials
 from .renewal import ProtocolKind, WaitingTime, _fourier_weight, waiting_time_from_uniform
 from .spin_dynamics import DriveParams, _coherence_re
 
@@ -76,6 +80,9 @@ SCAN_PAIRS = 2**14  # about this many (drive, reset) pairs make one slab of a fi
 # the all-up majority test's cdf table: cells in q (a power of two), bdtr's relative slack
 _CDF_CELLS = 4096
 _CDF_MARGIN = 1e-7
+# binomial_quantile's pmf estimate up to this n: log n! < 1.4e6, so the pmf's rounding
+# stays below 1e-9 relative, and the log-factorial table below 1 MB
+_PMF_MAX_N = 2**17
 
 _WAIT_STREAM = 0
 _MEASURE_STREAM = 1
@@ -289,46 +296,76 @@ class _RowStreams:
 
 
 def binomial_quantile(u, n, p):
-    """Smallest k with P(Bin(n, p) <= k) >= u, vectorized.
+    """Smallest k with bdtr(k, n, p) >= u, vectorized; about one bdtr per element.
 
     The search starts from the Cornish-Fisher normal estimate
     n p + sd z + (1 - 2p)(z^2 - 1)/6 with z = ndtri(u) (0 or n where z
     is infinite), rounded and clipped to [0, n] (Kachitvichyanukul &
-    Schmeiser, CACM 1988).  It then walks by bdtr comparisons: down while
-    the cdf one below still reaches u, then up while the cdf falls short
-    of it.  The integer quantile does not depend on where the walk
-    starts.  An element that stops on one pass would stop again, so each
-    pass runs only over the elements that moved on the one before.
+    Schmeiser, CACM 1988).  It then walks down while the cdf one below
+    still reaches u, then up while the cdf falls short of it.  Its first
+    step costs one bdtr, the cdf F(k) at the start k.  F(k) decides a step
+    up.  F(k - 1) is F(k) less the binomial pmf at k, exp of the
+    log-factorial table's log binomial plus k log p + (n - k) log1p(-p),
+    and it decides a step down wherever u lies farther from it than
+    _CDF_MARGIN relative to F(k), which bounds bdtr's and the pmf's
+    rounding.  The undecided comparisons and every further step (a start
+    one or more off, about one element in a hundred) call bdtr, so every
+    answer is that of the walk by bdtr comparisons alone.  Above
+    n = _PMF_MAX_N the pmf's rounding nears the margin, and bdtr decides.
     """
     scalar = np.ndim(u) == 0 and np.ndim(n) == 0 and np.ndim(p) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
     n = np.atleast_1d(np.asarray(n))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     u, n, p = np.broadcast_arrays(u, n, p)
-    k = np.zeros(u.shape, dtype=np.int64)
-    active = (n > 0) & (p > 0.0) & (p < 1.0)
-    k[(n > 0) & (p >= 1.0)] = n[(n > 0) & (p >= 1.0)]
-    if np.any(active):
-        ua, na, pa = u[active], n[active], p[active]
-        z = ndtri(ua)
-        finite = np.isfinite(z)  # u = 0 and u = 1 start at 0 and n
-        z = np.where(finite, z, 0.0)
-        mean = na * pa
-        guess = mean + np.sqrt(mean * (1.0 - pa)) * z + (1.0 - 2.0 * pa) * (z * z - 1.0) / 6.0
-        guess = np.where(finite, guess, np.where(ua > 0.5, na, 0))
-        ka = np.rint(np.clip(guess, 0, na)).astype(np.int64)
-        i = np.nonzero(ka > 0)[0]
-        while i.size:
-            i = i[bdtr((ka[i] - 1).astype(float), na[i], pa[i]) >= ua[i]]
-            ka[i] -= 1
-            i = i[ka[i] > 0]
-        i = np.nonzero(ka < na)[0]
-        while i.size:
-            i = i[bdtr(ka[i].astype(float), na[i], pa[i]) < ua[i]]
-            ka[i] += 1
-            i = i[ka[i] < na[i]]
-        k[active] = ka
+    inside = (n > 0) & (p > 0.0) & (p < 1.0)
+    if inside.all():  # the common case: no element to set aside
+        k = _search(u.ravel(), n.ravel(), p.ravel()).reshape(u.shape)
+    else:
+        k = np.zeros(u.shape, dtype=np.int64)
+        full = (n > 0) & (p >= 1.0)
+        k[full] = n[full]
+        if inside.any():
+            k[inside] = _search(u[inside], n[inside], p[inside])
     return int(k[0]) if scalar else k
+
+
+def _search(u, n, p):
+    """binomial_quantile for n > 0 and 0 < p < 1."""
+    z = ndtri(u)
+    finite = np.isfinite(z)  # u = 0 and u = 1 start at 0 and n
+    z = np.where(finite, z, 0.0)
+    mean = n * p
+    guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
+    guess = np.where(finite, guess, np.where(u > 0.5, n, 0))
+    start = np.rint(np.minimum(np.maximum(guess, 0), n)).astype(np.int64)
+    cdf = bdtr(start.astype(float), n, p)  # F(start)
+    log_p, log_q = np.log(p), np.log1p(-p)
+    top = int(n.max(initial=0))
+    lf = _log_factorials(min(top, _PMF_MAX_N))
+    n_lf, k_lf = n, start
+    if top > _PMF_MAX_N:  # past the table no estimate decides: NaN compares false
+        log_p = np.where(n > _PMF_MAX_N, np.nan, log_p)
+        n_lf, k_lf = np.minimum(n, _PMF_MAX_N), np.minimum(start, _PMF_MAX_N)
+    below = cdf - np.exp(lf[n_lf] - lf[k_lf] - lf[n_lf - k_lf]
+                         + start * log_p + (n - start) * log_q)  # F(start - 1)
+    # F(start - 1) is at most F(start); below the smallest normal float rounding is absolute
+    slack = _CDF_MARGIN * cdf + np.finfo(float).tiny
+    down = (start > 0) & (u <= below - slack)
+    unsure = (start > 0) & ~(down | (u > below + slack))  # NaN: unsure
+    up = ~(down | unsure) & (start < n) & (cdf < u)
+    k = start - down + up
+    i = np.nonzero((down & (k > 0)) | unsure)[0]
+    while i.size:
+        i = i[bdtr((k[i] - 1).astype(float), n[i], p[i]) >= u[i]]
+        k[i] -= 1
+        i = i[k[i] > 0]
+    i = np.nonzero((up | (unsure & (k == start))) & (k < n))[0]
+    while i.size:
+        i = i[bdtr(k[i].astype(float), n[i], p[i]) < u[i]]
+        k[i] += 1
+        i = i[k[i] < n[i]]
+    return k
 
 
 @lru_cache(maxsize=16)
@@ -348,29 +385,25 @@ def _cdf_bracket(h: int, n: int):
     return bracket
 
 
-def _quantile_at_most(u, n, q, h):
-    """binomial_quantile(u, n, q) <= h, decided from one cdf value.
+def _quantile_at_most(u, n: int, q, h: int):
+    """binomial_quantile(u, n, q) <= h for 0 <= h < n, decided from one cdf value.
 
     The quantile is the smallest k with bdtr(k, n, q) >= u, and bdtr
-    does not decrease in k, so it is <= h exactly when u <= bdtr(h, n, q)
-    (h clipped to bdtr's domain [0, n]; no quantile is below 0).  For
-    q >= 1 binomial_quantile returns n outright, even at u = 0, so there
-    n itself is compared with h.  For scalar n and h (an all-up origin's
-    majority test) a table of bdtr(h, n, j / _CDF_CELLS) brackets the
-    cdf value, and bdtr runs only where u falls inside the bracket; every
-    answer is still that of the comparison with bdtr.
+    does not decrease in k, so it is <= h exactly when u <= bdtr(h, n, q).
+    A table of bdtr(h, n, j / _CDF_CELLS) brackets that cdf value, and
+    bdtr runs only where u falls inside the bracket; every answer is
+    still that of the comparison with bdtr.  For q >= 1 binomial_quantile
+    returns n outright, even at u = 0, and the table's last cell says no.
     """
-    if np.ndim(n) == 0 and np.ndim(h) == 0 and 0 <= h < n:
-        lo, hi = _cdf_bracket(int(h), int(n))
-        u, q = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(q, dtype=float))
-        j = (np.clip(q, 0.0, 1.0) * _CDF_CELLS).astype(np.intp)  # exact: a power of two
-        at_most = u <= lo[j]
-        undecided = np.nonzero((u <= hi[j]) ^ at_most)  # lo <= hi: at_most implies u <= hi
+    lo, hi = _cdf_bracket(h, n)
+    u, q = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(q, dtype=float))
+    j = (np.minimum(np.maximum(q, 0.0), 1.0) * _CDF_CELLS).astype(np.intp)  # exact: 2^12
+    at_most = u <= lo[j]
+    undecided = (u <= hi[j]) != at_most  # lo <= hi: at_most implies u <= hi
+    if undecided.any():  # rare, and nonzero is slow on a large 2-d mask
+        undecided = np.nonzero(undecided)
         at_most[undecided] = u[undecided] <= bdtr(float(h), n, q[undecided])
-        return at_most
-    h = np.asarray(h)
-    at_most = (h >= 0) & (u <= bdtr(np.minimum(np.maximum(h, 0), n).astype(float), n, q))
-    return np.where(q >= 1.0, n <= h, at_most)
+    return at_most
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +593,13 @@ def _flip_probability(obar, ratio, tau):
 
 
 def _flip_rule(n: int, count, p, u_up, u_down):
-    """Protocol 3's up-counts after a reset from up-counts count, elementwise: the measured
-    count stay_up + flip_up matters only where <= half, which one cdf value decides."""
-    half, q = (n - 1) // 2, 1.0 - p
-    flip_up = binomial_quantile(u_down, n - count, p)
-    flip = _quantile_at_most(u_up, count, q, half - flip_up)
-    stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
-    new = np.full(count.shape, n, dtype=count.dtype)
-    new[flip] = n - stay_up - flip_up[flip]
-    return new
+    """Protocol 3's up-counts after a reset from up-counts count, elementwise: both
+    counts drawn in full, in one search."""
+    m = count.size
+    drawn = binomial_quantile(np.concatenate([u_up, u_down]), np.concatenate([count, n - count]),
+                              np.concatenate([1.0 - p, p]))
+    measured = drawn[:m] + drawn[m:]  # stay_up + flip_up
+    return np.where(measured <= (n - 1) // 2, n - measured, n).astype(count.dtype)
 
 
 class _ChunkState:
@@ -682,10 +713,13 @@ class _ChunkState:
             hi = min(lo + slab, rows)
             a, b = offsets[lo], offsets[hi]
             j = np.arange(b - a)
-            start = j == np.repeat(offsets[lo:hi] - a, applied[lo:hi])  # a row's first reset
+            start = offsets[lo:hi] - a  # each row's first reset, b - a for a row without one
+            start = start[start < b - a]
             # gathered first: a row's entries past its last reset may be +inf
             t = self.resets[lo:hi][np.arange(self.resets.shape[1]) < applied[lo:hi, None]]
-            tau = t - np.where(start, 0.0, np.roll(t, 1))  # the first reset is t after 0
+            tau = np.empty_like(t)
+            np.subtract(t[1:], t[:-1], out=tau[1:])
+            tau[start] = t[start]  # the first reset is t after 0
             p = _flip_probability(self.obar, self.ratio, tau)  # (drives, the slab's resets)
             u = u_at[2 * a:2 * b] if flip_protocol else self._uniforms(lo, hi, offsets)
             u_up, u_down, q = u[0::2], u[1::2], 1.0 - p
@@ -758,9 +792,13 @@ class _ChunkState:
             else:
                 c_uu, c_ud, c_dd = frac, np.zeros_like(frac), 1.0 - frac
             x = c_uu * d_up * d_up + 2.0 * c_ud * d_up * d_down + c_dd * d_down * d_down
-            uu, ud, dd = _symbol_products(np.stack([c_uu, c_ud, c_dd]), d_up, d_down, cr, ci)
-            blocks = [_pair_block(products, layout)
-                      for products, layout in zip((uu, ud, ud, dd), _FINITE_BLOCKS)]
+            if c_ud.any():
+                uu, ud, dd = _symbol_products(np.stack([c_uu, c_ud, c_dd]), d_up, d_down, cr, ci)
+                weighted = zip((uu, ud, ud, dd), _FINITE_BLOCKS)
+            else:  # every row all-up or all-down: the up-down blocks would add only zeros
+                uu, dd = _symbol_products(np.stack([c_uu, c_dd]), d_up, d_down, cr, ci)
+                weighted = zip((uu, dd), _FINITE_BLOCKS[::3])
+            blocks = [_pair_block(products, layout) for products, layout in weighted]
         _accumulate_scalars(acc["moments"][:, gi], d, x)
         pair = acc["pair"][:, gi]
         for block in blocks:  # uu, ud, du, dd: the order of einsum's four calls

@@ -18,6 +18,11 @@ states: one drive at a time, with Python complex coefficients keyed by
 their exact float frequency, which the package's stacked trig-polynomial
 batch reproduces bit for bit on every row with obar > 0.
 
+binomial_quantile walks from the engine's normal start by bdtr comparisons
+alone.  It is the oracle of trajectory_sim.binomial_quantile, which settles
+most comparisons with pmf estimates and must return the same integers, and
+the count draws of measurement_outcome and GridWalk use it.
+
 propagator and free_two_spin_state rebuild obar and the Rabi axis on
 every call: the oracle of the package's per-drive axis, which must keep
 their bits.
@@ -29,12 +34,52 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import bdtr, ndtri
 
 from spinreset.renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
 from spinreset.spin_dynamics import (DOWN, IDENTITY_2, SIGMA_X, SIGMA_Z, UP, DriveParams,
                                      _amplitude_coeffs)
-from spinreset.trajectory_sim import (ProtocolKind, SimConfig, _quantile_at_most,
-                                      binomial_quantile)
+from spinreset.trajectory_sim import ProtocolKind, SimConfig
+
+
+def binomial_quantile(u, n, p):
+    """Smallest k with bdtr(k, n, p) >= u, vectorized, by bdtr comparisons alone.
+
+    The search starts from the Cornish-Fisher normal estimate
+    n p + sd z + (1 - 2p)(z^2 - 1)/6 with z = ndtri(u) (0 or n where z
+    is infinite), rounded and clipped to [0, n].  It then walks down while
+    bdtr one below still reaches u, then up while bdtr falls short of it,
+    each pass over the elements that moved on the one before.
+    """
+    scalar = np.ndim(u) == 0 and np.ndim(n) == 0 and np.ndim(p) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    n = np.atleast_1d(np.asarray(n))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    u, n, p = np.broadcast_arrays(u, n, p)
+    k = np.zeros(u.shape, dtype=np.int64)
+    active = (n > 0) & (p > 0.0) & (p < 1.0)
+    k[(n > 0) & (p >= 1.0)] = n[(n > 0) & (p >= 1.0)]
+    if np.any(active):
+        ua, na, pa = u[active], n[active], p[active]
+        z = ndtri(ua)
+        finite = np.isfinite(z)
+        z = np.where(finite, z, 0.0)
+        mean = na * pa
+        guess = mean + np.sqrt(mean * (1.0 - pa)) * z + (1.0 - 2.0 * pa) * (z * z - 1.0) / 6.0
+        guess = np.where(finite, guess, np.where(ua > 0.5, na, 0))
+        ka = np.rint(np.clip(guess, 0, na)).astype(np.int64)
+        i = np.nonzero(ka > 0)[0]
+        while i.size:
+            i = i[bdtr((ka[i] - 1).astype(float), na[i], pa[i]) >= ua[i]]
+            ka[i] -= 1
+            i = i[ka[i] > 0]
+        i = np.nonzero(ka < na)[0]
+        while i.size:
+            i = i[bdtr(ka[i].astype(float), na[i], pa[i]) < ua[i]]
+            ka[i] += 1
+            i = i[ka[i] < na[i]]
+        k[active] = ka
+    return int(k[0]) if scalar else k
 
 
 def numpy_streams(seed: int, index: int):
@@ -363,19 +408,12 @@ class GridWalk:
         base = 2 * self.cursor[idx] + 0 * count  # per drive and row: all read the row's
         u_up = self.meas_u[idx, base]
         u_down = self.meas_u[idx, base + 1]
+        # both counts drawn in full, as measurement_outcome draws them
+        measured = binomial_quantile(u_up, count, 1.0 - p) + binomial_quantile(u_down, n - count, p)
         if proto is ProtocolKind.CONDITIONAL_TWO_STATE:
-            up = count == n
-            u = np.where(up, u_up, u_down)
-            q = np.where(up, 1.0 - p, p)
-            self.origin[..., idx] = np.where(_quantile_at_most(u, n, q, half), 0, n)
+            self.origin[..., idx] = np.where(measured <= half, 0, n)
         else:
-            q = 1.0 - p
-            flip_up = binomial_quantile(u_down, n - count, p)
-            flip = _quantile_at_most(u_up, count, q, half - flip_up)
-            stay_up = binomial_quantile(u_up[flip], count[flip], q[flip])
-            count[...] = n
-            count[flip] = n - stay_up - flip_up[flip]
-            self.origin[..., idx] = count
+            self.origin[..., idx] = np.where(measured <= half, n - measured, n)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,12 @@ def recorded_book(run):
     return book
 
 
-# seed 0 keeps the bare workload id it had before seeds 1 and 2 joined
+# seed 0 keeps the bare workload id it had before seeds 1 and 2 joined; the finite-N
+# draws run seeds 0-5, so more of them pass through binomial_quantile's comparisons
 @pytest.mark.parametrize("workload, seed", [
     pytest.param(workload, seed, id=workload if seed == 0 else f"{workload}-{seed}")
-    for workload in ("mc_thermo", "mc_finite_n") for seed in (0, 1, 2)])
+    for workload, seeds in (("mc_thermo", range(3)), ("mc_finite_n", range(6)))
+    for seed in seeds])
 def test_monte_carlo_workloads_match_recorded_checksums(workload, seed, perfbench, tmp_path,
                                                         monkeypatch):
     run, workloads = perfbench

@@ -251,6 +251,15 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README command does not parse: spinreset {shlex.join(argv)}")
 
 
+def test_abbreviated_options_are_usage_errors(capsys):
+    # argparse would take --point for --points, and --traj for --trajectories
+    for argv in (["ensemble", "--protocol", "1", "--omega", "1.3", "--point", "61"],
+                 ["ensemble", "--protocol", "1", "--omega", "1.3", "--traj", "10"],
+                 ["stationary", "--protocol", "1", "--om", "1.3"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and argv[-2] in err
+
+
 def test_oversized_grid_is_a_usage_error():
     for grid in ("0:1e308:1e-308", "0:1:5e-7"):
         with pytest.raises(SystemExit) as exc:

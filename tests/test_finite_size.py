@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from spinreset import finite_size
 from spinreset.finite_size import transition_prob_approx, transition_prob_exact
 
 
@@ -71,3 +74,14 @@ def test_normal_erf_endpoints_and_sanity():
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
     assert transition_prob_approx(201, 0.5) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_log_factorials_are_one_read_only_table(monkeypatch):
+    table = finite_size._log_factorials(301)
+    assert not table.flags.writeable
+    assert table.tolist() == [math.lgamma(j + 1.0) for j in range(302)]
+    # a smaller N reads the same table, and an N it covers computes no lgamma
+    assert np.shares_memory(finite_size._log_factorials(101), table)
+    expect = transition_prob_exact(301, 0.47)
+    monkeypatch.setattr(math, "lgamma", None)
+    assert transition_prob_exact(301, 0.47) == expect

@@ -3,6 +3,7 @@ import signal
 import types
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from spinreset.trajectory_sim import (
     run_ensembles,
 )
 
+from reference_sim import binomial_quantile as bdtr_walk_quantile
 from reference_sim import (
     GridWalk,
     apply_reset_rule,
@@ -123,6 +125,85 @@ def test_binomial_quantile_round_trips_cdf():
         assert binomial_quantile(u, n, p) == k
 
 
+@pytest.mark.parametrize("n", [1, 3, 51, 201, 1001, 10001])
+def test_binomial_quantile_is_the_bdtr_walk_bit_for_bit(n, monkeypatch):
+    # u at every cdf value and its two neighbours lies within the margin of the
+    # pmf estimate, so there bdtr decides; u = 0 and the largest uniform are the ends
+    for p in (1e-6, 0.02, 0.5, 0.97, 1.0 - 1e-6):
+        cdf = bdtr(np.arange(n + 1.0), n, p)
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                            [0.0, 1.0 - 2.0**-53]])
+        np.testing.assert_array_equal(binomial_quantile(u, n, p), bdtr_walk_quantile(u, n, p))
+        # above _PMF_MAX_N no estimate decides, and every element walks by bdtr
+        with monkeypatch.context() as patch:
+            patch.setattr(trajectory_sim, "_PMF_MAX_N", n // 2)
+            both = [n // 2, n]
+            np.testing.assert_array_equal(binomial_quantile(u[:, None], both, p),
+                                          bdtr_walk_quantile(u[:, None], both, p))
+
+
+def _counting_bdtr(monkeypatch):
+    """trajectory_sim.bdtr that logs each call's element count."""
+    sizes = []
+    monkeypatch.setattr(trajectory_sim, "bdtr",
+                        lambda k, n, p: sizes.append(np.broadcast(k, n, p).size) or bdtr(k, n, p))
+    return sizes
+
+
+def test_binomial_quantile_costs_about_one_bdtr_per_draw(monkeypatch):
+    rng = np.random.default_rng(11)
+    size = 20_000
+    u, n, p = rng.random(size), rng.integers(1, 202, size), rng.random(size)
+    sizes = _counting_bdtr(monkeypatch)
+    np.testing.assert_array_equal(binomial_quantile(u, n, p), bdtr_walk_quantile(u, n, p))
+    # the start's cdf once per draw; the rest only for the draws whose start was off
+    assert sizes[0] == size
+    assert 0 < sum(sizes[1:]) < 0.02 * size
+    # at the cdf values themselves u lies within the margin, and bdtr decides
+    sizes.clear()
+    cdf = bdtr(np.arange(202.0), 201, 0.3)
+    binomial_quantile(cdf, 201, 0.3)
+    assert sum(sizes[1:]) >= cdf.size - 2  # all but the start's own cdf values
+
+
+def test_bdtr_is_within_its_margin_of_the_exact_binomial_cdf():
+    # _CDF_MARGIN covers bdtr's rounding, which _cdf_bracket puts below 6e-11
+    # relative; checked against the exact cdf, summed in 40 digits over the
+    # tail k bounds, at k up to 9 standard deviations off the mean
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(300):
+            n = int(np.exp(rng.uniform(0.0, np.log(1e4))))
+            p = float(rng.choice([rng.random(), 10 ** rng.uniform(-8, 0),
+                                  1 - 10 ** rng.uniform(-8, 0)]))
+            k = int(np.clip(np.rint(n * p + rng.uniform(-9, 9) * np.sqrt(n * p * (1 - p))), 0, n))
+            exact = _exact_binomial_cdf(k, n, mpmath.mpf(p))
+            if exact > mpmath.mpf("1e-300"):
+                worst = max(worst, float(abs(bdtr(float(k), n, p) - exact) / exact))
+    assert worst < 6e-11 < trajectory_sim._CDF_MARGIN
+
+
+def _exact_binomial_cdf(k, n, p):
+    """P(Bin(n, p) <= k) at mpmath's precision, by the pmf's ratio recurrence."""
+    q = 1 - p
+    if k >= n:
+        return mpmath.mpf(1)
+    if k <= n * p:  # the lower tail, from pmf(k) down
+        term = mpmath.binomial(n, k) * p**k * q**(n - k)
+        total = term
+        for j in range(k, 0, -1):
+            term = term * j / (n - j + 1) * q / p
+            total += term
+        return total
+    term = mpmath.binomial(n, k + 1) * p**(k + 1) * q**(n - k - 1)  # the upper tail
+    total = term
+    for j in range(k + 1, n):
+        term = term * (n - j) / (j + 1) * p / q
+        total += term
+    return 1 - total
+
+
 @pytest.mark.parametrize("n", [1, 3, 11, 201, 1001, 10**6])
 def test_cdf_table_brackets_the_majority_cdf(n):
     # bdtr(half, n, q) falls as q rises, so on the table cell j = floor(q * M)
@@ -145,9 +226,9 @@ def test_cdf_table_brackets_the_majority_cdf(n):
 
 
 def _measured_count(n, count, u_up, u_down, p):
-    # both binomials drawn in full, as the scalar reference measures
-    return (binomial_quantile(u_up, count, 1.0 - p)
-            + binomial_quantile(u_down, n - count, p))
+    # both binomials drawn in full by the bdtr walk, as the scalar reference measures
+    return (bdtr_walk_quantile(u_up, count, 1.0 - p)
+            + bdtr_walk_quantile(u_down, n - count, p))
 
 
 def _two_quantile_rule(protocol, n, count, u_up, u_down, p):
@@ -182,8 +263,6 @@ def test_finite_measurement_matches_two_quantile_rule(n):
         # test at scalar N (the cdf table), and stay_up for the flips alone
         all_up, all_down = np.full_like(count, n), np.zeros_like(count)
         flips = trajectory_sim._quantile_at_most(u_up, n, 1.0 - p, half)
-        np.testing.assert_array_equal(flips, trajectory_sim._quantile_at_most(
-            u_up, all_up, 1.0 - p, np.full_like(count, half)))  # the rule's test at count = N
         outcome = all_up.copy()
         outcome[flips] = n - binomial_quantile(u_up[flips], n, 1.0 - p[flips])
         np.testing.assert_array_equal(outcome, _two_quantile_rule(
@@ -201,13 +280,12 @@ def _elements(u, *args):
     return np.broadcast_to(u, np.broadcast(u, *args).shape).ravel()
 
 
-def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
+def test_all_up_origins_draw_stay_up_only_for_resets_that_flip(monkeypatch):
     # an all-up origin has no down spin, so only the resets below all-up draw
-    # flip_up; stay_up is drawn only where the measured density is <= 1/2.
-    # The slab pass tests every reset once for what it makes of an all-up
-    # origin, and draws stay_up for each reset that flips one; the waves add
-    # the resets below all-up.  A draw is told apart by its uniform, the u_up
-    # or u_down of one reset.
+    # flip_up.  The slab pass tests every reset once for what it makes of an
+    # all-up origin, and draws stay_up for each reset that flips one; the
+    # waves draw both counts in full at every reset below all-up.  A draw is
+    # told apart by its uniform, the u_up or u_down of one reset.
     protocol = ProtocolKind.CONDITIONAL_FLIP
     config = small_config(protocol, n_spins=201, omega=1.1, horizon=200.0, n_traj=64)
     n = config.n_spins
@@ -238,8 +316,7 @@ def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
     monkeypatch.setattr(trajectory_sim, "binomial_quantile",
                         lambda u, m, q: draws.append(_elements(u, m, q)) or quantile(u, m, q))
     monkeypatch.setattr(trajectory_sim, "_quantile_at_most",
-                        lambda u, m, q, h: tests.append((np.ndim(m), _elements(u, m, q)))
-                        or at_most(u, m, q, h))
+                        lambda u, m, q, h: tests.append(_elements(u, m, q)) or at_most(u, m, q, h))
     state.advance_to()
     assert_same_bits(state.grid_origin, origins)
 
@@ -250,11 +327,9 @@ def test_stay_up_count_is_drawn_only_for_resets_that_flip(monkeypatch):
     flip_up = np.isin(draws, u_down)
     assert np.all(flip_up | np.isin(draws, u_up))
     same(draws[flip_up], u_down[below])  # flip_up: the resets below all-up
-    # stay_up: the resets that flip an all-up origin, and those below all-up that flip
-    same(draws[~flip_up], np.concatenate([u_up[all_up_flips], u_up[below & flipped]]))
-    # the all-up test of every reset with t <= t_end, once; the rule's test below all-up
-    same(np.concatenate([u for dims, u in tests if dims == 0]), u_up)
-    same(np.concatenate([u for dims, u in tests if dims > 0]), u_up[below])
+    # stay_up: the resets that flip an all-up origin, and every reset below all-up
+    same(draws[~flip_up], np.concatenate([u_up[all_up_flips], u_up[below]]))
+    same(np.concatenate(tests), u_up)  # the all-up test of every reset with t <= t_end, once
     assert count.size == scheduled
     assert 0 < np.count_nonzero(flipped) < count.size / 2
     assert 0 < np.count_nonzero(below) < count.size / 2
