@@ -15,10 +15,22 @@ finite-N conditional protocol measures; it alone builds the stream
 (seed, i, 1) and takes two measurement uniforms per reset from it.  A
 reset uses both uniforms whatever it measures, but at an all-up or
 all-down origin the engine computes only what the reset rule needs:
-whether the measured density is <= 1/2 comes from one binomial cdf value
-(read from a table bracket wherever that decides it), and protocol 3's
-stay-up count is drawn only where the reset flips the origin.  Below
-all-up protocol 3 draws both counts in full.  A count's search starts
+whether the measured density is <= 1/2, one comparison of a uniform with
+a binomial cdf value, and protocol 3's stay-up count, drawn only where
+the reset flips the origin.  The comparison seldom needs the flip
+probability p = ratio sin^2(obar tau), whose sine costs more than all
+the rest of it: the wait's phase falls in one of _PHASE_CELLS cells per
+period of sin^2, and a cached per-drive table, read off the bdtr table
+over p (_cdf_bracket) without a bdtr call of its own, brackets the cdf
+over the cell and one cell either side.  The index is within 1/1000 of a
+cell of the rounded phase sin would get, below _PHASE_FAR, so the bracket
+holds the exact cdf value.  Only where the uniform falls inside the
+bracket (a few resets in a thousand) or the index reaches _PHASE_FAR is
+p evaluated; the comparison then reads the bdtr table at p's own cell,
+and calls bdtr only where that bracket too leaves it open.  Protocol 3
+also evaluates p at the resets that flip an all-up origin, whose stay-up
+counts need it.  Below all-up protocol 3 draws both counts in full.  A
+count's search starts
 from a normal estimate and costs one bdtr, the cdf at its start; the
 binomial pmf from a log-factorial table gives the cdf one below, which
 decides wherever u lies outside _CDF_MARGIN of it.  No result changes:
@@ -80,6 +92,10 @@ SCAN_PAIRS = 2**14  # about this many (drive, reset) pairs make one slab of a fi
 # the all-up majority test's cdf table: cells in q (a power of two), bdtr's relative slack
 _CDF_CELLS = 4096
 _CDF_MARGIN = 1e-7
+# the majority tests' phase cells: cells per period pi of sin^2 (a power of two), and the
+# index from which a cell is not trusted
+_PHASE_CELLS = 2**13
+_PHASE_FAR = 2**40
 # binomial_quantile's pmf estimate up to this n: log n! < 1.4e6, so the pmf's rounding
 # stays below 1e-9 relative, and the log-factorial table below 1 MB
 _PMF_MAX_N = 2**17
@@ -375,7 +391,10 @@ def _cdf_bracket(h: int, n: int):
     bdtr(h, n, q) falls as q rises (0 <= h < n), so on [j/M, (j+1)/M] it
     lies between the table values at the two ends; the relative margin
     _CDF_MARGIN covers bdtr's rounding (below 6e-11 up to n = 10**6).  Cell
-    M, q = 1, holds -1: the quantile is then n > h, whatever u.
+    M, q = 1, holds -1: the quantile is then n > h, whatever u.  Its
+    M + 1 bdtr values are all the majority tests' brackets cost:
+    _quantile_at_most reads it at q's own cell, and _phase_brackets reads
+    it over the range of cells a phase cell can reach.
     """
     table = bdtr(h, n, np.arange(_CDF_CELLS + 1) / _CDF_CELLS)
     bracket = (np.append(table[1:] * (1.0 - _CDF_MARGIN), -1.0),
@@ -394,6 +413,8 @@ def _quantile_at_most(u, n: int, q, h: int):
     bdtr runs only where u falls inside the bracket; every answer is
     still that of the comparison with bdtr.  For q >= 1 binomial_quantile
     returns n outright, even at u = 0, and the table's last cell says no.
+    The finite-N scan calls it, with the exact q, only for the resets its
+    phase cells leave open (_majority_tests).
     """
     lo, hi = _cdf_bracket(h, n)
     u, q = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(q, dtype=float))
@@ -404,6 +425,87 @@ def _quantile_at_most(u, n: int, q, h: int):
         undecided = np.nonzero(undecided)
         at_most[undecided] = u[undecided] <= bdtr(float(h), n, q[undecided])
     return at_most
+
+
+@lru_cache(maxsize=1)
+def _phase_brackets(ratios: tuple, n: int) -> np.ndarray:
+    """(4, drives * M) read-only cdf brackets over phase cells, M = _PHASE_CELLS / 2.
+
+    Entry d * M + c holds, for drive d (p = ratios[d] * sin^2) and a
+    phase in folded cell c, the lo and hi of bdtr(h, n, 1 - p), then the
+    lo and hi of bdtr(h, n, p), h = (n - 1) // 2.  sin^2 has period pi
+    and mirrors about pi / 2, so cell c of a period and cell
+    _PHASE_CELLS - 1 - c fold onto the same c < M.  Over cells c - 1 to
+    c + 1 (one wider on each side) sin^2 lies between its values at their
+    outer edges, or 0 and 1 where they pass 0 or pi / 2.  A phase in cell
+    c by _majority_tests' index is within 1/1000 of a cell of it, so it
+    keeps nearly a cell from those edges: at least 4e-7 in sin^2, where
+    sin and the squares round by about 1e-16.  Times ratio and clipped at
+    1 as _flip_probability rounds and clips, the edge values bound the
+    rounded p, and so the _cdf_bracket cells that q = 1 - p and p can
+    read.  bdtr falls in q, so a bracket's lo is the table's lo at the
+    top cell of that range and its hi the table's hi at the bottom one.
+    No bdtr call beyond _cdf_bracket's own.
+    """
+    cells = _PHASE_CELLS // 2
+    s2 = np.sin(np.arange(cells + 1) * (np.pi / _PHASE_CELLS)) ** 2  # at the cell edges
+    s2[-1] = 1.0  # pi / 2, however sin rounds there
+    c = np.arange(cells)
+    s2_lo, s2_hi = s2[np.maximum(c - 1, 0)], s2[np.minimum(c + 2, cells)]
+    lo, hi = _cdf_bracket((n - 1) // 2, n)
+    tables = np.empty((4, len(ratios), cells))
+    for d, ratio in enumerate(ratios):
+        p_lo, p_hi = (np.minimum(ratio * s, 1.0) for s in (s2_lo, s2_hi))
+        at = [(x * _CDF_CELLS).astype(np.intp) for x in (1.0 - p_lo, 1.0 - p_hi, p_hi, p_lo)]
+        tables[:, d] = lo[at[0]], hi[at[1]], lo[at[2]], hi[at[3]]
+    tables = tables.reshape(4, -1)
+    tables.flags.writeable = False  # cached: every caller reads the same array
+    return tables
+
+
+def _majority_tests(n: int, obar, ratio, tau, u_up, u_down=None):
+    """What each reset tau after the last makes of an all-up origin, and of an all-down one.
+
+    (drives, resets) masks of _quantile_at_most(u_up, n, q, h) (an all-up
+    origin measures at most h up) and, given u_down, of
+    _quantile_at_most(u_down, n, p, h) (an all-down one does), else None,
+    with p = _flip_probability(obar, ratio, tau), q = 1 - p and
+    h = (n - 1) // 2; obar and ratio are (drives, 1) columns.  A pair reads
+    its bracket from _phase_brackets at the cell floor(x) of
+    x = fl(tau obar) * fl(_PHASE_CELLS / pi): fl(tau obar) is the phase
+    _flip_probability passes to sin, so x is within 3 ulp of that phase in
+    cells, which below _PHASE_FAR is under 1/1000 of a cell, and the
+    bracket, one cell wider on each side, holds the cdf value that
+    _quantile_at_most compares with.  Only where u lies inside its bracket,
+    or the index would be _PHASE_FAR or more or is not finite, are p and
+    _quantile_at_most evaluated, so every answer is _quantile_at_most's.
+    """
+    cells = _PHASE_CELLS // 2
+    phase = tau * obar  # as _flip_probability rounds it
+    limit = _PHASE_FAR * np.pi / _PHASE_CELLS  # no overflow below it, nor inf or NaN to cast
+    far = None if phase.max(initial=0.0) < limit else ~(phase < limit)  # NaN is far
+    if far is not None:
+        phase = np.where(far, 0.0, phase)
+    cell = (phase * (_PHASE_CELLS / np.pi)).astype(np.intp)
+    cell &= _PHASE_CELLS - 1
+    np.minimum(cell, _PHASE_CELLS - 1 - cell, out=cell)  # folded onto [0, pi / 2]
+    cell += np.arange(0, len(obar) * cells, cells)[:, None]  # each drive's own table
+    tables = _phase_brackets(tuple(ratio[:, 0].tolist()), n)
+    tests = []
+    for side, u in enumerate((u_up, u_down)):
+        if u is None:
+            tests.append(None)
+            continue
+        at_most = u <= np.take(tables[2 * side], cell)
+        undecided = (u <= np.take(tables[2 * side + 1], cell)) != at_most
+        if far is not None:
+            undecided |= far
+        if undecided.any():  # rare; nonzero is slow on a 2-d mask
+            d, j = np.divmod(np.flatnonzero(undecided), undecided.shape[1])
+            p = _flip_probability(obar[d, 0], ratio[d, 0], tau[j])
+            at_most[d, j] = _quantile_at_most(u[j], n, p if side else 1.0 - p, (n - 1) // 2)
+        tests.append(at_most)
+    return tests
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +723,10 @@ class _ChunkState:
         self.obar, self.ratio, self.coh_re, self.coh_im = (
             np.array(v)[:, None] for v in (obar, ratio, coh_re, coh_im))
         self.measured = config.protocol.measures(config.n_spins)
+        if self.measured:
+            # cache _majority_tests' tables before the schedule's arrays: made
+            # after them, the table raised mc_finite_n's peak RSS by 0.3 MB
+            _phase_brackets(tuple(ratio), config.n_spins)
         index = np.arange(start, start + rows)
         waits = _RowStreams(_trajectory_streams(config.seed, index, _WAIT_STREAM))
         self.resets = _reset_times(config.dist, waits, config.sample_grid[-1])
@@ -699,7 +805,7 @@ class _ChunkState:
         up and down; protocol 3 runs _waves.
         """
         n, flip_protocol = self.config.n_spins, self.config.protocol is ProtocolKind.CONDITIONAL_FLIP
-        half, seen, (drives, rows) = (n - 1) // 2, self.seen, self.origin.shape
+        seen, (drives, rows) = self.seen, self.origin.shape
         applied = seen[:, -1]
         offsets = np.concatenate([[0], np.cumsum(applied, dtype=np.int64)])
         total = int(offsets[-1])
@@ -720,18 +826,20 @@ class _ChunkState:
             tau = np.empty_like(t)
             np.subtract(t[1:], t[:-1], out=tau[1:])
             tau[start] = t[start]  # the first reset is t after 0
-            p = _flip_probability(self.obar, self.ratio, tau)  # (drives, the slab's resets)
             u = u_at[2 * a:2 * b] if flip_protocol else self._uniforms(lo, hi, offsets)
-            u_up, u_down, q = u[0::2], u[1::2], 1.0 - p
-            flips = _quantile_at_most(u_up, n, q, half)  # all-up measures at most half
-            if flip_protocol:
-                path[:, a:b][flips] = n - binomial_quantile(np.broadcast_to(u_up, q.shape)[flips],
-                                                            n, q[flips])
+            u_up, u_down = u[0::2], u[1::2]
+            # (drives, the slab's resets): all-up measures at most half, and all-down does
+            flips, falls = _majority_tests(n, self.obar, self.ratio, tau, u_up,
+                                           None if flip_protocol else u_down)
+            if flip_protocol:  # the stay-up count needs the exact p
+                d, r = np.divmod(np.flatnonzero(flips), flips.shape[1])
+                q = 1.0 - _flip_probability(self.obar[d, 0], self.ratio[d, 0], tau[r])
+                path[d, a + r] = n - binomial_quantile(u_up[r], n, q)
                 ahead = np.minimum.accumulate(np.where(flips, j, b - a)[:, ::-1], axis=-1)[:, ::-1]
                 next_flip[:, a:b] = np.minimum(ahead, np.repeat(offsets[lo + 1:hi + 1] - a,
                                                                 applied[lo:hi])) - j
             else:
-                stays, rises = ~flips, ~_quantile_at_most(u_down, n, p, half)  # from all-down
+                stays, rises = ~flips, ~falls
                 rises[:, start] = stays[:, start]  # a row starts all-up
                 swaps = np.logical_xor.accumulate(rises & ~stays, axis=-1)
                 anchor = np.maximum.accumulate(np.where(stays == rises, j, -1), axis=-1)

@@ -225,6 +225,96 @@ def test_cdf_table_brackets_the_majority_cdf(n):
     assert not trajectory_sim._quantile_at_most(np.zeros(1), n, np.ones(1), half).any()
 
 
+# drives for the phase-cell tests: a generic one, ratio 1 (p reaches 1), ratio 0, obar = 0,
+# one whose phase index passes _PHASE_FAR at moderate tau, and one for which
+# obar * _PHASE_CELLS / pi overflows to inf
+PHASE_DRIVES = [DriveParams(omega=1.3, delta=1.0), DriveParams(omega=1.0, delta=0.0),
+                DriveParams(omega=0.0, delta=1.0), DriveParams(omega=0.0, delta=0.0),
+                DriveParams(omega=0.2, delta=3.0), DriveParams(omega=1e6, delta=1e6),
+                DriveParams(omega=1e305, delta=1e305)]
+
+
+def _drive_columns(drives):
+    """(obar, ratio) columns as _ChunkState builds them."""
+    obar = [d.effective_rabi for d in drives]
+    ratio = [(d.omega / o) ** 2 if o else 0.0 for d, o in zip(drives, obar)]
+    return np.array(obar)[:, None], np.array(ratio)[:, None]
+
+
+def _cell_edge_taus(obar, rng):
+    """Waits at phase-cell edges, as the index and as the phase place them, and one ulp
+    either side: the first cells, the fold point pi / 2, the period pi, random cells, and
+    _PHASE_FAR."""
+    cells = trajectory_sim._PHASE_CELLS
+    k = np.concatenate([np.arange(6), cells // 2 + np.arange(-3, 4), cells + np.arange(-3, 4),
+                        rng.integers(0, trajectory_sim._PHASE_FAR, 300),
+                        trajectory_sim._PHASE_FAR + np.arange(-2, 3)]).astype(float)
+    if obar == 0.0:
+        edges = k
+    else:
+        edges = np.concatenate([k / (cells / np.pi) / obar, k * (np.pi / cells) / obar])
+    return np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+
+
+def _exact_at_most(u, n, q):
+    """binomial_quantile(u, n, q) <= (n - 1) // 2 by the exact comparison; q >= 1 gives n."""
+    return (q < 1.0) & (u <= bdtr((n - 1) // 2, n, q))
+
+
+@pytest.mark.filterwarnings("error")  # no cast of inf or NaN to int, no other float warning
+@pytest.mark.parametrize("n", [1, 3, 11, 201, 1001, 10**6])
+def test_phase_cell_majority_tests_equal_the_exact_comparison(n):
+    rng = np.random.default_rng(n)
+    for drive in PHASE_DRIVES:
+        obar, ratio = _drive_columns([drive])
+        tau = _cell_edge_taus(obar[0, 0], rng)  # phases up to about 4e8
+        p = trajectory_sim._flip_probability(obar, ratio, tau)[0]
+        cdf_up, cdf_down = (bdtr((n - 1) // 2, n, q) for q in (1.0 - p, p))
+        for step in (None, 0.0, 2.0):  # the cdf values themselves and their neighbours
+            u_up, u_down = ((c if step is None else np.nextafter(c, step))
+                            for c in (cdf_up, cdf_down))
+            for u_up, u_down in ((u_up, u_down), (rng.random(tau.size), rng.random(tau.size))):
+                up, down = trajectory_sim._majority_tests(n, obar, ratio, tau, u_up, u_down)
+                np.testing.assert_array_equal(up[0], _exact_at_most(u_up, n, 1.0 - p))
+                np.testing.assert_array_equal(down[0], _exact_at_most(u_down, n, p))
+    # every drive at once, each at its own offset in the stacked tables
+    obar, ratio = _drive_columns(PHASE_DRIVES)
+    edges = _cell_edge_taus(1.3, rng)
+    tau = np.concatenate([rng.exponential(2.0, 2000), edges[edges < 100.0]])  # obar * tau finite
+    u_up, u_down = rng.random(tau.size), rng.random(tau.size)
+    p = trajectory_sim._flip_probability(obar, ratio, tau)
+    up, down = trajectory_sim._majority_tests(n, obar, ratio, tau, u_up, u_down)
+    np.testing.assert_array_equal(up, _exact_at_most(u_up, n, 1.0 - p))
+    np.testing.assert_array_equal(down, _exact_at_most(u_down, n, p))
+    assert trajectory_sim._majority_tests(n, obar, ratio, tau, u_up)[1] is None
+
+
+def test_protocol_two_benchmark_ensemble_evaluates_few_flip_probabilities(monkeypatch, tmp_path):
+    # mc_finite_n's protocol-2 ensemble: the phase cells decide nearly every reset's
+    # majority tests, and the exact p is evaluated for at most 1 % of the resets scanned
+    from spinreset import cli
+
+    scanned, evaluated = [], []
+    majority, flip = trajectory_sim._majority_tests, trajectory_sim._flip_probability
+
+    def scan(n, obar, ratio, tau, *u):
+        scanned.append(obar.size * tau.size)
+        return majority(n, obar, ratio, tau, *u)
+
+    def exact(obar, ratio, tau):
+        evaluated.append(np.broadcast(obar, ratio, tau).size)
+        return flip(obar, ratio, tau)
+
+    monkeypatch.setattr(trajectory_sim, "_majority_tests", scan)
+    monkeypatch.setattr(trajectory_sim, "_flip_probability", exact)
+    argv = ["ensemble", "--protocol", "2", "--omega", "1.3", "--trajectories", "2000",
+            "--n-spins", "201", "--time", "2000.0", "--window", "1000.0:2000.0",
+            "--workers", "1", "--seed", "0", "--output", str(tmp_path / "p2")]
+    assert cli.execute_command(argv) == 0
+    assert sum(scanned) > 1_000_000
+    assert 0 < sum(evaluated) <= 0.01 * sum(scanned)
+
+
 def _measured_count(n, count, u_up, u_down, p):
     # both binomials drawn in full by the bdtr walk, as the scalar reference measures
     return (bdtr_walk_quantile(u_up, count, 1.0 - p)
@@ -311,12 +401,19 @@ def test_all_up_origins_draw_stay_up_only_for_resets_that_flip(monkeypatch):
     flipped = 2 * _measured_count(n, count, u_up, u_down, p) <= n
     all_up_flips = 2 * _measured_count(n, np.full_like(count, n), u_up, u_down, p) <= n
 
-    draws, tests = [], []
+    draws, tests, phase_tests = [], [], []
     quantile, at_most = trajectory_sim.binomial_quantile, trajectory_sim._quantile_at_most
+    majority = trajectory_sim._majority_tests
     monkeypatch.setattr(trajectory_sim, "binomial_quantile",
                         lambda u, m, q: draws.append(_elements(u, m, q)) or quantile(u, m, q))
     monkeypatch.setattr(trajectory_sim, "_quantile_at_most",
                         lambda u, m, q, h: tests.append(_elements(u, m, q)) or at_most(u, m, q, h))
+
+    def phase_test(m, obar, ratio, tau, u, *down):
+        phase_tests.append(_elements(u, obar * tau))  # one uniform per (drive, reset) pair
+        return majority(m, obar, ratio, tau, u, *down)
+
+    monkeypatch.setattr(trajectory_sim, "_majority_tests", phase_test)
     state.advance_to()
     assert_same_bits(state.grid_origin, origins)
 
@@ -329,7 +426,10 @@ def test_all_up_origins_draw_stay_up_only_for_resets_that_flip(monkeypatch):
     same(draws[flip_up], u_down[below])  # flip_up: the resets below all-up
     # stay_up: the resets that flip an all-up origin, and every reset below all-up
     same(draws[~flip_up], np.concatenate([u_up[all_up_flips], u_up[below]]))
-    same(np.concatenate(tests), u_up)  # the all-up test of every reset with t <= t_end, once
+    # the all-up test of every reset with t <= t_end, once, by its phase cell
+    same(np.concatenate(phase_tests), u_up)
+    tests = np.concatenate(tests + [np.empty(0)])  # only where the cell's bracket leaves it open
+    assert np.all(np.isin(tests, u_up)) and np.unique(tests).size == tests.size < u_up.size
     assert count.size == scheduled
     assert 0 < np.count_nonzero(flipped) < count.size / 2
     assert 0 < np.count_nonzero(below) < count.size / 2
