@@ -447,6 +447,9 @@ def _resolve_horizon(args, protocol, unit) -> float:
 
 def cmd_ensemble(args) -> int:
     params, dist, unit, delta_zero = _resolve_physics(args)
+    if not math.isfinite(params.effective_rabi):
+        raise ValueError(f"--omega {args.omega:g} and --delta {args.delta:g} give a Rabi frequency "
+                         "hypot(omega * delta, delta) that is not finite")
     protocol = ProtocolKind(args.protocol)
     workers = _resolve_workers(args)
     horizon = _resolve_horizon(args, protocol, unit)

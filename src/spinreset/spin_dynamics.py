@@ -65,7 +65,8 @@ class DriveParams:
 
     @property
     def effective_rabi(self) -> float:
-        return float(np.hypot(self.omega, self.delta))
+        with np.errstate(over="ignore"):  # inf past the float range, which callers refuse
+            return float(np.hypot(self.omega, self.delta))
 
     @cached_property
     def rabi_axis(self):

@@ -70,6 +70,7 @@ down-up, down-down.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass, replace
@@ -77,8 +78,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-# bdtrik is unused; perfbench/layers.py traces trajectory_sim.bdtrik, so the name stays
-from scipy.special import bdtr, bdtrik, ndtri  # noqa: F401
 
 from .finite_size import _check_n, _log_factorials
 from .renewal import ProtocolKind, WaitingTime, _fourier_weight, waiting_time_from_uniform
@@ -88,17 +87,20 @@ CHUNK = 1024
 WAIT_BLOCK = 64
 MAX_FIRST_WAIT_BLOCK = 2**27  # waiting times (1 GiB) a chunk may draw in its first block
 SLAB_ROWS = 64
-SCAN_PAIRS = 2**14  # about this many (drive, reset) pairs make one slab of a finite-N scan
-# the all-up majority test's cdf table: cells in q (a power of two), bdtr's relative slack
+SCAN_PAIRS = 2**15  # about this many (drive, reset) pairs make one slab of a finite-N scan
+# the all-up majority test's cdf table: cells in q (a power of two), and the relative
+# slack of its bdtr values above _PMF_MAX_N
 _CDF_CELLS = 4096
 _CDF_MARGIN = 1e-7
 # the majority tests' phase cells: cells per period pi of sin^2 (a power of two), and the
 # index from which a cell is not trusted
 _PHASE_CELLS = 2**13
 _PHASE_FAR = 2**40
-# binomial_quantile's pmf estimate up to this n: log n! < 1.4e6, so the pmf's rounding
-# stays below 1e-9 relative, and the log-factorial table below 1 MB
-_PMF_MAX_N = 2**17
+# the in-house cdf bounds (_cdf_band) up to this n, bdtr above it; bdtr's relative rounding
+# up to it, with room (a test puts it below 6e-11 up to n = 10**4)
+_PMF_MAX_N = 2**12
+_BDTR_ERROR = 1e-10
+_BAND_BLOCK = 2**14  # a _cdf_band of at most this many terms in all is built as one block
 
 _WAIT_STREAM = 0
 _MEASURE_STREAM = 1
@@ -311,23 +313,136 @@ class _RowStreams:
         self.generator.random(out=out)
 
 
+def bdtr(k, n, p):
+    """scipy.special.bdtr, the binomial cdf that defines every finite-N comparison.
+
+    The in-house bounds (_cdf_band) decide nearly every comparison; this
+    runs only for those they leave open and for n above _PMF_MAX_N, so
+    scipy is imported on the first such comparison, not with the package.
+    """
+    from scipy.special import bdtr as scipy_bdtr
+
+    return scipy_bdtr(k, n, p)
+
+
+def bdtrik(y, n, p):
+    """scipy.special.bdtrik, unused; the name stays as a perfbench/layers.py trace target."""
+    from scipy.special import bdtrik as scipy_bdtrik
+
+    return scipy_bdtrik(y, n, p)
+
+
+def _normal_quantile(m):
+    """|z| with Phi(-|z|) = m to within 3e-3, for 0 < m <= 1/2 (Abramowitz & Stegun 26.2.22)."""
+    t = np.sqrt(-2.0 * np.log(m))
+    return t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+
+
+def _cdf_band(k, n, p, sigmas: float):
+    """The pmf t at k and relative sums toward the nearer tail, for 0 < p < 1 and n <= _PMF_MAX_N.
+
+    Returns (t, lower, first, rest, rem, back, margin), t the pmf from the
+    log-factorial table.  Where lower (k < ceil(n p)) the band runs down
+    from k, so F(k) = t (1 + first + rest + r), else up, so 1 - F(k) =
+    t (first + rest + r): first is the pmf one step along over t, rest the
+    sum of the band's further terms and 0 <= r <= rem the rest of the
+    tail; back is the pmf one step the other way over t.  The band
+    reaches `sigmas` standard deviations of the widest binomial.  Each
+    term is the one before times the pmf ratio ((a - i) / (b + i)) x, with
+    (a, b, x) = (k, n + 1 - k, q / p) down and (n - k, k + 1, p / q) up,
+    and the ratio falls along the band: the direction makes the first one
+    at most n p / (n p + 1) < 1, so the terms past the band are at most the
+    last times the geometric series of the next ratio.  A band that
+    reaches the end of the support has ratio 0 there and rem = 0.  A
+    subnormal p overflows x, and the NaN that makes decides nothing.
+
+    margin is the relative slack a bound needs for its own rounding and
+    for bdtr's (_BDTR_ERROR): the log pmf adds terms of magnitude up to
+    2 log n! + 745 n (|log p| <= 745), each within a few ulp, and the
+    band's sums round by less than 1e-12.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        top = int(n.max(initial=0))
+        width = int(0.5 * sigmas * math.sqrt(top)) + 2  # sigma <= sqrt(n) / 2
+        lf = _log_factorials(top)
+        margin = _BDTR_ERROR + 1e-12 + 4e-15 * (2.0 * lf[top] + 745.0 * top)
+        m = n - k
+        t = np.exp(lf[n] - lf[k] - lf[m] + k * np.log(p) + m * np.log1p(-p))
+        lower = k < np.ceil(n * p)
+        q = 1.0 - p
+        x = np.where(lower, q / p, p / q)
+        a = np.where(lower, k, m).astype(float)
+        b = (n + 1) - a
+        back = (b - 1.0) / ((a + 1.0) * x)
+        if a.size * width <= _BAND_BLOCK:  # few elements: every ratio at once
+            i = np.arange(width + 1.0)[:, None]
+            ratio = a - i
+            ratio /= b + i
+            ratio *= x
+            term = np.cumprod(ratio[:width], axis=0)
+            first, rest, term, ratio = term[0], term[1:].sum(axis=0), term[-1], ratio[-1]
+        else:  # many: one pass over the elements per term
+            ratio = a / b
+            ratio *= x
+            first, term, rest = ratio.copy(), ratio.copy(), np.zeros_like(ratio)
+            for j in range(width):  # the last ratio leads past the band
+                a -= 1.0
+                b += 1.0
+                np.divide(a, b, out=ratio)
+                ratio *= x
+                if j < width - 1:
+                    term *= ratio
+                    rest += term
+        return t, lower, first, rest, term * ratio / (1.0 - ratio), back, margin
+
+
+def _cdf_bounds(k, n, p):
+    """(lo, hi) with lo <= bdtr(k, n, p) <= hi, from a _cdf_band, for 0 < p < 1 and n <= _PMF_MAX_N.
+
+    The exact cdf lies in the band's range; the band's margin covers its
+    rounding and again bdtr's, and the smallest normal float bdtr's
+    absolute rounding of a subnormal value.  Where the band runs up,
+    F = 1 - t (...) >= 1/2, so its margin is relative to F too.
+    """
+    t, lower, first, rest, rem, _, margin = _cdf_band(k, n, p, 9.0)
+    s = first + rest
+    s = np.where(lower, s + 1.0, s)
+    low, high = t * s, t * (s + rem)
+    low, high = (np.where(lower, low, 1.0 - high * (1.0 + margin)),
+                 np.where(lower, high, 1.0 - low * (1.0 - margin)))
+    tiny = np.finfo(float).tiny
+    return low * (1.0 - margin) - tiny, high * (1.0 + margin) + tiny
+
+
+def _cdf_at_least(k, n, p, u):
+    """bdtr(k, n, p) >= u elementwise, for 0 <= k <= n: by _cdf_bounds, else by bdtr."""
+    at_least = np.zeros(u.shape, dtype=bool)
+    open_ = (n > _PMF_MAX_N) | ~((p > 0.0) & (p < 1.0))
+    inside = np.nonzero(~open_)[0]
+    if inside.size:
+        lo, hi = _cdf_bounds(k[inside], n[inside], p[inside])
+        at_least[inside] = u[inside] <= lo
+        open_[inside] = ~(at_least[inside] | (u[inside] > hi))  # a NaN bound leaves it open
+    if open_.any():
+        at_least[open_] = bdtr(k[open_].astype(float), n[open_], p[open_]) >= u[open_]
+    return at_least
+
+
 def binomial_quantile(u, n, p):
-    """Smallest k with bdtr(k, n, p) >= u, vectorized; about one bdtr per element.
+    """Smallest k with bdtr(k, n, p) >= u, vectorized, mostly without bdtr.
 
     The search starts from the Cornish-Fisher normal estimate
-    n p + sd z + (1 - 2p)(z^2 - 1)/6 with z = ndtri(u) (0 or n where z
-    is infinite), rounded and clipped to [0, n] (Kachitvichyanukul &
-    Schmeiser, CACM 1988).  It then walks down while the cdf one below
-    still reaches u, then up while the cdf falls short of it.  Its first
-    step costs one bdtr, the cdf F(k) at the start k.  F(k) decides a step
-    up.  F(k - 1) is F(k) less the binomial pmf at k, exp of the
-    log-factorial table's log binomial plus k log p + (n - k) log1p(-p),
-    and it decides a step down wherever u lies farther from it than
-    _CDF_MARGIN relative to F(k), which bounds bdtr's and the pmf's
-    rounding.  The undecided comparisons and every further step (a start
-    one or more off, about one element in a hundred) call bdtr, so every
-    answer is that of the walk by bdtr comparisons alone.  Above
-    n = _PMF_MAX_N the pmf's rounding nears the margin, and bdtr decides.
+    n p + sd z + (1 - 2p)(z^2 - 1)/6, z the normal quantile of u to within
+    3e-3 (0 or n at u = 0 or 1), rounded and clipped to [0, n]
+    (Kachitvichyanukul & Schmeiser, CACM 1988).  It then walks down while
+    the cdf one below still reaches u, then up while the cdf falls short of
+    it.  One _cdf_band at the start bounds the cdf at start - 2 to start + 1,
+    which settles a walk of at most one step for nearly every element;
+    the rest (a start two or more off, u within the band's margin of a cdf
+    value, n above _PMF_MAX_N) walk by _cdf_at_least, whose open
+    comparisons call bdtr.  Every comparison is bdtr's, so every answer is
+    that of the walk by bdtr comparisons alone, and the start sets only the
+    cost.
     """
     scalar = np.ndim(u) == 0 and np.ndim(n) == 0 and np.ndim(p) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -347,38 +462,53 @@ def binomial_quantile(u, n, p):
 
 
 def _search(u, n, p):
-    """binomial_quantile for n > 0 and 0 < p < 1."""
-    z = ndtri(u)
-    finite = np.isfinite(z)  # u = 0 and u = 1 start at 0 and n
-    z = np.where(finite, z, 0.0)
+    """binomial_quantile for n > 0 and 0 < p < 1.
+
+    The band at the start k gives X_i, i = 0..3: F(k - 2 + i) where it
+    runs down, 1 - F(k + 1 - i) where it runs up, each in t (c_i + [0,
+    rem]) for c = (rest, s, s + 1, s + 1 + back), s = first + rest.  With
+    v = u (down) or 1 - u (up), c_i t (1 - d) > v + e makes X_i > v
+    certain for bdtr too, and (c_i + rem) t (1 + d) < v - e makes X_i < v
+    certain, d the band's margin, e the smallest normal float (down) or d
+    (up, which also covers 1 - u's rounding), as _cdf_bounds widens its
+    bounds; a NaN settles nothing.  Down, F(k - 2 + i) < u is X_i < v; up,
+    F(k + 1 - i) < u is X_i > v.  The answer lies in [k - 1, k + 1] when
+    F(k - 2) < u <= F(k + 1) and the two comparisons between are certain,
+    which in both directions reads X_0 < v, X_3 > v, and X_1 and X_2 each
+    certainly above or below v; then X_1 and X_2 below v step the answer
+    from k - 1 up (down) or from k + 1 down (up).
+    """
+    m = np.minimum(u, 1.0 - u)
+    z = np.copysign(_normal_quantile(np.maximum(m, np.finfo(float).tiny)), u - 0.5)
     mean = n * p
     guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
-    guess = np.where(finite, guess, np.where(u > 0.5, n, 0))
-    start = np.rint(np.minimum(np.maximum(guess, 0), n)).astype(np.int64)
-    cdf = bdtr(start.astype(float), n, p)  # F(start)
-    log_p, log_q = np.log(p), np.log1p(-p)
-    top = int(n.max(initial=0))
-    lf = _log_factorials(min(top, _PMF_MAX_N))
-    n_lf, k_lf = n, start
-    if top > _PMF_MAX_N:  # past the table no estimate decides: NaN compares false
-        log_p = np.where(n > _PMF_MAX_N, np.nan, log_p)
-        n_lf, k_lf = np.minimum(n, _PMF_MAX_N), np.minimum(start, _PMF_MAX_N)
-    below = cdf - np.exp(lf[n_lf] - lf[k_lf] - lf[n_lf - k_lf]
-                         + start * log_p + (n - start) * log_q)  # F(start - 1)
-    # F(start - 1) is at most F(start); below the smallest normal float rounding is absolute
-    slack = _CDF_MARGIN * cdf + np.finfo(float).tiny
-    down = (start > 0) & (u <= below - slack)
-    unsure = (start > 0) & ~(down | (u > below + slack))  # NaN: unsure
-    up = ~(down | unsure) & (start < n) & (cdf < u)
-    k = start - down + up
-    i = np.nonzero((down & (k > 0)) | unsure)[0]
+    guess = np.where(m > 0.0, guess, np.where(u > 0.5, n, 0))
+    k = np.rint(np.minimum(np.maximum(guess, 0), n)).astype(np.int64)
+    walk = n > _PMF_MAX_N  # past the table bdtr decides every comparison
+    near = np.nonzero(~walk)[0] if walk.any() else slice(None)
+    uk, nk, pk, kk = u[near], n[near], p[near], k[near]
+    t, lower, first, rest, rem, back, margin = _cdf_band(kk, nk, pk, 4.5)
+    e = np.where(lower, np.finfo(float).tiny, margin)
+    v = np.where(lower, uk, 1.0 - uk)
+    above, below = v + e, v - e  # X_i > v: c_i t_lo > above; X_i < v: (c_i + rem) t_hi < below
+    t_lo, t_hi = t * (1.0 - margin), t * (1.0 + margin)
+    s = first + rest
+    s_rem = s + rem
+    one_below, two_below = s_rem * t_hi < below, (s_rem + 1.0) * t_hi < below
+    settled = (((rest + rem) * t_hi < below) & ((s + (1.0 + back)) * t_lo > above)
+               & (one_below | (s * t_lo > above)) & (two_below | ((s + 1.0) * t_lo > above)))
+    steps = one_below.astype(np.int64) + two_below
+    k[near] = np.where(settled, np.where(lower, kk - 1 + steps, kk + 1 - steps), kk)
+    walk[near] = ~settled
+    start = k.copy()
+    i = np.nonzero(walk & (k > 0))[0]
     while i.size:
-        i = i[bdtr((k[i] - 1).astype(float), n[i], p[i]) >= u[i]]
+        i = i[_cdf_at_least(k[i] - 1, n[i], p[i], u[i])]
         k[i] -= 1
         i = i[k[i] > 0]
-    i = np.nonzero((up | (unsure & (k == start))) & (k < n))[0]
+    i = np.nonzero(walk & (k == start) & (k < n))[0]
     while i.size:
-        i = i[bdtr(k[i].astype(float), n[i], p[i]) < u[i]]
+        i = i[~_cdf_at_least(k[i], n[i], p[i], u[i])]
         k[i] += 1
         i = i[k[i] < n[i]]
     return k
@@ -389,16 +519,22 @@ def _cdf_bracket(h: int, n: int):
     """(lo, hi): for q in cell j = floor(q * _CDF_CELLS), lo[j] <= bdtr(h, n, q) <= hi[j].
 
     bdtr(h, n, q) falls as q rises (0 <= h < n), so on [j/M, (j+1)/M] it
-    lies between the table values at the two ends; the relative margin
-    _CDF_MARGIN covers bdtr's rounding (below 6e-11 up to n = 10**6).  Cell
-    M, q = 1, holds -1: the quantile is then n > h, whatever u.  Its
-    M + 1 bdtr values are all the majority tests' brackets cost:
-    _quantile_at_most reads it at q's own cell, and _phase_brackets reads
-    it over the range of cells a phase cell can reach.
+    lies between the cdf's bounds (_cdf_bounds) at the two ends, which hold
+    bdtr's rounding too; for n above _PMF_MAX_N the ends are bdtr's own
+    values, widened by _CDF_MARGIN (bdtr's rounding is below 6e-11 up to
+    n = 10**6).  Cell M, q = 1, holds -1: the quantile is then n > h,
+    whatever u.  Its M + 1 end points are all the majority tests' brackets
+    cost: _quantile_at_most reads it at q's own cell, and _phase_brackets
+    reads it over the range of cells a phase cell can reach.
     """
-    table = bdtr(h, n, np.arange(_CDF_CELLS + 1) / _CDF_CELLS)
-    bracket = (np.append(table[1:] * (1.0 - _CDF_MARGIN), -1.0),
-               np.append(table[:-1] * (1.0 + _CDF_MARGIN), -1.0))
+    q = np.arange(1, _CDF_CELLS) / _CDF_CELLS
+    if n > _PMF_MAX_N:
+        table = bdtr(h, n, q)
+        lo, hi = table * (1.0 - _CDF_MARGIN), table * (1.0 + _CDF_MARGIN)
+    else:
+        lo, hi = _cdf_bounds(np.full(q.size, h), np.full(q.size, n), q)
+    bracket = (np.concatenate([lo, [0.0, -1.0]]),  # q = 1 and the cell past it
+               np.concatenate([[1.0 + _CDF_MARGIN], hi, [-1.0]]))  # q = 0 and the cell past 1
     for side in bracket:  # cached: every caller reads the same arrays
         side.flags.writeable = False
     return bracket
@@ -409,12 +545,12 @@ def _quantile_at_most(u, n: int, q, h: int):
 
     The quantile is the smallest k with bdtr(k, n, q) >= u, and bdtr
     does not decrease in k, so it is <= h exactly when u <= bdtr(h, n, q).
-    A table of bdtr(h, n, j / _CDF_CELLS) brackets that cdf value, and
-    bdtr runs only where u falls inside the bracket; every answer is
-    still that of the comparison with bdtr.  For q >= 1 binomial_quantile
-    returns n outright, even at u = 0, and the table's last cell says no.
-    The finite-N scan calls it, with the exact q, only for the resets its
-    phase cells leave open (_majority_tests).
+    A table over q (_cdf_bracket) brackets that cdf value, and only where
+    u falls inside the bracket does _cdf_at_least decide it, at q itself;
+    every answer is still that of the comparison with bdtr.  For q >= 1
+    binomial_quantile returns n outright, even at u = 0, and the table's
+    last cell says no.  The finite-N scan calls it, with the exact q, only
+    for the resets its phase cells leave open (_majority_tests).
     """
     lo, hi = _cdf_bracket(h, n)
     u, q = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(q, dtype=float))
@@ -423,7 +559,9 @@ def _quantile_at_most(u, n: int, q, h: int):
     undecided = (u <= hi[j]) != at_most  # lo <= hi: at_most implies u <= hi
     if undecided.any():  # rare, and nonzero is slow on a large 2-d mask
         undecided = np.nonzero(undecided)
-        at_most[undecided] = u[undecided] <= bdtr(float(h), n, q[undecided])
+        size = u[undecided].size
+        at_most[undecided] = _cdf_at_least(np.full(size, h), np.full(size, n), q[undecided],
+                                           u[undecided])
     return at_most
 
 
@@ -491,21 +629,26 @@ def _majority_tests(n: int, obar, ratio, tau, u_up, u_down=None):
     np.minimum(cell, _PHASE_CELLS - 1 - cell, out=cell)  # folded onto [0, pi / 2]
     cell += np.arange(0, len(obar) * cells, cells)[:, None]  # each drive's own table
     tables = _phase_brackets(tuple(ratio[:, 0].tolist()), n)
-    tests = []
-    for side, u in enumerate((u_up, u_down)):
-        if u is None:
-            tests.append(None)
-            continue
+    sides = [u for u in (u_up, u_down) if u is not None]
+    tests, pairs = [], []
+    for side, u in enumerate(sides):
         at_most = u <= np.take(tables[2 * side], cell)
         undecided = (u <= np.take(tables[2 * side + 1], cell)) != at_most
         if far is not None:
             undecided |= far
-        if undecided.any():  # rare; nonzero is slow on a 2-d mask
-            d, j = np.divmod(np.flatnonzero(undecided), undecided.shape[1])
-            p = _flip_probability(obar[d, 0], ratio[d, 0], tau[j])
-            at_most[d, j] = _quantile_at_most(u[j], n, p if side else 1.0 - p, (n - 1) // 2)
         tests.append(at_most)
-    return tests
+        # rare; nonzero is slow on a 2-d mask
+        pairs.append(np.flatnonzero(undecided) if undecided.any() else np.zeros(0, np.intp))
+    if sum(o.size for o in pairs):  # both sides' open pairs in one p and one cdf test
+        up = pairs[0].size
+        d, j = np.divmod(np.concatenate(pairs), tau.size)
+        p = _flip_probability(obar[d, 0], ratio[d, 0], tau[j])
+        p[:up] = 1.0 - p[:up]  # an all-up origin stays up with q = 1 - p
+        u = np.concatenate([u[part] for u, part in zip(sides, np.split(j, [up]))])
+        at_most = _quantile_at_most(u, n, p, (n - 1) // 2)
+        for test, o, part in zip(tests, pairs, np.split(at_most, [up])):
+            test.flat[o] = part
+    return tests + [None] * (2 - len(tests))
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +818,18 @@ def _reset_times(dist: WaitingTime, streams: _RowStreams, t_end: float) -> np.nd
 
 
 def _resets_seen(grid: np.ndarray, resets: np.ndarray) -> np.ndarray:
-    """(rows, grid points) counts of each row's resets with t <= each grid time,
-    from the first grid point to see each reset, SLAB_ROWS rows at a time."""
+    """(rows, grid points) counts of each row's resets with t <= each grid time.
+
+    A row's reset times ascend, so a row of many resets is counted by one
+    search of the grid in it.  Rows of fewer are counted from the first grid
+    point to see each reset, SLAB_ROWS rows at a time, in fewer calls.
+    """
     rows, points = len(resets), len(grid)
     seen = np.empty((rows, points), dtype=np.int32)  # a count never exceeds a row's resets in memory
+    if resets.shape[1] > 8 * points:  # a search per row costs less than one per reset
+        for row, counts in zip(resets, seen):
+            counts[:] = np.searchsorted(row, grid, side="right")
+        return seen
     for lo in range(0, rows, SLAB_ROWS):
         slab = resets[lo:lo + SLAB_ROWS]
         n = len(slab)
@@ -843,7 +994,8 @@ class _ChunkState:
                 rises[:, start] = stays[:, start]  # a row starts all-up
                 swaps = np.logical_xor.accumulate(rises & ~stays, axis=-1)
                 anchor = np.maximum.accumulate(np.where(stays == rises, j, -1), axis=-1)
-                path[:, a:b] = n * (np.take_along_axis(stays ^ swaps, anchor, axis=-1) ^ swaps)
+                anchor += stays.shape[1] * np.arange(len(stays))[:, None]  # flat: the row's own
+                path[:, a:b] = n * ((stays ^ swaps).take(anchor) ^ swaps)
         if flip_protocol:
             self._waves(path, u_at, next_flip, offsets)
         at = np.where(seen > 0, offsets[:-1, None] + seen - 1, total)  # (rows, grid points)
@@ -1058,6 +1210,10 @@ def run_ensembles(configs) -> list:
     first = configs[0]
     if any(replace(c, params=first.params) != first for c in configs[1:]):
         raise ValueError("run_ensembles needs configs that differ only in params")
+    for p in (c.params for c in configs):
+        if not math.isfinite(p.effective_rabi):
+            raise ValueError(f"omega = {p.omega:g}, delta = {p.delta:g}: the Rabi frequency "
+                             "hypot(omega, delta) is not finite")
     n = first.n_trajectories
     _check_first_wait_block(first.dist, first.sample_grid[-1], min(CHUNK, n))
     bounds = [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]

@@ -358,6 +358,48 @@ def test_non_finite_inputs_fail_with_a_reason(argv, code, name, capsys, monkeypa
     assert "Traceback" not in err and "Warning" not in err
 
 
+OVERFLOWING_DRIVE = ["--omega", "1", "--delta", "1.7e308"]  # omega * delta is finite, obar is not
+
+
+@pytest.mark.parametrize("n_spins", [[], ["--n-spins", "11"]], ids=["limit", "finite-n"])
+@pytest.mark.parametrize("protocol", ["1", "2", "3"])
+def test_ensemble_refuses_a_drive_whose_rabi_frequency_overflows(protocol, n_spins, capsys,
+                                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_ensemble", calls.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(["ensemble", "--protocol", protocol, *OVERFLOWING_DRIVE,
+                                 *n_spins, "--trajectories", "20", "--time", "5",
+                                 "--points", "3"], capsys)
+    assert (got, out, calls) == (3, "", [])
+    assert "--omega 1 and --delta 1.7e+308" in err and "not finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_stationary_refuses_an_overflowing_drive_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(["stationary", "--protocol", "1", *OVERFLOWING_DRIVE], capsys)
+    assert (got, out) == (3, "")
+    assert "4 * obar is not finite" in err and "Warning" not in err
+
+
+def test_mc_sweep_row_gives_the_reason_its_rabi_frequency_overflows(tmp_path, capsys):
+    # the grid times delta is finite, so the sweep runs, and the engine fails each row
+    stem = str(tmp_path / "sweep")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run_cli(["sweep", "--protocol", "2", "--mc", "--grid", "0.5,1.0",
+                               "--delta", "1.7e308", "--trajectories", "20", "--time", "5",
+                               "--output", stem, "--format", "json"], capsys)
+    assert got == 0 and "Traceback" not in err and "Warning" not in err
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert doc["regime"] == ["failed", "failed"]
+    reason = "ValueError: omega = 8.5e+307, delta = 1.7e+308: the Rabi frequency"
+    assert [e.startswith(reason) for e in doc["row_errors"].values()] == [True, True]
+
+
 def test_stationary_at_a_tiny_chopped_cutoff_prints_the_unevolved_state(capsys):
     # every wait ends by t_max = 1e-300, long before the spin turns: the
     # state stays |up>, density 1 and no correlation, to rounding

@@ -150,20 +150,19 @@ def _counting_bdtr(monkeypatch):
     return sizes
 
 
-def test_binomial_quantile_costs_about_one_bdtr_per_draw(monkeypatch):
+def test_binomial_quantile_leaves_bdtr_only_the_cdf_values(monkeypatch):
     rng = np.random.default_rng(11)
     size = 20_000
     u, n, p = rng.random(size), rng.integers(1, 202, size), rng.random(size)
     sizes = _counting_bdtr(monkeypatch)
     np.testing.assert_array_equal(binomial_quantile(u, n, p), bdtr_walk_quantile(u, n, p))
-    # the start's cdf once per draw; the rest only for the draws whose start was off
-    assert sizes[0] == size
-    assert 0 < sum(sizes[1:]) < 0.02 * size
-    # at the cdf values themselves u lies within the margin, and bdtr decides
-    sizes.clear()
+    # the in-house cdf bounds decide every comparison of random draws
+    assert sizes == []
+    # at the cdf values themselves u lies within the bounds' margin, and bdtr decides
     cdf = bdtr(np.arange(202.0), 201, 0.3)
-    binomial_quantile(cdf, 201, 0.3)
-    assert sum(sizes[1:]) >= cdf.size - 2  # all but the start's own cdf values
+    np.testing.assert_array_equal(binomial_quantile(cdf, 201, 0.3),
+                                  bdtr_walk_quantile(cdf, 201, 0.3))
+    assert sum(sizes) >= cdf.size
 
 
 def test_bdtr_is_within_its_margin_of_the_exact_binomial_cdf():
@@ -202,6 +201,34 @@ def _exact_binomial_cdf(k, n, p):
         term = term * (n - j) / (j + 1) * p / q
         total += term
     return 1 - total
+
+
+def _exact_binomial_cdfs(n, p):
+    """P(Bin(n, p) <= k) for k = 0..n at mpmath's precision, by the pmf's ratio recurrence."""
+    p = mpmath.mpf(p)
+    q = 1 - p
+    term = q**n
+    cdf = [term]
+    for j in range(n):
+        term = term * (n - j) / (j + 1) * p / q
+        cdf.append(cdf[-1] + term)
+    return cdf
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 201, 1001, trajectory_sim._PMF_MAX_N])
+def test_cdf_bounds_contain_the_exact_binomial_cdf(n):
+    # every k and p from 1e-300 to 1 - 1e-16, against the cdf summed in 40 digits;
+    # at n = 1001, p = 0.937 the cdf at the majority is subnormal, where only the
+    # bounds' absolute widening by the smallest normal float holds it
+    rng = np.random.default_rng(n)
+    k = np.arange(n + 1)
+    for p in [1e-300, 1e-12, 1e-3, 0.3, 0.5, 0.937, 1 - 1e-9, 1 - 1e-16, *rng.random(2)]:
+        lo, hi = trajectory_sim._cdf_bounds(k, np.full(k.size, n), np.full(k.size, p))
+        with mpmath.workdps(40):
+            exact = _exact_binomial_cdfs(n, p)
+            outside = [j for j in k if not mpmath.mpf(lo[j]) <= exact[j] <= mpmath.mpf(hi[j])]
+        assert outside == [], (p, outside[:5])
+    assert 0.0 < bdtr(500, 1001, 0.937) < np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("n", [1, 3, 11, 201, 1001, 10**6])
