@@ -20,22 +20,26 @@ a binomial cdf value, and protocol 3's stay-up count, drawn only where
 the reset flips the origin.  The comparison seldom needs the flip
 probability p = ratio sin^2(obar tau), whose sine costs more than all
 the rest of it: the wait's phase falls in one of _PHASE_CELLS cells per
-period of sin^2, and a cached per-drive table, read off the bdtr table
-over p (_cdf_bracket) without a bdtr call of its own, brackets the cdf
-over the cell and one cell either side.  The index is within 1/1000 of a
-cell of the rounded phase sin would get, below _PHASE_FAR, so the bracket
-holds the exact cdf value.  Only where the uniform falls inside the
-bracket (a few resets in a thousand) or the index reaches _PHASE_FAR is
-p evaluated; the comparison then reads the bdtr table at p's own cell,
-and calls bdtr only where that bracket too leaves it open.  Protocol 3
-also evaluates p at the resets that flip an all-up origin, whose stay-up
+period of sin^2, and a cached per-drive table, read off the cdf table
+over p (_cdf_bracket), brackets the cdf over the cell and one cell
+either side.  The index is within 1/1000 of a cell of the rounded phase
+sin would get, below _PHASE_FAR, so the bracket holds the exact cdf
+value.  Only where the uniform falls inside the bracket (a few resets in
+a thousand) or the index reaches _PHASE_FAR is p evaluated; the
+comparison then reads the cdf table at p's own cell, and bounds the cdf
+at p itself only where that bracket too leaves it open.  Protocol 3 also
+evaluates p at the resets that flip an all-up origin, whose stay-up
 counts need it.  Below all-up protocol 3 draws both counts in full.  A
-count's search starts
-from a normal estimate and costs one bdtr, the cdf at its start; the
-binomial pmf from a log-factorial table gives the cdf one below, which
-decides wherever u lies outside _CDF_MARGIN of it.  No result changes:
-undecided comparisons and the few further steps use bdtr, and the integer
-quantile does not depend on the search's start.
+count's search starts from a normal estimate, and one band of pmf terms
+at the start bounds the cdf there and one or two steps either side.
+The cdf that defines every comparison is scipy's bdtr, but the in-house
+bounds (_cdf_band: the log-factorial pmf, a band toward the nearer tail
+and a geometric bound on the rest, widened for their rounding and for
+bdtr's) decide every comparison but those with u within their margin
+(below 1e-9 relative at N = 201) of the cdf value, and scipy is imported
+only for those and for more than _PMF_MAX_N spins.  No result
+changes: every answer is that of the comparison with bdtr, and the
+integer quantile does not depend on the search's start.
 A stream (seed, i, kind) is a Philox stream whose key is
 SeedSequence(entropy=seed, spawn_key=(i, kind)).generate_state(2,
 uint64) and whose counter starts at 0, so its bytes are those of
@@ -500,6 +504,8 @@ def _search(u, n, p):
     steps = one_below.astype(np.int64) + two_below
     k[near] = np.where(settled, np.where(lower, kk - 1 + steps, kk + 1 - steps), kk)
     walk[near] = ~settled
+    if not walk.any():
+        return k
     start = k.copy()
     i = np.nonzero(walk & (k > 0))[0]
     while i.size:
@@ -583,7 +589,7 @@ def _phase_brackets(ratios: tuple, n: int) -> np.ndarray:
     rounded p, and so the _cdf_bracket cells that q = 1 - p and p can
     read.  bdtr falls in q, so a bracket's lo is the table's lo at the
     top cell of that range and its hi the table's hi at the bottom one.
-    No bdtr call beyond _cdf_bracket's own.
+    No cdf is evaluated beyond _cdf_bracket's table.
     """
     cells = _PHASE_CELLS // 2
     s2 = np.sin(np.arange(cells + 1) * (np.pi / _PHASE_CELLS)) ** 2  # at the cell edges
