@@ -490,7 +490,7 @@ def _search(u, n, p):
     guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
     guess = np.where(m > 0.0, guess, np.where(u > 0.5, n, 0))
     k = np.rint(np.minimum(np.maximum(guess, 0), n)).astype(np.int64)
-    walk = n > _PMF_MAX_N  # past the table bdtr decides every comparison
+    walk = n > _PMF_MAX_N  # above the cap bdtr decides every comparison
     near = np.nonzero(~walk)[0] if walk.any() else slice(None)
     uk, nk, pk, kk = u[near], n[near], p[near], k[near]
     t, lower, first, rest, rem, back, margin = _cdf_band(kk, nk, pk, 4.5)
