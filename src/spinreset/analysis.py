@@ -256,13 +256,14 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
     measure at the template's n_spins; Monte Carlo rows elsewhere, or
     everywhere when use_mc is set.  The exact rows are one
     closed_form_rows call; a row failing its checks fails the sweep with
-    the error that row raises on its own.  The Monte Carlo rows share the
-    template's seed, so they run as one run_ensembles call, in which
-    every row replays each chunk's one schedule.  Settings no row can
-    run with raise ValueError before any row runs.  A row that raises is
-    recorded as failed (NaN values, error kept in row_errors) without
-    aborting the others; if the ensemble run raises, every row fails
-    with its message, and the sweep still returns.
+    the error that row raises on its own.  Each Monte Carlo row builds its
+    own SimConfig; the rows it accepts share the template's seed, so they
+    run as one run_ensembles call, in which every row replays each chunk's
+    one schedule.  Settings no row can run with raise ValueError before
+    any row runs.  A row that raises is recorded as failed (NaN values,
+    error kept in row_errors) without aborting the others; if the
+    ensemble run raises, each of its rows fails with its message, and the
+    sweep still returns.
     """
     grid = np.asarray(list(omega_over_delta_grid), dtype=float)
     if grid.size == 0:
@@ -290,18 +291,18 @@ def sweep_stationary(protocol: ProtocolKind, dist: WaitingTime, omega_over_delta
             raise
         return SweepResult.from_rows(protocol, dist, delta, grid, rows)
 
-    def outcome(fn, arg):
+    def outcome(fn, *args):
         # a failure is returned as its message and recorded below in grid order
         try:
-            return fn(arg)
+            return fn(*args)
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    ensembles = outcome(run_ensembles, [mc.config(protocol, params(x), dist) for x in grid])
-    if isinstance(ensembles, str):  # no row has a value: each fails with the run
-        rows = [ensembles] * grid.size
-    else:
-        rows = [outcome(_mc_row, stats) for stats in ensembles]
+    rows = [outcome(mc.config, protocol, params(x), dist) for x in grid]
+    accepted = [i for i, r in enumerate(rows) if not isinstance(r, str)]
+    ensembles = outcome(run_ensembles, [rows[i] for i in accepted])
+    for k, i in enumerate(accepted):  # if the run raises, each of its rows fails with it
+        rows[i] = ensembles if isinstance(ensembles, str) else outcome(_mc_row, ensembles[k])
     errors = {i: r for i, r in enumerate(rows) if isinstance(r, str)}
     nan_row = (math.nan,) * 6 + (REGIME_FAILED,)
     rows = [nan_row if isinstance(r, str) else r for r in rows]

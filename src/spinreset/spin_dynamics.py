@@ -49,9 +49,10 @@ class DriveParams:
     """Rabi frequency and detuning of the drive.
 
     Both are finite and non-negative; the phase diagrams only ever use the ratio
-    omega/delta >= 0.  The effective Rabi frequency is recomputed on
-    access; the Rabi axis, which the propagator reads at every time, is
-    built once per drive (the instance is frozen, so it cannot go stale).
+    omega/delta >= 0.  The effective Rabi frequency (inf past the float range,
+    which SimConfig and the exact path refuse) and the Rabi axis, which the
+    propagator reads at every time, are computed once per drive (the
+    instance is frozen, so they cannot go stale).
     """
 
     omega: float
@@ -63,9 +64,9 @@ class DriveParams:
         if not (0.0 <= self.delta < np.inf):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
-    @property
+    @cached_property
     def effective_rabi(self) -> float:
-        with np.errstate(over="ignore"):  # inf past the float range, which callers refuse
+        with np.errstate(over="ignore"):
             return float(np.hypot(self.omega, self.delta))
 
     @cached_property

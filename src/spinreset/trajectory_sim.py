@@ -123,7 +123,8 @@ _PHILOX_BLOCK = 4  # uint64 outputs per Philox counter value
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Description of one Monte Carlo campaign."""
+    """Description of one Monte Carlo campaign; every run is built from one, so it
+    refuses a drive whose Rabi frequency hypot(omega, delta) is not finite."""
 
     protocol: ProtocolKind
     params: DriveParams
@@ -139,6 +140,10 @@ class SimConfig:
     average_window: Optional[tuple] = None
 
     def __post_init__(self):
+        p = self.params
+        if not math.isfinite(p.effective_rabi):
+            raise ValueError(f"omega = {p.omega:g}, delta = {p.delta:g}: the Rabi frequency "
+                             "hypot(omega, delta) is not finite")
         if not (0.0 < self.observation_time < np.inf):
             raise ValueError(f"observation_time must be finite and > 0, got {self.observation_time}")
         grid = tuple(float(t) for t in self.sample_grid)
@@ -1208,8 +1213,9 @@ def run_ensembles(configs) -> list:
     drive replays it.  Chunks run independently (in up to `workers`
     processes, see ordered_map), and every drive's chunk sums are merged
     in one pass in chunk order, so every result is bitwise its own
-    run_ensemble's, for any worker count.  A failing chunk aborts the
-    whole run: no partial averages are returned.
+    run_ensemble's, for any worker count.  SimConfig checked each drive,
+    so the run fails only whole (its first wait block, or a failing
+    chunk): no partial averages are returned.
     """
     t0 = time.perf_counter()
     configs = list(configs)
@@ -1218,10 +1224,6 @@ def run_ensembles(configs) -> list:
     first = configs[0]
     if any(replace(c, params=first.params) != first for c in configs[1:]):
         raise ValueError("run_ensembles needs configs that differ only in params")
-    for p in (c.params for c in configs):
-        if not math.isfinite(p.effective_rabi):
-            raise ValueError(f"omega = {p.omega:g}, delta = {p.delta:g}: the Rabi frequency "
-                             "hypot(omega, delta) is not finite")
     n = first.n_trajectories
     _check_first_wait_block(first.dist, first.sample_grid[-1], min(CHUNK, n))
     bounds = [(s, min(CHUNK, n - s)) for s in range(0, n, CHUNK)]

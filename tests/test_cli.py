@@ -373,7 +373,8 @@ def test_ensemble_refuses_a_drive_whose_rabi_frequency_overflows(protocol, n_spi
                                  *n_spins, "--trajectories", "20", "--time", "5",
                                  "--points", "3"], capsys)
     assert (got, out, calls) == (3, "", [])
-    assert "--omega 1 and --delta 1.7e+308" in err and "not finite" in err
+    assert ("omega = 1.7e+308, delta = 1.7e+308: the Rabi frequency hypot(omega, delta) "
+            "is not finite") in err
     assert "Traceback" not in err and "Warning" not in err
 
 
@@ -386,7 +387,7 @@ def test_stationary_refuses_an_overflowing_drive_without_a_warning(capsys):
 
 
 def test_mc_sweep_row_gives_the_reason_its_rabi_frequency_overflows(tmp_path, capsys):
-    # the grid times delta is finite, so the sweep runs, and the engine fails each row
+    # the grid times delta is finite, so the sweep runs, and each row's config refuses its drive
     stem = str(tmp_path / "sweep")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -396,8 +397,26 @@ def test_mc_sweep_row_gives_the_reason_its_rabi_frequency_overflows(tmp_path, ca
     assert got == 0 and "Traceback" not in err and "Warning" not in err
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert doc["regime"] == ["failed", "failed"]
-    reason = "ValueError: omega = 8.5e+307, delta = 1.7e+308: the Rabi frequency"
-    assert [e.startswith(reason) for e in doc["row_errors"].values()] == [True, True]
+    assert [e.split(": the Rabi frequency")[0] for e in doc["row_errors"].values()] == [
+        "ValueError: omega = 8.5e+307, delta = 1.7e+308",
+        "ValueError: omega = 1.7e+308, delta = 1.7e+308"]
+
+
+@pytest.mark.parametrize("n_spins", [[], ["--n-spins", "11"]], ids=["limit", "finite-n"])
+@pytest.mark.parametrize("protocol", ["2", "3"])
+def test_mc_sweep_fails_only_the_row_whose_drive_overflows(protocol, n_spins, capsys):
+    # hypot(1.5e308, 1e308) overflows; the rows before it run as a sweep of them alone
+    argv = ["sweep", "--protocol", protocol, "--mc", "--delta", "1e308", *n_spins,
+            "--trajectories", "20", "--time", "5", "--grid"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, mixed, err = run_cli([*argv, "0.5,1.0,1.5"], capsys)
+        alone = run_cli([*argv, "0.5,1.0"], capsys)
+    assert (got, alone[0], alone[2]) == (0, 0, "")
+    assert mixed.splitlines()[:3] == alone[1].splitlines()
+    assert [row[-1] for row in parse_csv(mixed)[1]] == ["monte-carlo"] * 2 + ["failed"]
+    assert err == ("row 2 (omega/delta=1.5) failed: ValueError: omega = 1.5e+308, delta = 1e+308: "
+                   "the Rabi frequency hypot(omega, delta) is not finite\n")
 
 
 def test_stationary_at_a_tiny_chopped_cutoff_prints_the_unevolved_state(capsys):

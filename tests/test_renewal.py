@@ -335,13 +335,6 @@ def test_renewal_state_against_direct_quadrature():
                                atol=1e-10)
 
 
-def test_reset_weights_validation():
-    with pytest.raises(ValueError):
-        ResetWeights(0.7, 0.4)  # c's don't sum to 1
-    with pytest.raises(ValueError):
-        ResetWeights(1.2, -0.2)  # out of range
-
-
 def test_reset_rates_thermo_branches():
     dist = POISSON
     below = reset_rates_R(DriveParams(0.7, 1.0), dist)

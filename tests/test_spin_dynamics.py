@@ -90,15 +90,20 @@ def test_evolve_qubit_matches_conjugation():
         evolve_qubit(params, -0.5, rho)
 
 
+def axis_drives():
+    """Random drives, signed zeros, and drives at the ends of the float range."""
+    drives = [random_params() for _ in range(20)]
+    drives += [DriveParams(omega=0.0), DriveParams(omega=-0.0),
+               DriveParams(omega=0.0, delta=0.0), DriveParams(omega=-0.0, delta=0.0)]
+    return drives + [DriveParams(omega=om, delta=d) for d in (2.0**600, 2.0**-600)
+                     for om in (0.0, 0.7 * d, 1.3)]
+
+
 def test_per_drive_axis_keeps_every_bit():
     # the reference rebuilds obar and the axis on every call; the package builds
     # them once per drive.  The -0.0 drives compare and hash equal to the 0.0
     # drives evaluated just before them, as a cache keyed by value would see them.
-    drives = [random_params() for _ in range(20)]
-    drives += [DriveParams(omega=0.0), DriveParams(omega=-0.0),
-               DriveParams(omega=0.0, delta=0.0), DriveParams(omega=-0.0, delta=0.0)]
-    drives += [DriveParams(omega=om, delta=d) for d in (2.0**600, 2.0**-600)
-               for om in (0.0, 0.7 * d, 1.3)]
+    drives = axis_drives()
     times = [0.0, 1e-300] + [float(t) for t in RNG.uniform(0.0, 200.0, 12)]
     mixed = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     origins = [("up", "up"), ("up", "down"), ("down", "up"), ("down", "down")]
@@ -196,3 +201,16 @@ def test_coherence_constant_at_any_scale():
         for s in (2.0**-600, 1e-200, 1e200, 2.0**600):
             scaled = DriveParams(s * p.omega, s * p.delta)
             assert _coherence_re(scaled, scaled.effective_rabi) == pytest.approx(value, rel=1e-15)
+
+
+def test_effective_rabi_is_hypot_computed_once_per_drive(monkeypatch):
+    # defined last, so its random drives leave the other tests' draws as they were
+    drives = axis_drives()
+    want = [np.float64(np.hypot(p.omega, p.delta)).tobytes() for p in drives]
+    calls, hypot = [], np.hypot
+    monkeypatch.setattr(np, "hypot", lambda *args: calls.append(args) or hypot(*args))
+    for params, value in zip(drives, want):
+        calls.clear()
+        got = [params.effective_rabi, params.rabi_axis[0], params.effective_rabi]
+        assert [np.float64(v).tobytes() for v in got] == [value] * 3
+        assert calls == [(params.omega, params.delta)]

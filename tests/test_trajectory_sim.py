@@ -1,6 +1,8 @@
 import os
+import re
 import signal
 import types
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -89,6 +91,21 @@ def test_sim_config_validation():
 def test_sim_config_rejects_n_spins_that_is_not_a_positive_odd_integer(n_spins):
     with pytest.raises(ValueError, match="positive odd integer"):
         small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=n_spins)
+
+
+@pytest.mark.parametrize("n_spins", [None, 11], ids=["limit", "finite-n"])
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+def test_sim_config_refuses_a_drive_whose_rabi_frequency_is_not_finite(protocol, n_spins):
+    base = dict(protocol=protocol, dist=POISSON, observation_time=5.0, sample_grid=(0.0, 5.0),
+                n_trajectories=8, seed=0, n_spins=n_spins)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega, delta in [(1.7e308, 1.7e308), (1.5e308, 1e308)]:
+            reason = (f"omega = {omega:g}, delta = {delta:g}: the Rabi frequency "
+                      "hypot(omega, delta) is not finite")
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                SimConfig(params=DriveParams(omega=omega, delta=delta), **base)
+        SimConfig(params=DriveParams(omega=1e308, delta=1e308), **base)  # obar = 1.41e308
 
 
 def test_binomial_quantile_matches_cumsum_oracle():
