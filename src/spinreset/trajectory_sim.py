@@ -64,12 +64,13 @@ protocol 3 steps only the rows below all-up, one reset per wave.  A reset
 is the same elementwise computation in any batch, so no bit moves.
 A chunk records every drive's rows at a grid time in one pass; the
 density and two-point sums are numpy's sums over each drive's rows.
-Each pair-state entry sums the terms (w a_ij) b_kl of w kron(a, b) over
-the rows left to right, every complex product written out on floats, as
-a per-drive einsum("n,nij,nkl->ikjl", w, a, b) sums them; the
-reference simulator in tests/ keeps that einsum as the oracle.  At
-finite N the four origin blocks are added in the order up-up, up-down,
-down-up, down-down.
+Only window points (average_window) sum a pair state, one slot each,
+merged over chunks before the window sums them.  Each pair-state entry
+sums the terms (w a_ij) b_kl of w kron(a, b) over the rows left to
+right, every complex product written out on floats, as a per-drive
+einsum("n,nij,nkl->ikjl", w, a, b) sums them; the reference simulator
+in tests/ keeps that einsum as the oracle.  At finite N the four origin
+blocks are added in the order up-up, up-down, down-up, down-down.
 """
 
 from __future__ import annotations
@@ -154,19 +155,20 @@ class SimConfig:
             raise ValueError("sample_grid must be sorted ascending")
         if grid[0] < 0.0 or grid[-1] > self.observation_time:
             raise ValueError("sample_grid must lie within [0, observation_time]")
-        if self.n_trajectories < 1:
-            raise ValueError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        try:
-            seed = operator.index(self.seed)  # 1.5, -0.5 and "3" are no seeds
-        except TypeError:
-            seed = None
+        # operator.index's own test: 10.5, -0.5 and "3" are no integers
+        n_traj, seed, workers = (operator.index(v) if hasattr(type(v), "__index__") else None
+                                 for v in (self.n_trajectories, self.seed, self.workers))
+        if n_traj is None or n_traj < 1:
+            raise ValueError(f"n_trajectories must be an integer >= 1, got {self.n_trajectories!r}")
         if seed is None or not (0 <= seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if workers is None or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        object.__setattr__(self, "n_trajectories", n_traj)
         object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "workers", workers)
         if self.n_spins is not None:
             object.__setattr__(self, "n_spins", _check_n(self.n_spins))
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.average_window is not None:
             lo, hi = (float(x) for x in self.average_window)
             object.__setattr__(self, "average_window", (lo, hi))
@@ -197,9 +199,9 @@ class EnsembleStats:
     Standard errors are sample standard deviation / sqrt(n_trajectories)
     (ddof=1).  The correlation row is the plug-in estimate
     mean(two_point) - mean(density)^2 with a delta-method error.
-    chunk_window_pair_means keeps each chunk's mean window pair state, so
-    callers can attach batch-means errors to spectral quantities of the
-    mean state (the discord measure has no per-trajectory estimator).
+    window_pair is the window's mean pair state, the only one kept, and
+    chunk_window_pair_means each chunk's, for batch-means errors of spectral
+    quantities of the mean state (the discord has no per-trajectory estimator).
     """
 
     config: SimConfig
@@ -210,7 +212,6 @@ class EnsembleStats:
     two_point_stderr: np.ndarray
     correlation: np.ndarray
     correlation_stderr: np.ndarray
-    pair_states: np.ndarray
     chunk_counts: np.ndarray
     n_trajectories: int
     wall_time: float
@@ -771,10 +772,11 @@ def _accumulate_scalars(moments, d, x):
 # ---------------------------------------------------------------------------
 
 
-def _new_accumulators(drives: int, points: int) -> dict:
-    """Zero sums of one chunk: moments (drives, points + 1, 5), the last column the window's."""
+def _new_accumulators(drives: int, points: int, window_points: int) -> dict:
+    """Zero sums of one chunk: moments (drives, points + 1, 5), the last column the
+    window's, and pair (drives, window_points, 4, 4), one slot per window point."""
     return {"moments": np.zeros((drives, points + 1, 5)),
-            "pair": np.zeros((drives, points, 4, 4), dtype=complex)}
+            "pair": np.zeros((drives, window_points, 4, 4), dtype=complex)}
 
 
 def _expected_resets(dist: WaitingTime, horizon: float) -> float:
@@ -1038,19 +1040,16 @@ class _ChunkState:
             count[i] = path[di, ji] = _flip_rule(n, count[i], p, u[2 * ji], u[2 * ji + 1])
             j[i] += 1
 
-    def record(self, tg: float, acc: dict, gi: int):
-        """Every drive's (drives, rows) d and x at grid point gi, summed into acc."""
+    def record(self, tg: float, acc: dict, gi: int, wi: Optional[int]):
+        """Every drive's (drives, rows) d and x at grid point gi, summed into acc;
+        at a window point, wi its slot in acc["pair"], also the pair state."""
         s = tg - self.t_last[gi]
         p, s2, sc = _phase_terms(self.obar, self.ratio, s)
-        cr, ci = self.coh_re * s2, self.coh_im * sc  # the up branch's coherence
         n = self.config.n_spins
         if n is None:
             n0 = self.grid_origin[gi]
             d = n0 + (1.0 - 2.0 * n0) * p
             x = d * d
-            polar = 2.0 * n0 - 1.0  # the origin's polarization scales the coherence
-            products = _symbol_products(None, d, 1.0 - d, polar * cr, polar * ci)
-            blocks = [_pair_block(products, _UP_UP)]
         else:
             count = self.grid_origin[gi].astype(float)
             d_up, d_down = 1.0 - p, p
@@ -1065,17 +1064,22 @@ class _ChunkState:
             else:
                 c_uu, c_ud, c_dd = frac, np.zeros_like(frac), 1.0 - frac
             x = c_uu * d_up * d_up + 2.0 * c_ud * d_up * d_down + c_dd * d_down * d_down
-            if c_ud.any():
-                uu, ud, dd = _symbol_products(np.stack([c_uu, c_ud, c_dd]), d_up, d_down, cr, ci)
-                weighted = zip((uu, ud, ud, dd), _FINITE_BLOCKS)
-            else:  # every row all-up or all-down: the up-down blocks would add only zeros
-                uu, dd = _symbol_products(np.stack([c_uu, c_dd]), d_up, d_down, cr, ci)
-                weighted = zip((uu, dd), _FINITE_BLOCKS[::3])
-            blocks = [_pair_block(products, layout) for products, layout in weighted]
         _accumulate_scalars(acc["moments"][:, gi], d, x)
-        pair = acc["pair"][:, gi]
-        for block in blocks:  # uu, ud, du, dd: the order of einsum's four calls
-            pair += block
+        if wi is None:
+            return d, x
+        cr, ci = self.coh_re * s2, self.coh_im * sc  # the up branch's coherence
+        if n is None:
+            polar = 2.0 * n0 - 1.0  # the origin's polarization scales the coherence
+            weighted = [(_symbol_products(None, d, 1.0 - d, polar * cr, polar * ci), _UP_UP)]
+        elif c_ud.any():
+            uu, ud, dd = _symbol_products(np.stack([c_uu, c_ud, c_dd]), d_up, d_down, cr, ci)
+            weighted = zip((uu, ud, ud, dd), _FINITE_BLOCKS)
+        else:  # every row all-up or all-down: the up-down blocks would add only zeros
+            uu, dd = _symbol_products(np.stack([c_uu, c_dd]), d_up, d_down, cr, ci)
+            weighted = zip((uu, dd), _FINITE_BLOCKS[::3])
+        pair = acc["pair"][:, wi]
+        for products, layout in weighted:  # uu, ud, du, dd: the order of einsum's four calls
+            pair += _pair_block(products, layout)
         return d, x
 
 
@@ -1083,16 +1087,16 @@ def _chunk_sums(configs: list, start: int, rows: int) -> dict:
     """Every drive's sums over one chunk, drives in configs order."""
     state = _ChunkState(configs, start, rows)
     grid = configs[0].sample_grid
-    acc = _new_accumulators(len(configs), len(grid))
-    widx = set(configs[0].window_indices().tolist())
+    slots = {gi: wi for wi, gi in enumerate(configs[0].window_indices().tolist())}
+    acc = _new_accumulators(len(configs), len(grid), len(slots))
     rows_dx = np.zeros((2, len(configs), rows))  # each row's sums of d and x over the window
     state.advance_to()
     for gi, tg in enumerate(grid):
-        dx = state.record(tg, acc, gi)
-        if gi in widx:
+        dx = state.record(tg, acc, gi, slots.get(gi))
+        if gi in slots:
             rows_dx += dx
-    if widx:
-        _accumulate_scalars(acc["moments"][:, -1], *rows_dx / len(widx))
+    if slots:
+        _accumulate_scalars(acc["moments"][:, -1], *rows_dx / len(slots))
     return acc
 
 
@@ -1237,9 +1241,8 @@ def run_ensembles(configs) -> list:
     windows = [{} for _ in configs]
     widx = first.window_indices()
     if widx.size:
-        window_pair = pair[:, widx].sum(axis=1) / (n * widx.size)
-        batch_means = np.mean([c["pair"][:, widx] / r for c, r in zip(chunks, chunk_counts)],
-                              axis=2)
+        window_pair = pair.sum(axis=1) / (n * widx.size)
+        batch_means = np.mean([c["pair"] / r for c, r in zip(chunks, chunk_counts)], axis=2)
         for k, window in enumerate(windows):
             # finished on float64 scalars: a scalar's **2 calls libm pow, an
             # array's computes x*x, and the two round differently
@@ -1249,8 +1252,8 @@ def run_ensembles(configs) -> list:
     wall_time = time.perf_counter() - t0
     return [EnsembleStats(config=config, times=np.asarray(config.sample_grid),
                           **{name: v[k] for name, v in zip(STAT_FIELDS, grid_stats)},
-                          pair_states=pair[k] / n, chunk_counts=chunk_counts, n_trajectories=n,
-                          wall_time=wall_time, **windows[k])
+                          chunk_counts=chunk_counts, n_trajectories=n, wall_time=wall_time,
+                          **windows[k])
             for k, config in enumerate(configs)]
 
 

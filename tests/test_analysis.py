@@ -253,8 +253,7 @@ def test_mc_row_failure_fails_only_its_own_row(monkeypatch):
 
 
 STATS_ARRAYS = ("density", "density_stderr", "two_point", "two_point_stderr", "correlation",
-                "correlation_stderr", "pair_states", "chunk_counts", "window_pair",
-                "chunk_window_pair_means")
+                "correlation_stderr", "chunk_counts", "window_pair", "chunk_window_pair_means")
 STATS_WINDOW = ("window_density", "window_density_stderr", "window_two_point",
                 "window_two_point_stderr", "window_correlation", "window_correlation_stderr")
 
@@ -572,8 +571,9 @@ def test_ensemble_states_are_valid_property(drives, dist, n_spins, protocol, res
                          average_window=(horizon / 2, horizon))
                for params in drives]
     for stats in run_ensembles(configs):
-        require_states(stats.pair_states, 4)
-        require_exchange_symmetric(stats.pair_states)
+        states = np.concatenate([stats.window_pair[None], stats.chunk_window_pair_means])
+        require_states(states, 4)
+        require_exchange_symmetric(states)
         value, stderr = ensemble_lqu(stats)
         assert 0.0 <= value <= 1.0
         assert math.isfinite(stderr)

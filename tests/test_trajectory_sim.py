@@ -85,6 +85,20 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(observation_time=5.0, sample_grid=(0.0, 5.0),
                   **{**base, "seed": -1})
+    # counts are integers: a float or a string is refused, whatever its value
+    for field, bad in (("n_trajectories", 10.5), ("n_trajectories", 8.0),
+                       ("n_trajectories", "8"), ("workers", 1.5), ("workers", 2.0),
+                       ("workers", "2")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(observation_time=5.0, sample_grid=(0.0, 5.0), **{**base, field: bad})
+    # an integer of another type is stored as int: True is one trajectory
+    for field, value in (("n_trajectories", True), ("n_trajectories", np.int64(8)),
+                         ("workers", np.uint8(2))):
+        config = SimConfig(observation_time=5.0, sample_grid=(0.0, 5.0), **{**base, field: value})
+        stored = getattr(config, field)
+        assert type(stored) is int and stored == value
+    one = run_ensemble(replace(small_config(ProtocolKind.UNCONDITIONAL_RESET), n_trajectories=True))
+    assert type(one.n_trajectories) is int and one.chunk_counts.tolist() == [1]
 
 
 @pytest.mark.parametrize("n_spins", [5.5, 4, 0, -3, float("inf"), float("nan")])
@@ -565,7 +579,13 @@ def test_ensemble_matches_scalar_reference(protocol, n_spins, overrides):
     np.testing.assert_allclose(stats_out.two_point, xs.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(stats_out.correlation, xs.mean(axis=0) - ds.mean(axis=0) ** 2,
                                atol=1e-12)
-    np.testing.assert_allclose(stats_out.pair_states, pairs.mean(axis=0), atol=1e-12)
+    # each grid point's pair state, as the window_pair of a one-point window
+    for gi, tg in enumerate(config.sample_grid):
+        point = run_ensemble(replace(config, average_window=(tg, tg)))
+        np.testing.assert_allclose(point.window_pair, pairs[:, gi].mean(axis=0), atol=1e-12)
+        assert point.chunk_window_pair_means.shape == (1, 4, 4)
+        np.testing.assert_allclose(point.chunk_window_pair_means[0], point.window_pair,
+                                   atol=1e-15)
     np.testing.assert_allclose(stats_out.density_stderr,
                                ds.std(axis=0, ddof=1) / np.sqrt(n), atol=1e-12)
     # windowed quasi-stationary estimators: per-trajectory time averages
@@ -609,8 +629,8 @@ def test_run_ensembles_gives_each_drive_its_own_ensemble(protocol, n_spins):
     for shared, config in zip(run_ensembles(configs), configs):
         alone = run_ensemble(config)
         assert shared.config == config
-        for name in ("density", "two_point_stderr", "correlation_stderr", "pair_states",
-                     "window_pair", "chunk_window_pair_means"):
+        for name in ("density", "two_point_stderr", "correlation_stderr", "window_pair",
+                     "chunk_window_pair_means"):
             assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), name
         assert shared.window_density == alone.window_density
         assert shared.window_correlation_stderr == alone.window_correlation_stderr
@@ -638,7 +658,7 @@ def test_ensemble_bitwise_worker_independence():
     for other in outs[1:]:
         assert outs[0].density.tobytes() == other.density.tobytes()
         assert outs[0].two_point.tobytes() == other.two_point.tobytes()
-        assert outs[0].pair_states.tobytes() == other.pair_states.tobytes()
+        assert outs[0].window_pair.tobytes() == other.window_pair.tobytes()
         assert outs[0].window_density == other.window_density
         assert outs[0].window_correlation_stderr == other.window_correlation_stderr
         assert (outs[0].chunk_window_pair_means.tobytes()
@@ -664,7 +684,8 @@ def test_protocols_coincide_below_threshold():
     for proto in (ProtocolKind.CONDITIONAL_TWO_STATE, ProtocolKind.CONDITIONAL_FLIP):
         out = run_ensemble(small_config(proto, **kwargs))
         assert out.density.tobytes() == ref.density.tobytes()
-        assert out.pair_states.tobytes() == ref.pair_states.tobytes()
+        assert out.window_pair.tobytes() == ref.window_pair.tobytes()
+        assert out.chunk_window_pair_means.tobytes() == ref.chunk_window_pair_means.tobytes()
 
 
 def test_finite_n_density_is_lattice_valued():
@@ -735,7 +756,7 @@ def test_output_does_not_depend_on_wait_buffer_size(protocol, n_spins, monkeypat
     short = run_ensemble(config)
     assert max(widths) > trajectory_sim._PHILOX_BLOCK  # the top-up path ran
     assert short.density.tobytes() == full.density.tobytes()
-    assert short.pair_states.tobytes() == full.pair_states.tobytes()
+    assert short.chunk_window_pair_means.tobytes() == full.chunk_window_pair_means.tobytes()
     for name in ("window_density", "window_density_stderr", "window_two_point",
                  "window_correlation", "window_correlation_stderr"):
         assert getattr(short, name) == getattr(full, name)
@@ -824,15 +845,15 @@ ORACLE_DRIVES = [DriveParams(omega=1.3, delta=1.0), DriveParams(omega=0.0, delta
 
 
 def assert_record_matches_oracle(state, gi, times):
-    """Each drive's sums from state.record at every time, into grid point gi,
-    equal record_thermo / record_finite's bit for bit."""
+    """Each drive's sums from state.record at every time, into grid point gi
+    and window slot gi, equal record_thermo / record_finite's bit for bit."""
     n_spins = state.config.n_spins
     points = len(state.t_last)
-    acc = trajectory_sim._new_accumulators(len(state.params), points)
+    acc = trajectory_sim._new_accumulators(len(state.params), points, points)
     refs = [new_accumulators(points) for _ in state.params]
     origin = state.grid_origin[gi]
     for tg in times:
-        d, x = state.record(tg, acc, gi)
+        d, x = state.record(tg, acc, gi, gi)
         s = tg - state.t_last[gi]
         for k, (params, ref) in enumerate(zip(state.params, refs)):
             if n_spins is None:
@@ -1099,9 +1120,33 @@ def test_chunks_run_in_two_processes(tmp_path, monkeypatch, two_cpus):
     assert ran[0] == ran[2 * CHUNK] == os.getpid() != ran[CHUNK]
     assert_no_child_left()
     serial = run_ensemble(replace(config, workers=1))
-    for name in ("density", "correlation_stderr", "pair_states", "chunk_window_pair_means"):
+    for name in ("density", "correlation_stderr", "window_pair", "chunk_window_pair_means"):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes()
     assert pooled.window_density == serial.window_density
+
+
+@pytest.mark.parametrize("n_spins", [None, 11], ids=["limit", "finite-n"])
+def test_pair_state_is_built_only_at_window_points(n_spins, monkeypatch):
+    # record sums d and x at every grid point, but builds a pair state (one
+    # _symbol_products call) only at a window point: once per chunk and window point
+    calls, symbol_products = [], trajectory_sim._symbol_products
+
+    def counting(*args):
+        calls.append(None)
+        return symbol_products(*args)
+
+    monkeypatch.setattr(trajectory_sim, "_symbol_products", counting)
+    windowed = small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=n_spins, n_traj=2 * CHUNK + 5)
+    windowless = replace(windowed, average_window=None)
+    assert windowed.workers == 1 and len(windowed.window_indices()) == 5
+    outs = []
+    for config, builds in ((windowed, 3 * 5), (windowless, 0)):
+        calls.clear()
+        outs.append(run_ensemble(config))
+        assert len(calls) == builds
+    # the grid's own sums do not depend on the window
+    for name in ("density", "two_point_stderr", "correlation_stderr"):
+        assert getattr(outs[0], name).tobytes() == getattr(outs[1], name).tobytes()
 
 
 def test_a_chunk_process_that_dies_raises_its_exit_status(monkeypatch, two_cpus):
