@@ -14,6 +14,7 @@ code.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,10 @@ class McTemplate:
     n_spins: int | None = None
 
     def __post_init__(self):
+        # operator.index's own test, as SimConfig's counts: 2.5, 3.0 and "3" are no integers
+        if not hasattr(type(self.window_points), "__index__"):
+            raise ValueError(f"window_points must be an integer >= 1, got {self.window_points!r}")
+        object.__setattr__(self, "window_points", operator.index(self.window_points))
         if self.window_points < 1:
             raise ValueError(f"window_points must be >= 1, got {self.window_points}")
         # a template is valid when the ensembles it configures are

@@ -564,8 +564,10 @@ def cmd_fit(args) -> int:
 
 
 def _verify_checks():
-    from .renewal import exp_weighted_average
-    from .spin_dynamics import free_two_spin_state
+    """(name, ok, detail) of each self-check.  The density quadratures evaluate their
+    integrand on a panel's nodes at once, from stacked free pair states."""
+    from .renewal import exp_weighted_average_nodes
+    from .spin_dynamics import free_two_spin_states
     from .observables import hermitian_sqrt
     from .finite_size import transition_prob_approx, transition_prob_exact
 
@@ -583,11 +585,11 @@ def _verify_checks():
         st = stationary_state_p1(params, dist)
         worst_poly = max(worst_poly, abs(st.density - exact))
 
-        def density(t):
-            rho = free_two_spin_state(params, t, "up", "up")
-            return rho[0, 0].real + rho[1, 1].real
+        def density(nodes):
+            rho = free_two_spin_states(params, nodes, "up", "up")
+            return rho[:, 0, 0].real + rho[:, 1, 1].real
 
-        quad = exp_weighted_average(dist, density)
+        quad = exp_weighted_average_nodes(dist, density)
         worst_quad = max(worst_quad, abs(quad - exact))
     check("density: closed form vs renewal average", worst_poly < 1e-10, f"max {worst_poly:.2e}")
     check("density: closed form vs quadrature", worst_quad < 1e-8, f"max {worst_quad:.2e}")

@@ -9,11 +9,12 @@ chain, which follow from whether that chain can leave all-up.
 
 Trajectory entries are trig polynomials on the multiples k * obar of
 the drive's frequency, so every time integral here is done term by term
-in closed form.  The stationary states of a grid of drives, one drive
-included, are built and averaged in one stacked pass (TrigPolyBatch);
+in closed form, against survival weights U(k * obar) that one array call
+gives for a whole grid.  The stationary states of a grid of drives, one
+drive included, are built and averaged in one stacked pass (TrigPolyBatch);
 rows with obar = 0 have no dynamics and are their origin states.  An
-adaptive vector-quadrature path exists as an independent cross-check
-for callables.
+adaptive vector quadrature, its integrand on a panel's nodes at once, is
+an independent cross-check.
 
 ProtocolKind is defined here with the two rules every path reads:
 has_exact_state and measures.
@@ -128,51 +129,83 @@ def waiting_time_from_uniform(dist: WaitingTime, u):
 
 _PHI2_TERMS = tuple(1.0 / math.factorial(k + 2) for k in range(20))
 
+# U(w) repeats one scalar quotient's steps per w on complex128 arrays.  Sums and
+# np.exp round as on scalars; products and quotients are written out on the parts,
+# as CPython's complex and numpy's complex128 scalars form them (x enters as x + 0j).
 
-def _phi2(x):
-    """(exp(x) - 1 - x) / x^2, by its Taylor series where |x| < 1."""
-    if abs(x) >= 1.0:
-        return (np.exp(x) - 1.0 - x) / (x * x)
-    acc = _PHI2_TERMS[-1]
+
+def _pack(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im  # signed zeros kept
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _pack(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cdiv(a, b, reciprocal: bool) -> np.ndarray:
+    """a / b (b != 0) by Smith's method: CPython divides both parts by the scale,
+    numpy (reciprocal) multiplies them by its reciprocal."""
+    (ar, ai), (br, bi) = ((x.real, x.imag) for x in np.broadcast_arrays(a, b, subok=False))
+    wide = np.abs(br) >= np.abs(bi)
+    big, small = np.where(wide, br, bi), np.where(wide, bi, br)
+    ratio = small / big
+    scale = big + small * ratio
+    re = np.where(wide, ar + ai * ratio, ar * ratio + ai)
+    im = np.where(wide, ai - ar * ratio, ai * ratio - ar)
+    if reciprocal:
+        scale = 1.0 / scale
+        return _pack(re * scale, im * scale)
+    return _pack(re / scale, im / scale)
+
+
+def _phi2(x) -> np.ndarray:
+    """(exp(x) - 1 - x) / x^2 at each complex128 x, by its Taylor series where |x| < 1;
+    at a real x the real part has the bits of the series on floats."""
+    x = np.asarray(x, dtype=complex)
+    out = np.empty_like(x)
+    direct = np.hypot(x.real, x.imag) >= 1.0  # abs() of a complex128
+    d, s = x[direct], x[~direct]
+    out[direct] = _cdiv(np.exp(d) - 1.0 - d, _cmul(d, d), True)
+    acc = np.full_like(s, _PHI2_TERMS[-1])
     for c in _PHI2_TERMS[-2::-1]:
-        acc = acc * x + c
-    return acc
+        acc = _cmul(acc, s) + c
+    out[~direct] = acc
+    return out
 
 
-def _fourier_weight_short(g: float, t_max: float, w: float):
-    """U(w) of the chopped law at small gamma * t_max, as complex128 (the
-    type _average's chopped division form stands in for).
+def _fourier_weights(dist: WaitingTime, w) -> np.ndarray:
+    """U(w) = integral q(t) exp(i w t) dt over the support of q, for an array of real w.
 
-    With a = g t_max, c = exp(-a) and x = i w t_max, U(w) = a (B / (1 - c))
-    / (g - i w), where B = (1 - c) - a phi2(-a) - c x phi2(x) writes the
-    cancelling terms through phi2.  B / (1 - c) is of order 1, so no step
-    underflows at tiny t_max; U(0) = t_max (B / (1 - c)) at w = 0.
+    Each element has the bits of the scalar form: the Poisson law's
+    CPython 1 / (gamma - 1j w), the chopped law's numpy complex128.  Below
+    gamma * t_max = _CHOPPED_SERIES_BELOW the chopped law's two fractions
+    cancel to about 1e-16 / (gamma t_max)^2; with a = g t_max, c = exp(-a)
+    and x = i w t_max it is U(w) = a (B / (1 - c)) / (g - i w), where
+    B = (1 - c) - a phi2(-a) - c x phi2(x) is of order 1 - c, so no step
+    underflows at tiny t_max, and U(0) = t_max (B / (1 - c)).
     """
-    a = g * t_max
-    one_minus_c = _chopped_mass(g, t_max)
-    head = one_minus_c - a * _phi2(-a)
-    if w == 0.0:
-        return np.complex128(t_max * (head / one_minus_c))
-    x = np.complex128(1j * w * t_max)
-    bracket = head - math.exp(-a) * (x * _phi2(x))
-    return a * (bracket / one_minus_c) / (g - 1j * w)
-
-
-def _fourier_weight(dist: WaitingTime, w: float) -> complex:
-    """U(w) = integral q(t) exp(i w t) dt over the support of q."""
-    g = dist.gamma
+    w = np.asarray(w, dtype=float)
+    g, nonzero = dist.gamma, w != 0.0
+    iw = _cmul(1j, w)
+    den = g - iw
     if dist.kind is WaitingKind.POISSON:
-        return 1.0 / (g - 1j * w)
+        return _cdiv(1.0, den, False)
     t_max = dist.t_max
-    if g * t_max < _CHOPPED_SERIES_BELOW:
-        return _fourier_weight_short(g, t_max, w)
+    a = g * t_max
+    ix = _cmul(iw, t_max)
+    if a < _CHOPPED_SERIES_BELOW:
+        one_minus_c = _chopped_mass(g, t_max)
+        head = one_minus_c - a * _phi2(-a).real
+        bracket = head - _cmul(math.exp(-a), _cmul(ix, _phi2(ix)))
+        u = _cdiv(_cmul(a, _cdiv(bracket, one_minus_c, True)), den, True)
+        return np.where(nonzero, u, t_max * (head / one_minus_c))
     e_max = math.exp(-g * t_max)
-    part = (1.0 - np.exp((1j * w - g) * t_max)) / (g - 1j * w)
-    if w == 0.0:
-        osc = t_max
-    else:
-        osc = (np.exp(1j * w * t_max) - 1.0) / (1j * w)
-    return (part - e_max * osc) / (1.0 - e_max)
+    part = _cdiv(1.0 - np.exp(_cmul(iw - g, t_max)), den, True)
+    osc = _cdiv(np.exp(ix) - 1.0, np.where(nonzero, iw, 1j), True)
+    return _cdiv(part - _cmul(e_max, np.where(nonzero, osc, t_max)), 1.0 - e_max, True)
 
 
 def _quad_upper_limit(dist: WaitingTime) -> float:
@@ -182,23 +215,27 @@ def _quad_upper_limit(dist: WaitingTime) -> float:
     return dist.t_max
 
 
-def exp_weighted_average(dist: WaitingTime, f):
-    """Average a free trajectory f: t -> scalar/array against the survival weight q(t)/q_hat.
+def exp_weighted_average_nodes(dist: WaitingTime, f):
+    """Average a free trajectory against the survival weight q(t)/q_hat; f maps an array
+    of times to the stacked values (times, ...), called once per panel.
 
     One adaptive vector quadrature (integrate.quad, Gauss-Kronrod 10/21)
     integrates f as a whole, so every entry shares the same subintervals:
-    an independent cross-check of the closed-form states, which it
-    matches to 1e-8.
+    an independent cross-check of the closed-form states, to 1e-8.
     """
-    if not callable(f):
-        raise TypeError(f"cannot average object of type {type(f).__name__}")
-
     def weighted(nodes):
-        vals = np.array([f(t) for t in nodes.tolist()])
+        vals = np.asarray(f(nodes))
         q = survival_probability(dist, nodes)
         return q.reshape(q.shape + (1,) * (vals.ndim - 1)) * vals
 
-    return integrate.quad(weighted, 0.0, _quad_upper_limit(dist)) / _fourier_weight(dist, 0.0).real
+    return integrate.quad(weighted, 0.0, _quad_upper_limit(dist)) / float(_fourier_weights(dist, 0.0).real)
+
+
+def exp_weighted_average(dist: WaitingTime, f):
+    """exp_weighted_average_nodes of f: t -> scalar/array, called at one time after another."""
+    if not callable(f):
+        raise TypeError(f"cannot average object of type {type(f).__name__}")
+    return exp_weighted_average_nodes(dist, lambda nodes: np.array([f(t) for t in nodes.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +254,14 @@ def renewal_state_at_time(params: DriveParams, gamma: float, t: float):
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    obar = _exact_rabi(params)
-    if obar == 0.0:
+    omega, delta = np.array([params.omega]), np.array([params.delta])
+    obar = _exact_rabi(omega, delta)
+    if obar[0] == 0.0:
         return UP.copy()
-    entries = free_qubit_poly(np.array([params.omega]), np.array([params.delta]),
-                              np.array([obar]), "up")
+    entries = free_qubit_poly(omega, delta, obar, "up")
     # exp(-g t) f(t) + g * integral_0^t exp(-g s) f(s) ds, term by term
     c = entries.re[:, 0] + 1j * entries.im[:, 0]
-    z = 1j * (entries.keys() * obar) - gamma
+    z = 1j * (entries.keys() * obar[0]) - gamma
     ez = np.exp(z * t)
     out = entries.entry_sums(c * ez + gamma * c * (ez - 1.0) / z).reshape(entries.shape)
     return 0.5 * (out + out.conj().T)
@@ -256,12 +293,15 @@ class StationaryState:
     note: str = field(default="")
 
 
-def _exact_rabi(params: DriveParams) -> float:
-    """obar of a drive on the exact path, whose frequencies reach 4 * obar."""
-    obar = params.effective_rabi
-    if not math.isfinite(4.0 * obar):
-        raise ValueError(f"omega = {params.omega:g}, delta = {params.delta:g}: 4 * obar is not "
-                         "finite, so the exact state's frequencies overflow")
+def _exact_rabi(omega: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """obar of every drive on the exact path, whose frequencies reach 4 * obar: one
+    hypot over the arrays, and the first drive past the float range named."""
+    with np.errstate(over="ignore"):
+        obar = np.hypot(omega, delta)
+        bad = np.flatnonzero(~np.isfinite(4.0 * obar))
+    if bad.size:
+        raise ValueError(f"omega = {omega[bad[0]]:g}, delta = {delta[bad[0]]:g}: 4 * obar is "
+                         "not finite, so the exact state's frequencies overflow")
     return obar
 
 
@@ -274,42 +314,36 @@ _BLOCK_ROWS = 64
 def _average(dist: WaitingTime, entries: TrigPolyBatch, weights: np.ndarray) -> np.ndarray:
     """Survival-weighted average of every entry on every row: (rows, *entries.shape).
 
-    weights[i] is U(_MULTIPLES[i] * obar) per row.  Each entry's sum over
-    its terms starts at 0 as sum() does, and the division by u0 takes the
-    form of the scalar type it stands in for: CPython's complex quotient
-    for the Poisson law's complex, numpy's reciprocal product for the
-    chopped law's complex128.
+    weights[i] is U(_MULTIPLES[i] * obar) per row, so the k = 0 row is
+    U(0) on every row.  Each entry's sum over its terms starts at 0 as
+    sum() does, and the division by U(0) is the one of the scalar type it
+    stands in for: CPython's complex for the Poisson law, numpy's
+    complex128 for the chopped law.
     """
-    u0 = _fourier_weight(dist, 0.0).real
+    u0 = weights[_MULTIPLES.index(0)].real
     u = weights[np.searchsorted(_MULTIPLES, entries.keys())]
     cr, ci, ur, ui = entries.re, entries.im, u.real, u.imag
     re, im = entries.entry_sums(cr * ur - ci * ui), entries.entry_sums(cr * ui + ci * ur)
-    if dist.kind is WaitingKind.POISSON:
-        re, im = (re + im * 0.0) / u0, (im - re * 0.0) / u0
-    else:
-        scale = 1.0 / u0
-        re, im = (re + im * 0.0) * scale, (im - re * 0.0) * scale
-    out = np.empty(re.shape[::-1], dtype=complex)
-    out.real, out.imag = re.T, im.T
-    return out.reshape((-1,) + entries.shape)
+    return _cdiv(_pack(re, im), u0, dist.kind is not WaitingKind.POISSON).T.reshape(
+        (-1,) + entries.shape)
 
 
 def _branch_mix(dist: WaitingTime, params_list, mixes):
     """Stacked stationary (state, pair) of rows mixing all-up and all-down.
 
-    mixes[i] = (c_up, c_down) of row i.  Each branch is built and
-    averaged once per block of up to _BLOCK_ROWS rows, for a grid of any
-    size.  A row with obar = 0 has no dynamics: it is its mix of the
+    mixes[i] = (c_up, c_down) of row i.  The survival weights of the
+    whole grid come from one _fourier_weights call; each branch is built
+    and averaged once per block of up to _BLOCK_ROWS rows, for a grid of
+    any size.  A row with obar = 0 has no dynamics: it is its mix of the
     origin states.
     """
     n = len(params_list)
-    obars = [_exact_rabi(p) for p in params_list]
-    still = np.array(obars) == 0.0
     omega = np.array([p.omega for p in params_list])
     delta = np.array([p.delta for p in params_list])
+    obars = _exact_rabi(omega, delta)
+    weights = _fourier_weights(dist, np.multiply.outer(_MULTIPLES, obars))
+    still = obars == 0.0
     obar = np.where(still, 1.0, obars)  # still rows: a placeholder, replaced below
-    weights = np.array([[complex(_fourier_weight(dist, k * ob)) for ob in obars]
-                        for k in _MULTIPLES])
     c_up, c_down = np.array(mixes, dtype=float).reshape(n, 2).T
     state = np.zeros((n, 2, 2), dtype=complex)
     pair = np.zeros((n, 4, 4), dtype=complex)
@@ -351,8 +385,8 @@ def stationary_density_closed_form(params: DriveParams, dist: WaitingTime) -> fl
     elif gt < _CHOPPED_SERIES_BELOW:
         # expm1(gt) - gt = gt^2 phi2(gt); with y = 2 w t_max the bracket is
         # y^2 (Re phi2(iy) + g/(2w) Im phi2(iy)): no term cancels
-        p = _phi2(np.complex128(2j * w * t_max))
-        corr = 4.0 * w**2 * (p.real + g / (2.0 * w) * p.imag) / _phi2(gt)
+        p = _phi2(2j * w * t_max)
+        corr = 4.0 * w**2 * (p.real + g / (2.0 * w) * p.imag) / _phi2(gt).real
     else:
         s, c = math.sin(w * t_max), math.cos(w * t_max)
         corr = g**2 / (math.expm1(gt) - gt) * (2.0 * s * s - (g / w) * s * c + gt)

@@ -148,16 +148,34 @@ def _pure_state(init: str) -> np.ndarray:
     raise ValueError(f"initial state must be 'up' or 'down', got {init!r}")
 
 
+def _product_state(u, init_j: str, init_k: str) -> np.ndarray:
+    """Two spins from |init_j init_k>, each evolved by u: one propagator, or a stack."""
+    origin_j, origin_k = _pure_state(init_j), _pure_state(init_k)
+    # pure origins are valid states by construction: no validation pass
+    uh = u.conj().swapaxes(-1, -2)
+    rj = u @ origin_j @ uh
+    rk = rj if init_k == init_j else u @ origin_k @ uh
+    # np.kron's own broadcast product, without its set-up cost
+    return (rj[..., :, None, :, None] * rk[..., None, :, None, :]).reshape(u.shape[:-2] + (4, 4))
+
+
 def free_two_spin_state(params: DriveParams, t: float, init_j: str, init_k: str) -> np.ndarray:
     """Joint state of two non-interacting spins evolved from |init_j init_k>."""
-    origin_j, origin_k = _pure_state(init_j), _pure_state(init_k)
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    # pure origins are valid states by construction: no validation pass
-    rj = _evolve(params, t, origin_j)
-    rk = rj if init_k == init_j else _evolve(params, t, origin_k)
-    # np.kron's own broadcast product, without its set-up cost
-    return (rj[:, None, :, None] * rk[None, :, None, :]).reshape(4, 4)
+    return _product_state(propagator(params, t), init_j, init_k)
+
+
+def free_two_spin_states(params: DriveParams, times, init_j: str, init_k: str) -> np.ndarray:
+    """free_two_spin_state at every time of a 1-D array, stacked (times, 4, 4): the
+    same steps on stacked propagators, so each state has the same bits."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise ValueError("time must be >= 0")
+    obar, axis = params.rabi_axis
+    th = (obar * times)[:, None, None]  # obar = 0: no axis, and u the identity's bits
+    u = np.cos(th) * IDENTITY_2 - 1j * np.sin(th) * (0.0 if axis is None else axis)
+    return _product_state(u, init_j, init_k)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .finite_size import _check_n, _log_factorials
-from .renewal import ProtocolKind, WaitingTime, _fourier_weight, waiting_time_from_uniform
+from .renewal import ProtocolKind, WaitingTime, _fourier_weights, waiting_time_from_uniform
 from .spin_dynamics import DriveParams, _coherence_re
 
 CHUNK = 1024
@@ -673,15 +673,19 @@ def _majority_tests(n: int, obar, ratio, tau, u_up, u_down=None):
 
 
 def _phase_terms(obar: np.ndarray, ratio: np.ndarray, s: np.ndarray):
-    """flip probability p = ratio * sin^2(obar s), sin^2 and sin*cos of the Rabi phase.
+    """The Rabi phase obar s, its sine, and the flip probability p = ratio * sin^2.
 
     ratio = (omega / obar)^2, and 0 where obar = 0, so such a drive has
-    p = sin^2 = sin*cos = 0.
+    p = 0 and, with its zero phase, no coherence.
     """
     phase = obar * s
     sin = np.sin(phase)
-    s2 = sin * sin
-    return ratio * s2, s2, sin * np.cos(phase)
+    return phase, sin, ratio * (sin * sin)
+
+
+def _coherence(coh_re, coh_im, phase, sin):
+    """The up branch's coherence from _phase_terms: coh_re sin^2 and coh_im sin cos."""
+    return coh_re * (sin * sin), coh_im * (sin * np.cos(phase))
 
 
 # The pair state of a grid point is sum_n w_n kron(a_n, b_n) over a chunk's
@@ -780,7 +784,7 @@ def _new_accumulators(drives: int, points: int, window_points: int) -> dict:
 
 
 def _expected_resets(dist: WaitingTime, horizon: float) -> float:
-    return horizon / _fourier_weight(dist, 0.0).real
+    return horizon / float(_fourier_weights(dist, 0.0).real)
 
 
 def _initial_wait_capacity(dist: WaitingTime, horizon: float) -> int:
@@ -1044,7 +1048,7 @@ class _ChunkState:
         """Every drive's (drives, rows) d and x at grid point gi, summed into acc;
         at a window point, wi its slot in acc["pair"], also the pair state."""
         s = tg - self.t_last[gi]
-        p, s2, sc = _phase_terms(self.obar, self.ratio, s)
+        phase, sin, p = _phase_terms(self.obar, self.ratio, s)
         n = self.config.n_spins
         if n is None:
             n0 = self.grid_origin[gi]
@@ -1067,7 +1071,7 @@ class _ChunkState:
         _accumulate_scalars(acc["moments"][:, gi], d, x)
         if wi is None:
             return d, x
-        cr, ci = self.coh_re * s2, self.coh_im * sc  # the up branch's coherence
+        cr, ci = _coherence(self.coh_re, self.coh_im, phase, sin)
         if n is None:
             polar = 2.0 * n0 - 1.0  # the origin's polarization scales the coherence
             weighted = [(_symbol_products(None, d, 1.0 - d, polar * cr, polar * ci), _UP_UP)]

@@ -30,13 +30,15 @@ their bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import bdtr, ndtri
 
-from spinreset.renewal import WaitingTime, _fourier_weight, waiting_time_from_uniform
+from spinreset.renewal import (_CHOPPED_SERIES_BELOW, _PHI2_TERMS, WaitingKind, WaitingTime,
+                               _chopped_mass, waiting_time_from_uniform)
 from spinreset.spin_dynamics import (DOWN, IDENTITY_2, SIGMA_X, SIGMA_Z, UP, DriveParams,
                                      _amplitude_coeffs)
 from spinreset.trajectory_sim import ProtocolKind, SimConfig
@@ -523,6 +525,48 @@ def flip_probability_poly(params: DriveParams) -> TrigPoly:
     a = (params.omega / obar) ** 2
     # sin^2(obar t) = 1/2 - cos(2 obar t)/2
     return TrigPoly({0.0: 0.5 * a, 2.0 * obar: -0.25 * a, -2.0 * obar: -0.25 * a})
+
+
+def _phi2(x):
+    """(exp(x) - 1 - x) / x^2 of one float or complex128, by its Taylor series where |x| < 1."""
+    if abs(x) >= 1.0:
+        return (np.exp(x) - 1.0 - x) / (x * x)
+    acc = _PHI2_TERMS[-1]
+    for c in _PHI2_TERMS[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _fourier_weight_short(g: float, t_max: float, w: float):
+    """U(w) of the chopped law at small gamma * t_max, as complex128: the short form
+    of renewal._fourier_weights, one scalar step at a time."""
+    a = g * t_max
+    one_minus_c = _chopped_mass(g, t_max)
+    head = one_minus_c - a * _phi2(-a)
+    if w == 0.0:
+        return np.complex128(t_max * (head / one_minus_c))
+    x = np.complex128(1j * w * t_max)
+    bracket = head - math.exp(-a) * (x * _phi2(x))
+    return a * (bracket / one_minus_c) / (g - 1j * w)
+
+
+def _fourier_weight(dist: WaitingTime, w: float) -> complex:
+    """U(w) = integral q(t) exp(i w t) dt over the support of q, one real w at a time:
+    a Python complex (Poisson) or complex128 (chopped), the oracle of
+    renewal._fourier_weights."""
+    g = dist.gamma
+    if dist.kind is WaitingKind.POISSON:
+        return 1.0 / (g - 1j * w)
+    t_max = dist.t_max
+    if g * t_max < _CHOPPED_SERIES_BELOW:
+        return _fourier_weight_short(g, t_max, w)
+    e_max = math.exp(-g * t_max)
+    part = (1.0 - np.exp((1j * w - g) * t_max)) / (g - 1j * w)
+    if w == 0.0:
+        osc = t_max
+    else:
+        osc = (np.exp(1j * w * t_max) - 1.0) / (1j * w)
+    return (part - e_max * osc) / (1.0 - e_max)
 
 
 def average_poly(dist: WaitingTime, poly: TrigPoly) -> complex:

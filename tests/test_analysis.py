@@ -177,9 +177,9 @@ def test_sweep_row_failing_a_batched_check_raises_the_per_row_error(protocol, mo
     # survival weights off their law by a factor 40 at every nonzero
     # frequency leave states that are not PSD: the sweep fails with the
     # first failing row's own message
-    weight = renewal._fourier_weight
-    monkeypatch.setattr(renewal, "_fourier_weight",
-                        lambda d, w: weight(d, w) * (40.0 if w else 1.0))
+    weights = renewal._fourier_weights
+    monkeypatch.setattr(renewal, "_fourier_weights",
+                        lambda d, w: weights(d, w) * np.where(w != 0.0, 40.0, 1.0))
     dist = WaitingTime.chopped(0.5, 4.0)
     grid = [0.5, 0.9, 1.3, 1.7, 2.0, 2.5]
     with pytest.raises(ValueError) as per_row:
@@ -299,6 +299,13 @@ def test_mc_sweep_settings_fail_before_any_row(monkeypatch):
                 dict(observation_time=-5.0), dict(workers=0)):
         with pytest.raises(ValueError):
             McTemplate(**bad)
+    # window_points is a count: no float or string, however integral, reaches np.linspace
+    for points in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="window_points must be an integer >= 1"):
+            McTemplate(window_points=points)
+    for points in (3, np.int64(3), True):
+        stored = McTemplate(n_trajectories=64, window_points=points).window_points
+        assert type(stored) is int and stored == int(points)
     # a grid value no row can run with is an error too, as in exact sweeps
     for grid in ([1.1, -0.5], [1.2, 1.1], [1.1, 1.1]):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinreset import analysis, cli, trajectory_sim
+from spinreset import analysis, cli, renewal, trajectory_sim
 from spinreset.cli import (
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
@@ -20,8 +20,8 @@ from spinreset.cli import (
     execute_command,
 )
 from spinreset.observables import connected_correlation_closed_form
-from spinreset.renewal import WaitingTime, stationary_density_closed_form
-from spinreset.spin_dynamics import DriveParams
+from spinreset.renewal import WaitingTime, exp_weighted_average, stationary_density_closed_form
+from spinreset.spin_dynamics import DriveParams, free_two_spin_state
 
 
 def run_cli(args, capsys):
@@ -761,3 +761,35 @@ def test_verify_command(capsys, monkeypatch):
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 4
     assert "1 of 1 checks failed" in out
+
+
+def test_verify_quadratures_keep_the_per_node_integrand_bits(monkeypatch):
+    # verify's four density quadratures evaluate a panel's 21 nodes in one call,
+    # and equal the quadrature of the per-node integrand bit for bit
+    runs, average, panel = [], renewal.exp_weighted_average_nodes, renewal.integrate._panel
+    panels = []
+
+    def counted_panel(f, a, b):
+        panels.append(None)
+        return panel(f, a, b)
+
+    def recorded(dist, f):
+        calls = []
+        panels.clear()
+        got = average(dist, lambda nodes: calls.append(len(nodes)) or f(nodes))
+        runs.append((dist, got, calls, len(panels)))
+        return got
+
+    monkeypatch.setattr(renewal, "exp_weighted_average_nodes", recorded)
+    monkeypatch.setattr(renewal.integrate, "_panel", counted_panel)
+    assert all(ok for _, ok, _ in cli._verify_checks())
+    assert len(runs) == 4
+    for om, (dist, got, calls, n_panels) in zip((0.3, 0.7, 1.0, 1.6), runs):
+        params = DriveParams(omega=om, delta=1.0)
+
+        def density(t):
+            rho = free_two_spin_state(params, t, "up", "up")
+            return rho[0, 0].real + rho[1, 1].real
+
+        assert np.float64(got).tobytes() == np.float64(exp_weighted_average(dist, density)).tobytes()
+        assert calls == [21] * n_panels

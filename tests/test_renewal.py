@@ -31,7 +31,8 @@ from spinreset.renewal import (
 )
 from spinreset.spin_dynamics import evolve_qubit, free_two_spin_state, require_qubit_state
 
-from reference_sim import average_poly, flip_probability, flip_probability_poly, sample_waiting_time
+from reference_sim import (_fourier_weight, average_poly, flip_probability, flip_probability_poly,
+                           sample_waiting_time)
 
 POISSON = WaitingTime.poisson(0.5)
 CHOPPED = WaitingTime.chopped(0.5, 8.0)
@@ -112,9 +113,79 @@ def test_chopped_survival_weights_hold_their_digits_down_to_tiny_gamma_t_max(gam
                            - (1 - mass) * mpmath.expm1(1j * w * t_max) / (1j * w)) / mass
                 else:
                     ref = (mass - g * t_max * (1 - mass)) / (g * mass)
-                got = renewal._fourier_weight(WaitingTime.chopped(gamma, a / gamma), w)
+                got = renewal._fourier_weights(WaitingTime.chopped(gamma, a / gamma), w)
                 worst = max(worst, abs(mpmath.mpc(complex(got)) / ref - 1))
     assert worst <= 1e-15
+
+
+def _float_bits(z):
+    """The (re, im) float bits of complex values, as int64: signed zeros kept, and every
+    NaN one NaN (the sign of a NaN that an overflowed w t_max makes is no value)."""
+    z = np.asarray(z, dtype=complex)
+    parts = np.stack([z.real, z.imag])
+    return np.where(np.isnan(parts), np.nan, parts).view(np.int64)
+
+
+_F_MAX = np.finfo(float).max
+
+
+def _chopped(gamma, gamma_t_max):
+    return WaitingTime.chopped(gamma, gamma_t_max / gamma)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# both laws, and the chopped law on both sides of _CHOPPED_SERIES_BELOW
+WEIGHT_LAWS = {
+    "poisson": _decades(-300.0, 300.0).map(WaitingTime.poisson),
+    "chopped-short": st.builds(_chopped, _decades(-3.0, 3.0), _decades(-300.0, math.log10(0.49))),
+    "chopped-long": st.builds(_chopped, _decades(-3.0, 3.0), st.floats(0.5, 1e3)),
+}
+# w: zero, tiny, subnormal, the k obar of a drive with 4 obar at the float max, log-uniform
+WEIGHT_FREQUENCIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-300, -1e-300,
+                     _F_MAX, -_F_MAX, _F_MAX / 2, -_F_MAX / 2, np.nextafter(_F_MAX, 0.0)]),
+    st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-300.0, 300.0), st.sampled_from([-1, 1])),
+)
+
+
+@pytest.mark.parametrize("law", sorted(WEIGHT_LAWS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_survival_weights_repeat_the_scalar_steps_bit_for_bit(law, data):
+    dist = data.draw(WEIGHT_LAWS[law])
+    ws = data.draw(st.lists(WEIGHT_FREQUENCIES, min_size=1, max_size=12))
+    # w t_max past the float range makes NaN in both, with numpy's warnings
+    with np.errstate(all="ignore"):
+        ref = [complex(_fourier_weight(dist, w)) for w in ws]
+        got = renewal._fourier_weights(dist, np.array(ws))
+        grid = renewal._fourier_weights(dist, np.array([ws, ws[::-1]]))
+        u0 = renewal._fourier_weights(dist, 0.0)
+    assert got.dtype == complex and got.shape == (len(ws),)
+    assert np.array_equal(_float_bits(got), _float_bits(ref))
+    assert np.array_equal(_float_bits(grid), _float_bits([ref, ref[::-1]]))
+    # U(0), the normalization, is the one-element case
+    assert u0.shape == () and np.array_equal(_float_bits(u0), _float_bits(_fourier_weight(dist, 0.0)))
+
+
+def test_branch_mix_takes_the_grid_weights_in_one_call(monkeypatch):
+    calls, weights = [], renewal._fourier_weights
+
+    def counting(dist, w):
+        calls.append(np.shape(w))
+        return weights(dist, w)
+
+    monkeypatch.setattr(renewal, "_fourier_weights", counting)
+    drives = [DriveParams(om, 1.0) for om in np.linspace(0.0, 3.0, 150)]  # three blocks
+    for dist in (POISSON, CHOPPED, WaitingTime.chopped(0.5, 0.3)):
+        for protocol in (ProtocolKind.UNCONDITIONAL_RESET, ProtocolKind.CONDITIONAL_TWO_STATE):
+            calls.clear()
+            states = stationary_states(protocol, drives, dist, n_spins=51)
+            assert calls == [(5, len(drives))] and len(states) == len(drives)
+    # obar comes from one hypot over the grid, not from each drive's cached one
+    assert all("effective_rabi" not in vars(p) for p in drives)
 
 
 @pytest.mark.parametrize("gamma, t_max, name", [(0.5, 5e-324, "t_max"), (0.5, 1e-310, "t_max"),

@@ -8,6 +8,7 @@ from spinreset.spin_dynamics import (
     free_pair_poly,
     free_qubit_poly,
     free_two_spin_state,
+    free_two_spin_states,
     propagator,
     require_qubit_state,
     require_states,
@@ -114,6 +115,24 @@ def test_per_drive_axis_keeps_every_bit():
                         == ref.free_two_spin_state(params, t, init_j, init_k).tobytes())
             for rho in (ref.UP, ref.DOWN, mixed):
                 assert evolve_qubit(params, t, rho).tobytes() == ref.evolve(params, t, rho).tobytes()
+
+
+def test_stacked_two_spin_states_keep_every_bit_of_the_per_time_state():
+    # verify's quadrature evaluates a whole panel's nodes at once
+    times = np.concatenate([[0.0, 1e-300], RNG.uniform(0.0, 200.0, 20)])
+    origins = [("up", "up"), ("up", "down"), ("down", "up"), ("down", "down")]
+    for params in axis_drives():
+        for init_j, init_k in origins:
+            got = free_two_spin_states(params, times, init_j, init_k)
+            per_time = [free_two_spin_state(params, t, init_j, init_k) for t in times.tolist()]
+            assert got.shape == (len(times), 4, 4)
+            assert got.tobytes() == np.array(per_time).tobytes()
+    params = random_params()
+    assert free_two_spin_states(params, np.array([]), "up", "up").shape == (0, 4, 4)
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        free_two_spin_states(params, np.array([1.0, -1e-9]), "up", "up")
+    with pytest.raises(ValueError, match="initial state"):
+        free_two_spin_states(params, times, "up", "sideways")
 
 
 def test_free_excitation_density_affine_in_origin_density():

@@ -1149,6 +1149,26 @@ def test_pair_state_is_built_only_at_window_points(n_spins, monkeypatch):
         assert getattr(outs[0], name).tobytes() == getattr(outs[1], name).tobytes()
 
 
+@pytest.mark.parametrize("n_spins", [None, 11], ids=["limit", "finite-n"])
+def test_coherence_is_computed_only_at_window_points(n_spins, monkeypatch):
+    # record needs the Rabi phase's sin*cos only for a pair state: a windowless
+    # run computes no cosine, a windowed one one per chunk and window point
+    calls, coherence = [], trajectory_sim._coherence
+
+    def counting(*args):
+        calls.append(None)
+        return coherence(*args)
+
+    monkeypatch.setattr(trajectory_sim, "_coherence", counting)
+    windowed = small_config(ProtocolKind.CONDITIONAL_FLIP, n_spins=n_spins, n_traj=2 * CHUNK + 5)
+    outs = []
+    for config, builds in ((windowed, 3 * 5), (replace(windowed, average_window=None), 0)):
+        calls.clear()
+        outs.append(run_ensemble(config))
+        assert len(calls) == builds
+    assert outs[0].density.tobytes() == outs[1].density.tobytes()
+
+
 def test_a_chunk_process_that_dies_raises_its_exit_status(monkeypatch, two_cpus):
     parent, chunk_sums = os.getpid(), trajectory_sim._chunk_sums
 
